@@ -22,7 +22,15 @@ no simulation), ``simulate`` (estimates only), ``verify`` (bounds +
 simulation + dominance verdicts), ``tail`` (backward-time tail-bound
 curves vs empirical), ``renewal`` (renewal function of the envelope).
 Exit status is 0 iff every requested verdict passes; errors exit nonzero
-with a machine-readable JSON record on stderr.
+with a machine-readable JSON record on stderr.  ``simulate``, ``verify``
+and ``tail`` refuse a scenario that fails an assumption check (exit 2,
+``AssumptionFailure``) unless ``--force`` is given.
+
+``report.json`` is strict JSON (RFC 8259): an estimate that diverges, which
+only a forced run on a failing scenario can produce, is written as ``null``.
+The ``tail`` and ``renewal`` reports carry a ``renewal`` block with the
+lattice numerics: the renewal equation's residual, the node count, the atom
+snap error and the mass truncated beyond the horizon.
 
 Outputs are deterministic byte-for-byte for a fixed scenario and flags;
 the only timestamp lives in ``manifest.json``.  The manifest lists every
@@ -50,7 +58,12 @@ from pathlib import Path
 import numpy as np
 
 from .assumptions import check_assumptions
-from .errors import DivergentMomentError, RenewalBoundsError, ScenarioFormatError
+from .errors import (
+    AssumptionFailure,
+    DivergentMomentError,
+    RenewalBoundsError,
+    ScenarioFormatError,
+)
 from .gridcalc import (
     backward_tail_bound,
     discretize,
@@ -401,7 +414,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict RFC 8259: a non-finite float raises instead of writing NaN/Infinity
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +479,9 @@ def run(
         payload.update(_bounds_payload(scenario))
 
     elif command == "simulate":
+        report = _assumption_gate(scenario, force)
         table = estimate(scenario, workers=workers)
+        payload["assumptions"] = report.as_dict()
         payload["estimates"] = _estimates_payload(table)
         if want_csv:
             _emit_estimates_csv(bundle, directory, table)
@@ -504,15 +520,7 @@ def run(
         payload.update(bundle_payload)
 
     elif command == "renewal":
-        h = scenario.resolved_step()
-        s_max = scenario.resolved_horizon()
-        grid = discretize(scenario.zeta_cdf, h, s_max, allow_truncation=True)
-        H = renewal_function(grid)
-        payload["renewal"] = {
-            "n_max": H.n_max,
-            "last_power_sup": H.last_power_sup,
-            "equation_residual": H.equation_residual,
-        }
+        H, payload["renewal"] = _renewal(scenario)
         if want_csv:
             path = directory / "renewal.csv"
             _write_csv(path, ["s", "H"], zip(H.grid(), H.values))
@@ -553,14 +561,20 @@ def _bounds_payload(scenario: ScenarioConfig) -> dict:
     }
 
 
+def _finite_or_null(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _estimates_payload(table) -> list[dict]:
+    """Per-t estimates; a non-finite one (only under ``--force``) is ``null``."""
     return [
         {
             "t": t,
-            "mean_backward": float(table.mean_backward[i]),
-            "half_width_backward": float(table.half_backward[i]),
-            "mean_forward": float(table.mean_forward[i]),
-            "half_width_forward": float(table.half_forward[i]),
+            "mean_backward": _finite_or_null(table.mean_backward[i]),
+            "half_width_backward": _finite_or_null(table.half_backward[i]),
+            "mean_forward": _finite_or_null(table.mean_forward[i]),
+            "half_width_forward": _finite_or_null(table.half_forward[i]),
             "reps": table.reps,
         }
         for i, t in enumerate(table.t_queries)
@@ -580,21 +594,45 @@ def _emit_estimates_csv(bundle: ReportBundle, directory: Path, table) -> None:
     bundle.files["estimates.csv"] = path
 
 
-def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict:
+def _assumption_gate(scenario: ScenarioConfig, force: bool):
+    """The scenario's assumption report; without ``force`` a failed check raises."""
     report = check_assumptions(scenario)
     if not report.all_pass and not force:
-        from .errors import AssumptionFailure
-
         failed = [c.number for c in report.conditions if not c.passed]
         raise AssumptionFailure(
             f"scenario fails assumption condition(s) {failed}; rerun with --force"
         )
-    h = scenario.resolved_step()
-    s_max = scenario.resolved_horizon()
-    grid = discretize(scenario.zeta_cdf, h, s_max, allow_truncation=True)
+    return report
+
+
+def _renewal(scenario: ScenarioConfig):
+    """Renewal function of the zeta envelope on the scenario's grid.
+
+    Returns H and the lattice numerics the report carries; all of them are
+    deterministic, so they keep ``report.json`` byte-identical across runs.
+    """
+    grid = discretize(
+        scenario.zeta_cdf,
+        scenario.resolved_step(),
+        scenario.resolved_horizon(),
+        allow_truncation=True,
+    )
     H = renewal_function(grid)
+    diagnostics = {
+        "equation_residual": H.equation_residual,
+        "nodes": int(H.values.size),
+        "snap_error": grid.snap_error,
+        "truncation_residual": grid.truncation_residual,
+    }
+    return H, diagnostics
+
+
+def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict:
+    report = _assumption_gate(scenario, force)
+    H, diagnostics = _renewal(scenario)
+    h = H.step
     table = estimate(scenario, workers=workers, keep_samples=True)
-    payload = {"tail": []}
+    payload = {"tail": [], "renewal": diagnostics}
     for qi, t in enumerate(scenario.t_queries):
         n_pts = int(math.floor(t / h + 1e-9)) + 1
         stride = max(1, (n_pts - 1) // 2000) if n_pts > 1 else 1
@@ -602,8 +640,8 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict
         if xs[-1] < t:
             xs = np.append(xs, t)
         ub = backward_tail_bound(scenario.eta_cdf, H, t, xs)
-        samples = table.samples_backward[:, qi]
-        emp = np.array([np.mean(samples > x) for x in xs])
+        srt = np.sort(table.samples_backward[:, qi])
+        emp = (srt.size - np.searchsorted(srt, xs, side="right")) / srt.size
         se = np.sqrt(emp * (1.0 - emp) / scenario.reps)
         name = f"tail_t{t:g}.csv"
         if want_csv:

@@ -3,7 +3,8 @@
 Reference CDFs are exact closed forms wrapped in CallableCdf; ``brute_ppf``
 inverts a CDF by plain bisection on its evaluator; ``ks_distance`` compares
 the ECDF's left and right limits at each distinct sample value with the
-CDF's, so ties on an atom are handled.
+CDF's, so ties on an atom are handled; ``renewal_by_powers`` sums lattice
+convolution powers, the definition the renewal-equation solve must match.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from renewal_bounds import CallableCdf
+from renewal_bounds import CallableCdf, convolve
 
 
 def exp_cdf(rate: float = 1.0) -> CallableCdf:
@@ -118,3 +119,16 @@ def ks_distance(samples, F) -> float:
 
 def empirical_cdf_at(sorted_samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.searchsorted(sorted_samples, points, side="right") / sorted_samples.size
+
+
+def renewal_by_powers(G, tol: float) -> np.ndarray:
+    """Renewal function ``sum_{n>=1} G^{*n}`` at the nodes, power by power.
+
+    Convolves until the newest power's total mass falls below ``tol``.
+    """
+    total = G.values.copy()
+    power = G
+    while power.values[-1] >= tol:
+        power = convolve(power, G)
+        total += power.values
+    return total

@@ -253,11 +253,11 @@ def test_criterion_6_sum_ordering(sc_gen):
 def test_criterion_7_renewal_function():
     F1 = rb.cdf_from_intensity(rb.exponential(1.0))
     G = rb.discretize(F1, 0.005, 10.0, allow_truncation=True)
-    H = rb.renewal_function(G, 1e-8)
+    H = rb.renewal_function(G)
     err_exp = float(np.max(np.abs(H.values - H.grid())))
 
     Gd = rb.discretize(rb.cdf_from_intensity(rb.deterministic(1.0)), 0.005, 10.0)
-    Hd = rb.renewal_function(Gd, 1e-8)
+    Hd = rb.renewal_function(Gd)
     s = Hd.grid()
     off = np.abs(s - np.round(s)) > 1e-9
     det_exact = bool(np.array_equal(Hd.values[off], np.floor(s[off])))
@@ -273,7 +273,7 @@ def test_criterion_7_renewal_function():
 def test_criterion_8_tail_bound_dominance(sc_gen, gen_estimates):
     h = sc_gen.step
     G = rb.discretize(sc_gen.zeta_cdf, h, sc_gen.horizon, allow_truncation=True)
-    H = rb.renewal_function(G, 1e-8)
+    H = rb.renewal_function(G)
     ok = True
     details = []
     for t in (5.0, 10.0):

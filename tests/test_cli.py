@@ -240,6 +240,25 @@ def test_simulate_command(tmp_path):
     assert len(lines) == 4
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_simulate_gates_on_assumptions(tmp_path, capsys):
+    path = write(tmp_path, IMPROPER_PHI)
+    argv = ["simulate", str(path), "--reps", "200"]
+    assert main([*argv, "--out", str(tmp_path / "o1")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "AssumptionFailure"
+    assert not (tmp_path / "o1" / "report.json").exists()
+    # forced: E eta diverges, so the forward estimate is null, in strict JSON
+    assert main([*argv, "--out", str(tmp_path / "o2"), "--force"]) == 0
+    text = (tmp_path / "o2" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["assumptions"]["all_pass"] is False
+    assert any(row["mean_forward"] is None for row in report["estimates"])
+
+
 def test_renewal_command(tmp_path):
     path = write(tmp_path, MINIMAL_IID)
     bundle = run("renewal", path, out_dir=tmp_path / "out", step=0.01, horizon=10.0)
@@ -249,6 +268,12 @@ def test_renewal_command(tmp_path):
     s, h = zip(*(map(float, r.split(",")) for r in rows[1:]))
     # Q = Exp(1): renewal function is H(s) = s
     assert max(abs(np.array(h) - np.array(s))) <= 2e-3
+    numerics = bundle.report["renewal"]
+    assert set(numerics) == {"equation_residual", "nodes", "snap_error", "truncation_residual"}
+    assert numerics["nodes"] == 1001
+    assert numerics["equation_residual"] <= 1e-10
+    assert numerics["snap_error"] == 0.0
+    assert numerics["truncation_residual"] == pytest.approx(math.exp(-10.0), rel=1e-12)
 
 
 def test_tail_command(tmp_path):
@@ -260,6 +285,10 @@ def test_tail_command(tmp_path):
     header = f.read_text().splitlines()[0]
     assert header == "x,upper_bound,empirical,se"
     assert all(entry["dominates"] for entry in bundle.report["tail"])
+    numerics = bundle.report["renewal"]
+    assert set(numerics) == {"equation_residual", "nodes", "snap_error", "truncation_residual"}
+    assert numerics["nodes"] == 3001  # step 0.01, horizon 30
+    assert numerics["equation_residual"] <= 1e-10
 
 
 def test_flag_precedence_over_file(tmp_path):

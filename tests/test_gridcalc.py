@@ -8,7 +8,7 @@ import pytest
 import renewal_bounds as rb
 from renewal_bounds import GridError
 
-from helpers import erlang_cdf
+from helpers import erlang_cdf, renewal_by_powers
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +128,35 @@ def test_power_one_is_identity(exp1):
 
 def test_renewal_exponential_is_linear(exp1):
     G = rb.discretize(exp1, 0.005, 10.0, allow_truncation=True)
-    H = rb.renewal_function(G, 1e-8)
+    H = rb.renewal_function(G)
     assert np.max(np.abs(H.values - H.grid())) <= 1e-3
-    assert H.equation_residual <= 1e-7
-    assert H.last_power_sup < 1e-8
+    assert H.equation_residual <= 1e-10
 
 
 def test_renewal_deterministic_is_floor():
     G = rb.discretize(rb.cdf_from_intensity(rb.deterministic(1.0)), 0.005, 10.0)
-    H = rb.renewal_function(G, 1e-8)
+    H = rb.renewal_function(G)
     s = H.grid()
     off = np.abs(s - np.round(s)) > 1e-9
     assert np.array_equal(H.values[off], np.floor(s[off]))
+
+
+RENEWAL_LAWS = {
+    "exp1": rb.exponential(1.0),
+    "weibull2": rb.weibull(2.0),
+    "uniform01": rb.uniform(0.0, 1.0),
+    "exp1-atom-0.5": rb.from_segments([(0.0, [1.0])], atoms=[(0.5, math.log(2.0))]),
+    "atom-0.3-at-0-exp2": rb.from_segments([(0.0, [2.0])], atoms=[(0.0, -math.log(0.7))]),
+    "deterministic1": rb.deterministic(1.0),
+}
+
+
+@pytest.mark.parametrize("law", list(RENEWAL_LAWS))
+def test_renewal_solve_matches_power_sum(law):
+    G = rb.discretize(rb.cdf_from_intensity(RENEWAL_LAWS[law]), 0.01, 10.0, allow_truncation=True)
+    H = rb.renewal_function(G)
+    assert np.max(np.abs(H.values - renewal_by_powers(G, 1e-14))) <= 1e-10
+    assert H.equation_residual <= 1e-10
 
 
 def test_renewal_monotone_and_zero_at_origin(exp1):
@@ -224,7 +241,7 @@ def test_generalized_bound_iid_boundary(exp1):
 @pytest.fixture(scope="module")
 def exp_renewal(exp1):
     G = rb.discretize(exp1, 0.005, 20.0, allow_truncation=True)
-    return rb.renewal_function(G, 1e-8)
+    return rb.renewal_function(G)
 
 
 def test_tail_bound_empty_integral(exp1, exp_renewal):
