@@ -31,6 +31,7 @@ from .scenario import ScenarioConfig
 __all__ = ["ConditionVerdict", "AssumptionReport", "check_assumptions"]
 
 _VIOLATION_TOL = 1e-12
+_ZERO_WINDOW = 0.1  # neighbourhood of zero inspected for condition 4
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,10 @@ def _zero_hazard_runs(phi: GeneralizedIntensity) -> tuple[list[tuple[float, floa
 def check_assumptions(
     scenario: ScenarioConfig,
     *,
-    zero_window: float = 0.1,
     delay_T: float | None = None,
 ) -> AssumptionReport:
     """Check the five conditions of a scenario; failures are verdicts.
 
-    ``zero_window`` is the neighbourhood of zero inspected for condition 4;
     ``delay_T`` fixes the delay threshold of condition 5 (when omitted the
     minimal feasible T is inferred and reported).
     """
@@ -213,9 +212,9 @@ def check_assumptions(
     sup_q = -math.inf
     breaks = q.breaks
     for i, s in enumerate(breaks):
-        if s >= zero_window:
+        if s >= _ZERO_WINDOW:
             break
-        hi = min(breaks[i + 1] if i + 1 < breaks.size else math.inf, zero_window) - s
+        hi = min(breaks[i + 1] if i + 1 < breaks.size else math.inf, _ZERO_WINDOW) - s
         v, _ = pmax_on(q.coeffs[i], 0.0, hi)
         sup_q = max(sup_q, v)
     ok4 = not atom_at_zero
@@ -223,10 +222,10 @@ def check_assumptions(
         4,
         "envelope Q locally bounded near zero",
         "pass" if ok4 else "fail",
-        f"sup Q on [0, {zero_window:g}] = {sup_q:.6g}"
+        f"sup Q on [0, {_ZERO_WINDOW:g}] = {sup_q:.6g}"
         if ok4
         else "Q carries an atom at the origin",
-        {"sup_q_near_zero": sup_q, "window": zero_window, "atom_at_zero": atom_at_zero},
+        {"sup_q_near_zero": sup_q, "window": _ZERO_WINDOW, "atom_at_zero": atom_at_zero},
     )
 
     runs, unbounded = _zero_hazard_runs(phi)

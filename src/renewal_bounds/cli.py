@@ -59,28 +59,23 @@ import numpy as np
 
 from .assumptions import check_assumptions
 from .errors import (
-    AssumptionFailure,
     DivergentMomentError,
     RenewalBoundsError,
     ScenarioFormatError,
 )
-from .gridcalc import (
-    backward_tail_bound,
-    discretize,
-    generalized_bound,
-    lorden_classical_bound,
-    renewal_function,
-)
+from .gridcalc import backward_tail_bound, discretize, renewal_function
 from .hazard import (
     GeneralizedIntensity,
     deterministic,
     exponential,
     from_segments,
-    moment,
     uniform,
     weibull,
     zero,
 )
+# not called here; kept so that perfbench/child.py can wrap cli.<name> when tracing
+from .gridcalc import generalized_bound, lorden_classical_bound  # noqa: F401
+from .hazard import moment  # noqa: F401
 from .scenario import (
     ConstantRate,
     CycledIntensities,
@@ -89,7 +84,7 @@ from .scenario import (
     RepeatLastIntensities,
     ScenarioConfig,
 )
-from .simulate import estimate, verify_bound
+from .simulate import _assumption_gate, _bounds, estimate, verify_bound
 
 __all__ = ["parse_scenario", "load_scenario", "run", "main", "OutputOptions", "ReportBundle"]
 
@@ -476,7 +471,7 @@ def run(
         bundle.exit_code = 0 if report.all_pass else 1
 
     elif command == "bound":
-        payload.update(_bounds_payload(scenario))
+        payload.update(_bound_blocks(_bounds(scenario)))
 
     elif command == "simulate":
         report = _assumption_gate(scenario, force)
@@ -490,15 +485,7 @@ def run(
         report = verify_bound(scenario, override_assumptions=force, workers=workers)
         payload["assumptions"] = report.assumptions.as_dict()
         payload["assumption_override"] = report.assumption_override
-        payload["moments"] = {
-            "e_eta": report.e_eta,
-            "e_eta2": report.e_eta2,
-            "e_zeta": report.e_zeta,
-        }
-        payload["bounds"] = {
-            "generalized": report.generalized,
-            "classical": report.classical,
-        }
+        payload.update(_bound_blocks(report))
         payload["estimates"] = _estimates_payload(report.table)
         payload["verdicts"] = {
             "all_pass": report.all_pass,
@@ -547,17 +534,11 @@ def _default_or_null(resolve):
         return None
 
 
-def _bounds_payload(scenario: ScenarioConfig) -> dict:
-    e_eta = moment(scenario.eta_cdf, 1)
-    e_eta2 = moment(scenario.eta_cdf, 2)
-    e_zeta = moment(scenario.zeta_cdf, 1)
-    gen = generalized_bound(scenario.eta_cdf, scenario.zeta_cdf)
-    classical = (
-        lorden_classical_bound(scenario.interval_cdfs[0]) if scenario.iid else None
-    )
+def _bound_blocks(report) -> dict:
+    """The ``moments`` and ``bounds`` blocks of a :class:`BoundReport`."""
     return {
-        "moments": {"e_eta": e_eta, "e_eta2": e_eta2, "e_zeta": e_zeta},
-        "bounds": {"generalized": gen, "classical": classical},
+        "moments": {"e_eta": report.e_eta, "e_eta2": report.e_eta2, "e_zeta": report.e_zeta},
+        "bounds": {"generalized": report.generalized, "classical": report.classical},
     }
 
 
@@ -592,17 +573,6 @@ def _emit_estimates_csv(bundle: ReportBundle, directory: Path, table) -> None:
     )
     _write_csv(path, ["t", "meanB", "ciB", "meanW", "ciW"], rows)
     bundle.files["estimates.csv"] = path
-
-
-def _assumption_gate(scenario: ScenarioConfig, force: bool):
-    """The scenario's assumption report; without ``force`` a failed check raises."""
-    report = check_assumptions(scenario)
-    if not report.all_pass and not force:
-        failed = [c.number for c in report.conditions if not c.passed]
-        raise AssumptionFailure(
-            f"scenario fails assumption condition(s) {failed}; rerun with --force"
-        )
-    return report
 
 
 def _renewal(scenario: ScenarioConfig):

@@ -28,13 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammainc
 
-try:  # optional: fast scalar kernel for quartic inversion
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 from .errors import DistributionError, DivergentMomentError, IntensityError
 from .poly import (
     is_zero_poly,
@@ -430,7 +423,7 @@ def _check_u(u):
 _BISECT_ITERS = 60
 
 
-def _bisect_quartic_numpy(c1, c2, c3, c4, hi, tp):
+def _bisect_quartic(c1, c2, c3, c4, hi, tp):
     lo = np.zeros_like(tp)
     hi = hi.copy()
     for _ in range(_BISECT_ITERS):
@@ -440,30 +433,6 @@ def _bisect_quartic_numpy(c1, c2, c3, c4, hi, tp):
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
     return hi
-
-
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _bisect_quartic(c1, c2, c3, c4, hi_in, tp):  # pragma: no cover
-        out = np.empty_like(tp)
-        for i in range(tp.size):
-            lo = 0.0
-            hi = hi_in[i]
-            t = tp[i]
-            a1, a2, a3, a4 = c1[i], c2[i], c3[i], c4[i]
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                val = (((a4 * mid + a3) * mid + a2) * mid + a1) * mid
-                if val >= t:
-                    hi = mid
-                else:
-                    lo = mid
-            out[i] = hi
-        return out
-
-else:  # pragma: no cover
-    _bisect_quartic = _bisect_quartic_numpy
 
 
 class IntensityCdf(MixedCdf):

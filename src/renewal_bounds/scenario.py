@@ -99,62 +99,26 @@ class RepeatLastIntensities(MuRule):
         return np.minimum(np.asarray(j, dtype=np.int64) - 1, len(self.items) - 1)
 
 
-@dataclass(frozen=True)
-class ConstantRate(MuRule):
+def ConstantRate(rate: float) -> RepeatLastIntensities:
     """mu_j is the constant hazard ``rate`` for every j (0 means no extra hazard)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise IntensityError("constant mu rate must be nonnegative")
-
-    @cached_property
-    def _items(self):
-        return (_rate_intensity(self.rate),)
-
-    @property
-    def distinct_intensities(self):
-        return self._items
-
-    def index_for(self, j):
-        return np.zeros_like(np.asarray(j, dtype=np.int64))
+    if rate < 0:
+        raise IntensityError("constant mu rate must be nonnegative")
+    return RepeatLastIntensities((_rate_intensity(rate),))
 
 
-@dataclass(frozen=True)
-class LinearCappedRate(MuRule):
-    """mu_j has constant hazard ``min(base + slope*(j-1), cap)``."""
+def LinearCappedRate(base: float, slope: float, cap: float) -> RepeatLastIntensities:
+    """mu_j has constant hazard ``min(base + slope*(j-1), cap)``.
 
-    base: float
-    slope: float
-    cap: float
-
-    def __post_init__(self):
-        if self.base < 0 or self.slope < 0:
-            raise IntensityError("linear-capped rates must be nonnegative")
-        if self.cap < self.base:
-            raise IntensityError("cap must not be below the base rate")
-        if self.slope == 0 and self.cap != self.base:
-            object.__setattr__(self, "cap", self.base)
-
-    @cached_property
-    def _steps(self) -> int:
-        if self.slope == 0:
-            return 0
-        return int(math.ceil((self.cap - self.base) / self.slope))
-
-    @cached_property
-    def _items(self):
-        rates = [min(self.base + self.slope * i, self.cap) for i in range(self._steps)]
-        rates.append(self.cap)
-        return tuple(_rate_intensity(r) for r in rates)
-
-    @property
-    def distinct_intensities(self):
-        return self._items
-
-    def index_for(self, j):
-        return np.minimum(np.asarray(j, dtype=np.int64) - 1, self._steps)
+    With ``slope == 0`` the cap is never reached and mu_j is ``base``.
+    """
+    if base < 0 or slope < 0:
+        raise IntensityError("linear-capped rates must be nonnegative")
+    if cap < base:
+        raise IntensityError("cap must not be below the base rate")
+    steps = int(math.ceil((cap - base) / slope)) if slope > 0 else 0
+    rates = [min(base + slope * i, cap) for i in range(steps)]
+    rates.append(cap if slope > 0 else base)
+    return RepeatLastIntensities(tuple(_rate_intensity(r) for r in rates))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,31 @@ Because interval values depend only on the stream position, batch drawing
 bit for bit, and estimates are identical for any degree of parallelism:
 per-replication results are written into index-addressed arrays, and the
 reduction is a single deterministic pass over the assembled array.
+
+Wave loop
+---------
+One generator, ``_waves``, draws every interval.  It advances a set of
+streams in waves: each still-active stream draws ``2 * block`` uniforms
+(``block`` intervals), the block doubles from wave to wave, and a stream
+leaves the set once its last jump lies beyond the largest query time.  Once
+per wave it yields the rows that were active and their jump times.
+``estimate`` reduces a slab of replications to backward/forward times as the
+waves pass; ``simulate_path`` is the one-stream case, which keeps the jumps.
+A wave adds its cumulative sum to the previous wave's last jump, so the wave
+sizes fix the last bits of the jump times; how replications are split into
+slabs does not.
+
+``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
+through one assumption gate, ``_assumption_gate``; the moments and bounds of
+a scenario come from one place, ``_bounds``.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,59 +139,16 @@ def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np
     return out
 
 
-def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
-    """Simulate one trajectory until the first jump beyond max(t_queries)."""
-    queries = np.asarray(scenario.t_queries)
-    t_max = float(queries[-1])
-    rng = path_stream(scenario.seed, replication)
-    block = _initial_block(scenario, t_max)
+def _waves(scenario: ScenarioConfig, gens: list[np.random.Generator], t_max: float):
+    """Draw intervals from ``gens`` in waves until every path passes ``t_max``.
 
-    chunks: list[np.ndarray] = []
-    base = 0.0
-    j0 = 1
-    while True:
-        if j0 > EVENT_CAP:
-            raise EventCapExceeded(
-                f"path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
-            )
-        u = rng.random(2 * block).reshape(1, 2 * block)
-        zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(1, block)
-        theta = _theta_from_uniforms(scenario, u[:, 1::2], j0)
-        xi = np.minimum(zeta, theta)[0]
-        times = base + np.cumsum(xi)
-        chunks.append(times)
-        if times[-1] > t_max:
-            break
-        base = times[-1]
-        j0 += block
-        block = min(block * 2, 1 << 20)
-
-    jumps = np.concatenate(chunks)
-    stop = int(np.argmax(jumps > t_max))
-    jumps = jumps[: stop + 1]
-
-    n_t = np.searchsorted(jumps, queries, side="right")
-    last = np.where(n_t > 0, jumps[np.maximum(n_t - 1, 0)], 0.0)
-    b_t = queries - last
-    w_t = jumps[n_t] - queries
-    return RenewalPath(jumps, scenario.t_queries, n_t, b_t, w_t)
-
-
-def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Backward/forward times for replications [r0, r1), vectorized in waves."""
-    queries = np.asarray(scenario.t_queries)
-    nq = queries.size
-    t_max = float(queries[-1])
-    count = r1 - r0
-    out_b = np.empty((count, nq))
-    out_w = np.empty((count, nq))
-
-    gens = [path_stream(scenario.seed, r) for r in range(r0, r1)]
-    active = np.arange(count)
-    base = np.zeros(count)
-    last_le = np.zeros((count, nq))
-    next_gt = np.full((count, nq), np.nan)
-
+    Yields ``(active, times)`` once per wave: the indices into ``gens`` of
+    the rows still short of ``t_max``, and their jump times in this wave
+    (``active.size x block``).  Rows whose last jump lies beyond ``t_max``
+    leave before the next wave, whose block is twice as long.
+    """
+    active = np.arange(len(gens))
+    base = np.zeros(len(gens))
     j0 = 1
     block = _initial_block(scenario, t_max)
     while active.size:
@@ -187,11 +162,40 @@ def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray,
             u[i] = gens[row].random(2 * block)
         zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(n_act, block)
         theta = _theta_from_uniforms(scenario, u[:, 1::2], j0)
-        xi = np.minimum(zeta, theta)
-        times = base[active, None] + np.cumsum(xi, axis=1)
+        times = base[active, None] + np.cumsum(np.minimum(zeta, theta), axis=1)
+        yield active, times
+        base[active] = times[:, -1]
+        active = active[~(times[:, -1] > t_max)]
+        j0 += block
+        block = min(block * 2, 1 << 20)
 
-        for qi in range(nq):
-            t = queries[qi]
+
+def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
+    """Simulate one trajectory until the first jump beyond max(t_queries)."""
+    queries = np.asarray(scenario.t_queries)
+    t_max = float(queries[-1])
+    gens = [path_stream(scenario.seed, replication)]
+    jumps = np.concatenate([times[0] for _, times in _waves(scenario, gens, t_max)])
+    jumps = jumps[: int(np.argmax(jumps > t_max)) + 1]
+
+    n_t = np.searchsorted(jumps, queries, side="right")
+    last = np.where(n_t > 0, jumps[np.maximum(n_t - 1, 0)], 0.0)
+    b_t = queries - last
+    w_t = jumps[n_t] - queries
+    return RenewalPath(jumps, scenario.t_queries, n_t, b_t, w_t)
+
+
+def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Backward/forward times for replications [r0, r1), vectorized in waves."""
+    queries = np.asarray(scenario.t_queries)
+    count = r1 - r0
+    last_le = np.zeros((count, queries.size))
+    next_gt = np.full((count, queries.size), np.nan)
+
+    gens = [path_stream(scenario.seed, r) for r in range(r0, r1)]
+    for active, times in _waves(scenario, gens, float(queries[-1])):
+        block = times.shape[1]
+        for qi, t in enumerate(queries):
             cnt = np.sum(times <= t, axis=1)
             has = cnt > 0
             if np.any(has):
@@ -201,17 +205,7 @@ def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray,
             if np.any(open_q):
                 rows = np.nonzero(open_q)[0]
                 next_gt[active[rows], qi] = times[rows, cnt[rows]]
-
-        finished = times[:, -1] > t_max
-        base[active] = times[:, -1]
-        done_rows = active[finished]
-        if done_rows.size:
-            out_b[done_rows] = queries[None, :] - last_le[done_rows]
-            out_w[done_rows] = next_gt[done_rows] - queries[None, :]
-        active = active[~finished]
-        j0 += block
-        block = min(block * 2, 1 << 20)
-    return out_b, out_w
+    return queries - last_le, next_gt - queries
 
 
 def _slab_worker(args) -> tuple[int, np.ndarray, np.ndarray]:
@@ -259,26 +253,20 @@ def estimate(
     nq = len(scenario.t_queries)
     B = np.empty((reps, nq))
     W = np.empty((reps, nq))
-    slabs = [(r0, min(r0 + _SLAB, reps)) for r0 in range(0, reps, _SLAB)]
-
-    if workers > 1 and len(slabs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r0, b, w in pool.map(
-                _slab_worker, [(scenario, r0, r1) for r0, r1 in slabs]
-            ):
-                B[r0 : r0 + b.shape[0]] = b
-                W[r0 : r0 + w.shape[0]] = w
-    else:
-        for r0, r1 in slabs:
-            b, w = _slab_stats(scenario, r0, r1)
-            B[r0:r1] = b
-            W[r0:r1] = w
+    jobs = [(scenario, r0, min(r0 + _SLAB, reps)) for r0 in range(0, reps, _SLAB)]
+    parallel = workers > 1 and len(jobs) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for r0, b, w in (pool.map if parallel else map)(_slab_worker, jobs):
+            B[r0 : r0 + b.shape[0]] = b
+            W[r0 : r0 + w.shape[0]] = w
 
     mean_b = B.mean(axis=0)
     mean_w = W.mean(axis=0)
     if reps > 1:
-        var_b = B.var(axis=0, ddof=1)
-        var_w = W.var(axis=0, ddof=1)
+        # an infinite time (only under an assumption override) gives a nan variance
+        with np.errstate(invalid="ignore"):
+            var_b = B.var(axis=0, ddof=1)
+            var_w = W.var(axis=0, ddof=1)
     else:
         var_b = np.zeros(nq)
         var_w = np.zeros(nq)
@@ -298,13 +286,39 @@ def estimate(
     )
 
 
+def _assumption_gate(scenario: ScenarioConfig, override: bool) -> AssumptionReport:
+    """The scenario's assumption report; a failed check raises unless overridden."""
+    report = check_assumptions(scenario)
+    if not report.all_pass and not override:
+        failed = [c.number for c in report.conditions if not c.passed]
+        raise AssumptionFailure(
+            f"scenario fails assumption condition(s) {failed}; override to proceed "
+            "anyway (override_assumptions=True, or --force on the command line)"
+        )
+    return report
+
+
+def _bounds(scenario: ScenarioConfig) -> BoundReport:
+    """Moments and bounds of a scenario, without estimates or verdicts.
+
+    The classical bound is computed only when the scenario is i.i.d.
+    """
+    return BoundReport(
+        scenario.eta_mean,
+        moment(scenario.eta_cdf, 2),
+        scenario.zeta_mean,
+        generalized_bound(scenario.eta_cdf, scenario.zeta_cdf),
+        lorden_classical_bound(scenario.interval_cdfs[0]) if scenario.iid else None,
+        table=None,
+        verdicts=(),
+    )
+
+
 def verify_bound(
     scenario: ScenarioConfig,
     *,
     override_assumptions: bool = False,
     workers: int = 1,
-    keep_samples: bool = False,
-    assumption_report: AssumptionReport | None = None,
 ) -> BoundReport:
     """Compute the envelope bound and verify it dominates the MC estimates.
 
@@ -313,57 +327,33 @@ def verify_bound(
     must cover both estimated means minus three standard errors; the
     classical bound is included (and checked) when the scenario is i.i.d.
     """
-    report = assumption_report or check_assumptions(scenario)
-    if not report.all_pass and not override_assumptions:
-        failed = [c.number for c in report.conditions if not c.passed]
-        raise AssumptionFailure(
-            f"scenario fails assumption condition(s) {failed}; "
-            "pass override_assumptions=True to proceed anyway"
-        )
-
-    e_eta = scenario.eta_mean
-    e_eta2 = moment(scenario.eta_cdf, 2)
-    e_zeta = scenario.zeta_mean
-    gen = generalized_bound(scenario.eta_cdf, scenario.zeta_cdf)
-    classical = (
-        lorden_classical_bound(scenario.interval_cdfs[0]) if scenario.iid else None
-    )
-
-    table = estimate(scenario, workers=workers, keep_samples=keep_samples)
+    report = _assumption_gate(scenario, override_assumptions)
+    bounds = _bounds(scenario)
+    table = estimate(scenario, workers=workers)
     se_b = table.se_backward()
     se_w = table.se_forward()
-    verdicts = []
-    for qi, t in enumerate(scenario.t_queries):
-        ok_gen = bool(
-            gen >= table.mean_backward[qi] - 3.0 * se_b[qi]
-            and gen >= table.mean_forward[qi] - 3.0 * se_w[qi]
+    lower = np.maximum(table.mean_backward - 3.0 * se_b, table.mean_forward - 3.0 * se_w)
+
+    def covers(bound, qi):
+        return None if bound is None else bool(bound >= lower[qi])
+
+    verdicts = tuple(
+        DominanceVerdict(
+            t,
+            bounds.generalized,
+            float(table.mean_backward[qi]),
+            float(se_b[qi]),
+            float(table.mean_forward[qi]),
+            float(se_w[qi]),
+            covers(bounds.generalized, qi),
+            covers(bounds.classical, qi),
         )
-        ok_cls = None
-        if classical is not None:
-            ok_cls = bool(
-                classical >= table.mean_backward[qi] - 3.0 * se_b[qi]
-                and classical >= table.mean_forward[qi] - 3.0 * se_w[qi]
-            )
-        verdicts.append(
-            DominanceVerdict(
-                t,
-                gen,
-                float(table.mean_backward[qi]),
-                float(se_b[qi]),
-                float(table.mean_forward[qi]),
-                float(se_w[qi]),
-                ok_gen,
-                ok_cls,
-            )
-        )
-    return BoundReport(
-        e_eta,
-        e_eta2,
-        e_zeta,
-        gen,
-        classical,
-        table,
-        tuple(verdicts),
-        report,
-        override_assumptions and not report.all_pass,
+        for qi, t in enumerate(scenario.t_queries)
+    )
+    return replace(
+        bounds,
+        table=table,
+        verdicts=verdicts,
+        assumptions=report,
+        assumption_override=override_assumptions and not report.all_pass,
     )

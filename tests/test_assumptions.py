@@ -114,3 +114,50 @@ def test_linear_capped_rule_distinct_set():
     rep = rb.check_assumptions(sc_bad)
     assert not rep.condition(2).passed
     assert rep.condition(2).diagnostics["max_violation"] == pytest.approx(0.1)
+
+
+def _rates(rule):
+    """The constant hazard of each distinct intensity (0 for the zero intensity)."""
+    out = []
+    for m in rule.distinct_intensities:
+        assert m.breaks.tolist() == [0.0] and m.atom_locs.size == 0
+        assert m.coeffs[0, 1:].tolist() == [0.0, 0.0, 0.0]
+        out.append(float(m.coeffs[0, 0]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "rule, rates, index",
+    [
+        (rb.ConstantRate(0.0), [0.0], [0, 0, 0]),
+        (rb.ConstantRate(2.0), [2.0], [0, 0, 0]),
+        (rb.LinearCappedRate(0.5, 0.0, 3.0), [0.5], [0, 0, 0]),
+        (rb.LinearCappedRate(1.0, 0.5, 1.0), [1.0], [0, 0, 0]),
+        (rb.LinearCappedRate(0.0, 1.0, 2.5), [0.0, 1.0, 2.0, 2.5], [0, 1, 3]),
+    ],
+)
+def test_rate_rule_factories(rule, rates, index):
+    assert _rates(rule) == rates
+    assert rule.is_iid == (len(rates) == 1)
+    assert [int(rule.index_for(j)) for j in (1, 2, 50)] == index
+    if rates == [0.0]:
+        assert not rule.distinct_intensities[0].proper  # the zero intensity
+    if rates == [2.0]:
+        expected = rb.exponential(2.0)
+        (got,) = rule.distinct_intensities
+        for name in ("breaks", "coeffs", "atom_locs", "atom_weights"):
+            assert getattr(got, name).tolist() == getattr(expected, name).tolist()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rb.ConstantRate(-1.0),
+        lambda: rb.LinearCappedRate(-0.5, 0.1, 1.0),
+        lambda: rb.LinearCappedRate(0.5, -0.1, 1.0),
+        lambda: rb.LinearCappedRate(2.0, 0.1, 1.0),  # cap below base
+    ],
+)
+def test_rate_rule_factories_reject_bad_rates(make):
+    with pytest.raises(rb.IntensityError):
+        make()

@@ -209,6 +209,11 @@ def test_bound_command_iid(tmp_path):
     assert report["moments"]["e_eta"] == pytest.approx(1.0, rel=1e-12)
     # bound-only runs never simulate
     assert "estimates" not in report
+    # verify reports the same moments and bounds, from the same helper
+    run("verify", path, out_dir=tmp_path / "v")
+    verified = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert verified["moments"] == report["moments"]
+    assert verified["bounds"] == report["bounds"]
 
 
 def test_check_exit_status(tmp_path):
@@ -244,6 +249,7 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_gates_on_assumptions(tmp_path, capsys):
     path = write(tmp_path, IMPROPER_PHI)
     argv = ["simulate", str(path), "--reps", "200"]

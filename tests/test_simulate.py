@@ -161,6 +161,50 @@ def test_estimate_rows_match_individual_paths():
         assert np.array_equal(table.samples_forward[r], p.w_t)
 
 
+def _wave_sums(xi, first_block):
+    """Jump times as the wave loop accumulates them: base + cumsum, per wave."""
+    out, base, start, block = [], 0.0, 0, first_block
+    while start < len(xi):
+        times = base + np.cumsum(xi[start : start + block])
+        out.append(times)
+        base, start, block = times[-1], start + block, 2 * block
+    return np.concatenate(out)
+
+
+def test_rows_match_paths_across_waves(monkeypatch):
+    # a 16-interval first wave makes almost every path at t = 60 take at least
+    # three waves (16 + 32 Exp(1) intervals fall short of 60); the rows must
+    # equal the paths, the scalar stream and the default-block run bit for bit
+    import renewal_bounds.simulate as sim
+
+    sc = iid_scenario(rb.exponential(1.0), reps=40, t_queries=(1.0, 30.0, 60.0), seed=8)
+    default = rb.estimate(sc, keep_samples=True)
+    monkeypatch.setattr(sim, "_initial_block", lambda scenario, t_max: 16)
+    table = rb.estimate(sc, keep_samples=True)
+    long_paths = 0
+    for r in range(sc.reps):
+        p = rb.simulate_path(sc, r)
+        assert np.array_equal(table.samples_backward[r], p.b_t)
+        assert np.array_equal(table.samples_forward[r], p.w_t)
+        if p.events > 16 + 32:
+            long_paths += 1
+            if long_paths <= 3:
+                stream = rb.path_stream(sc.seed, r)
+                xi = [rb.generate_interval(j, sc, stream) for j in range(1, p.events + 1)]
+                assert np.array_equal(_wave_sums(np.array(xi), 16), p.jump_times)
+                assert np.allclose(np.cumsum(xi), p.jump_times, rtol=1e-13, atol=0.0)
+    assert long_paths >= 30
+    # jump times are summed per wave, so another wave partition moves the last
+    # bits of B and W; splitting the replications into slabs moves none
+    for name in ("samples_backward", "samples_forward"):
+        assert np.allclose(getattr(table, name), getattr(default, name), rtol=0.0, atol=1e-12)
+    monkeypatch.undo()
+    monkeypatch.setattr(sim, "_SLAB", 7)
+    split = rb.estimate(sc, keep_samples=True)
+    for name in ("samples_backward", "samples_forward", "mean_backward", "var_forward"):
+        assert getattr(split, name).tobytes() == getattr(default, name).tobytes()
+
+
 def test_estimate_exponential_backward_mean():
     sc = iid_scenario(rb.exponential(1.0), reps=20_000, t_queries=(10.0,), seed=777)
     table = rb.estimate(sc)
