@@ -381,8 +381,11 @@ class MixedCdf:
     """Right-continuous CDF on [0, inf) with an explicit jump list.
 
     Subclasses implement ``cdf``; ``sf``/``cdf_left`` have generic fallbacks.
-    ``ppf`` is the generalized inverse ``inf{x : F(x) >= u}``; atoms receive
-    exactly their mass.
+    ``ppf`` inverts ``F``: its result ``x`` satisfies ``F(x) >= u`` exactly, in
+    floating point, and atoms receive exactly their mass.  It stands in for
+    the generalized inverse ``inf{x : F(x) >= u}`` up to F's floating-point
+    plateau: where F is flat to the last bit, a smaller double may also
+    satisfy ``F >= u``.  The gap grows to about ``ulp(u) / f(x)``.
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
@@ -420,19 +423,90 @@ def _check_u(u):
     return u
 
 
-_BISECT_ITERS = 60
+_PPF_CHUNK = 1 << 15  # draws per ppf pass: keeps the solver's temporaries in cache
+_NEWTON_ITERS = 60  # safeguarded-Newton cap, the step count of a full bisection
+_FINISH_STEPS = 64  # cap on the ulp walk that ends a quartic solve
+_ULP = 2.0**-52
 
 
-def _bisect_quartic(c1, c2, c3, c4, hi, tp):
-    lo = np.zeros_like(tp)
-    hi = hi.copy()
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        val = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid
-        ge = val >= tp
-        hi = np.where(ge, mid, hi)
-        lo = np.where(ge, lo, mid)
-    return hi
+def _quartic(c1, c2, c3, c4, tau):
+    """Row increment ``R(tau)`` by Horner: the one evaluation order that ``cdf``
+    and the quartic solver share."""
+    return (((c4 * tau + c3) * tau + c2) * tau + c1) * tau
+
+
+def _newton_quartic(c1, c2, c3, c4, width, tp):
+    """Smallest double ``tau`` in (0, width] whose Horner value ``R(tau)`` is >= ``tp``.
+
+    ``R(tau) = c1 tau + c2 tau^2 + c3 tau^3 + c4 tau^4`` is a row's
+    cumulative-hazard increment; its derivative is the row's hazard.
+    Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4) keeps
+    a bracket ``[lo, hi]`` with ``R(lo) < tp`` and takes the midpoint when a
+    step leaves it or the hazard is not positive.  Only unconverged draws
+    iterate; a draw stops once its step or its bracket is down to an ulp.
+    The answer is then walked ulp by ulp: up until ``R >= tp``, then down
+    while the previous double still qualifies.  ``width`` is returned when
+    no double below it qualifies: at a row end, ``R(width)`` can fall a
+    rounding short of the target.
+    """
+    n = tp.size
+    tau_end = np.empty(n)
+    ids = np.arange(n)
+    k1, k2, k3, k4, t = c1, c2, c3, c4, tp  # the unconverged draws' rows
+    lo = np.zeros(n)
+    hi = width.copy()
+    # chord through the origin: exact on a linear row, left of the root on
+    # a convex one
+    tau = hi * (tp / np.maximum(_quartic(c1, c2, c3, c4, hi), tp))
+    for _ in range(_NEWTON_ITERS):
+        # R and R' by one Horner pass
+        p = k4 * tau + k3
+        dp = k4 * tau + p
+        p = p * tau + k2
+        dp = dp * tau + p
+        p = p * tau + k1
+        f = p * tau - t
+        df = dp * tau + p
+        ge = f >= 0.0
+        hi = np.where(ge, tau, hi)
+        lo = np.where(ge, lo, tau)
+        pos = df > 0.0
+        new = tau - f / np.where(pos, df, 1.0)
+        new = np.where(pos & (new > lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = (np.abs(new - tau) <= _ULP * new) | (hi - lo <= _ULP * hi)
+        tau = new
+        if np.all(done):
+            break
+        if np.any(done):
+            tau_end[ids[done]] = tau[done]
+            keep = ~done
+            ids, tau, lo, hi, t = ids[keep], tau[keep], lo[keep], hi[keep], t[keep]
+            k1, k2, k3, k4 = k1[keep], k2[keep], k3[keep], k4[keep]
+    tau_end[ids] = tau
+
+    # walk up to the first qualifying double, the row end at the latest ...
+    walk = np.nonzero(_quartic(c1, c2, c3, c4, tau_end) < tp)[0]
+    qualified = np.ones(n, dtype=bool)
+    qualified[walk] = False
+    for _ in range(_FINISH_STEPS):
+        if walk.size == 0:
+            break
+        up = np.minimum(np.nextafter(tau_end[walk], math.inf), width[walk])
+        tau_end[walk] = up
+        walk = walk[(up < width[walk])
+                    & (_quartic(c1[walk], c2[walk], c3[walk], c4[walk], up) < tp[walk])]
+    tau_end[walk] = width[walk]
+    # ... and, from a qualifying start, down while the previous double
+    # still qualifies
+    walk = np.nonzero(qualified)[0]
+    for _ in range(_FINISH_STEPS):
+        if walk.size == 0:
+            break
+        down = np.nextafter(tau_end[walk], -math.inf)
+        ok = _quartic(c1[walk], c2[walk], c3[walk], c4[walk], down) >= tp[walk]
+        walk = walk[ok]
+        tau_end[walk] = down[ok]
+    return tau_end
 
 
 class IntensityCdf(MixedCdf):
@@ -506,7 +580,7 @@ class IntensityCdf(MixedCdf):
         self._row_lam_lo = row_lam_lo
         self._row_lam_hi = row_lam_hi
         self._row_R = row_R
-        self._row_RT = np.ascontiguousarray(row_R.T)  # fast gathers in _lam
+        self._row_RT = np.ascontiguousarray(row_R.T)  # fast per-coefficient gathers
         # highest nonzero power of the increment polynomial, per row
         deg = np.zeros(n_rows, dtype=np.int64)
         for p in range(1, 5):
@@ -543,11 +617,8 @@ class IntensityCdf(MixedCdf):
             tau = np.minimum(x - self._row_lo[idx], self._row_width[idx])
             inf_x = np.isinf(x)
             tau = np.where(inf_x, 0.0, tau)
-            RT = self._row_RT
-            val = RT[4][idx]
-            for k in (3, 2, 1):
-                val = val * tau + RT[k][idx]
-            lam = self._row_lam_lo[idx] + val * tau
+            c1, c2, c3, c4 = (self._row_RT[k][idx] for k in (1, 2, 3, 4))
+            lam = self._row_lam_lo[idx] + _quartic(c1, c2, c3, c4, tau)
             if np.any(inf_x):
                 lam[inf_x] = self._row_lam_hi[idx[inf_x]]
         else:
@@ -573,8 +644,34 @@ class IntensityCdf(MixedCdf):
     # -- generalized inverse ---------------------------------------------------
 
     def ppf(self, u):
+        """Invert F elementwise; scalar in, float out, any array shape kept.
+
+        With ``T = -log1p(-u)``, the row whose cumulative-hazard range holds
+        ``T`` is found by search.  A draw that falls in an atom's jump gets the
+        atom's location, so atoms receive exactly their mass.  Otherwise the
+        row is solved for ``tau``, and ``x`` is the row start plus ``tau``.
+        Linear and quadratic increments are solved in closed form; on a row
+        of higher degree ``tau`` is the smallest double whose increment (by
+        Horner) reaches ``T`` minus the row's starting hazard.  A final guard
+        steps ``x`` up by ulps until ``F(x) >= u`` holds exactly.
+
+        ``x`` need not be the smallest double with ``F(x) >= u``: the
+        previous double also qualifies for about 9 % of uniform(0, 1) draws,
+        23 % of Weibull(1.5) and 38 % of Exp(1) draws.  Near ``u -> 1`` the
+        gap is about ``ulp(u) / f(x)``: for Exp(1), a median of about 100 ulps
+        at ``u > 0.999`` and of tens of thousands at ``u > 1 - 1e-6``.  Draws
+        are processed in chunks of ``_PPF_CHUNK``.
+        """
         scalar = np.isscalar(u) or np.ndim(u) == 0
-        u = np.atleast_1d(_check_u(u))
+        u = _check_u(u)
+        flat = u.ravel()
+        x = np.empty(flat.size)
+        # elementwise, so the chunk size cannot change a result
+        for s in range(0, flat.size, _PPF_CHUNK):
+            x[s : s + _PPF_CHUNK] = self._ppf_chunk(flat[s : s + _PPF_CHUNK])
+        return float(x[0]) if scalar else x.reshape(u.shape)
+
+    def _ppf_chunk(self, u):
         T = -np.log1p(-u)
         x = np.empty_like(T)
 
@@ -609,7 +706,7 @@ class IntensityCdf(MixedCdf):
                 break
             x[sub] = np.nextafter(x[sub], math.inf)
             sub = sub[np.asarray(self.cdf(x[sub]), dtype=float) < u[sub]]
-        return float(x[0]) if scalar else x
+        return x
 
     def _solve_rows(self, rows, tprime):
         """Solve R_row(tau) = tprime for tau within each row (vectorized)."""
@@ -632,26 +729,19 @@ class IntensityCdf(MixedCdf):
         gen = deg > 2
         if np.any(gen):
             ridx = rows[gen]
-            tp = np.ascontiguousarray(tprime[gen])
-            # contiguous per-coefficient vectors keep the kernel on fast
-            # unit-stride arrays
-            c1 = np.ascontiguousarray(self._row_R[ridx, 1])
-            c2 = np.ascontiguousarray(self._row_R[ridx, 2])
-            c3 = np.ascontiguousarray(self._row_R[ridx, 3])
-            c4 = np.ascontiguousarray(self._row_R[ridx, 4])
-            hi = np.ascontiguousarray(self._row_width[ridx])
+            tp = tprime[gen]
+            c1, c2, c3, c4 = (self._row_RT[k][ridx] for k in (1, 2, 3, 4))
+            hi = self._row_width[ridx]
             unb = ~np.isfinite(hi)
             if np.any(unb):
                 guess = np.maximum(1.0, tp[unb])
                 for _ in range(200):
-                    g = guess
-                    vals = (((c4[unb] * g + c3[unb]) * g + c2[unb]) * g + c1[unb]) * g
-                    need = vals < tp[unb]
+                    need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
                     if not np.any(need):
                         break
                     guess = np.where(need, guess * 2.0, guess)
                 hi[unb] = guess
-            out[gen] = _bisect_quartic(c1, c2, c3, c4, hi, tp)
+            out[gen] = _newton_quartic(c1, c2, c3, c4, hi, tp)
         return out
 
 
@@ -983,7 +1073,7 @@ def moment(F: MixedCdf, k: int) -> float:
 
 
 def sample(F: MixedCdf, u):
-    """Generalized inverse ``inf{x : F(x) >= u}`` for u in (0, 1).
+    """``F.ppf(u)`` for u in (0, 1): ``F(x) >= u`` exactly (see :class:`MixedCdf`).
 
     Monotone in ``u``; atoms receive exactly their probability mass.
     Accepts scalars or arrays.

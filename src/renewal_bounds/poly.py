@@ -71,10 +71,13 @@ def pshift(coeffs, dt):
 def _real_roots(coeffs):
     """Real roots of the polynomial (may be empty)."""
     c = np.asarray(coeffs, dtype=float)
-    # trim exact-zero leading coefficients
+    # trim leading coefficients that are zero, or so small (subnormal) that
+    # the companion matrix would overflow: their extra roots lie beyond the
+    # float range
     deg = c.size - 1
-    while deg > 0 and c[deg] == 0.0:
-        deg -= 1
+    with np.errstate(over="ignore"):
+        while deg > 0 and (c[deg] == 0.0 or not np.all(np.isfinite(c[:deg] / c[deg]))):
+            deg -= 1
     if deg == 0:
         return np.empty(0)
     roots = np.roots(c[: deg + 1][::-1])

@@ -111,6 +111,8 @@ def LinearCappedRate(base: float, slope: float, cap: float) -> RepeatLastIntensi
 
     With ``slope == 0`` the cap is never reached and mu_j is ``base``.
     """
+    if not all(math.isfinite(v) for v in (base, slope, cap)):
+        raise IntensityError("linear-capped base, slope and cap must be finite")
     if base < 0 or slope < 0:
         raise IntensityError("linear-capped rates must be nonnegative")
     if cap < base:

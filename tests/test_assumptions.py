@@ -156,8 +156,15 @@ def test_rate_rule_factories(rule, rates, index):
         lambda: rb.LinearCappedRate(-0.5, 0.1, 1.0),
         lambda: rb.LinearCappedRate(0.5, -0.1, 1.0),
         lambda: rb.LinearCappedRate(2.0, 0.1, 1.0),  # cap below base
+        # non-finite inputs; cap = inf with slope > 0 raised OverflowError
+        lambda: rb.LinearCappedRate(0.5, 0.5, math.inf),
+        lambda: rb.LinearCappedRate(0.5, 0.0, math.inf),
+        lambda: rb.LinearCappedRate(math.inf, 0.5, math.inf),
+        lambda: rb.LinearCappedRate(0.5, math.inf, 1.0),
+        lambda: rb.LinearCappedRate(math.nan, 0.5, 1.0),
     ],
 )
 def test_rate_rule_factories_reject_bad_rates(make):
     with pytest.raises(rb.IntensityError):
         make()
+

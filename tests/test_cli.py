@@ -313,6 +313,18 @@ def test_main_error_record(tmp_path, capsys):
     assert record["where"]["line"] == 3
 
 
+def test_main_rejects_infinite_linear_cap(tmp_path, capsys):
+    text = MINIMAL_IID.replace(
+        "rule = constant-rate\nrate = 0.0",
+        "rule = linear-capped-rate\nbase = 0.5\nslope = 0.5\ncap = inf",
+    )
+    code = main(["check", str(write(tmp_path, text))])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "IntensityError"
+    assert "finite" in record["message"]
+
+
 def test_main_unknown_scenario_file(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.ini")])
     assert code == 2

@@ -320,3 +320,101 @@ def test_sample_array_shape_and_uniform_law():
     x = rb.sample(F, u)
     assert x.shape == u.shape
     assert ks_distance(x, uniform_cdf()) < 2.0 / math.sqrt(u.size)
+
+
+# ---------------------------------------------------------------------------
+# quartic rows: the bracketed-Newton kernel and chunked ppf
+# ---------------------------------------------------------------------------
+
+
+def _row_increment(F, rows, tau):
+    """R_row(tau) by Horner, in the order the CDF evaluates it."""
+    val = F._row_RT[4][rows]
+    for k in (3, 2, 1):
+        val = val * tau + F._row_RT[k][rows]
+    return val * tau
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        rb.uniform(0.0, 1.0),
+        rb.weibull(1.5),
+        rb.from_cumulative_hazard(lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
+    ],
+    ids=["uniform", "weibull1.5", "cumhaz"],
+)
+def test_quartic_rows_give_the_smallest_qualifying_double(phi):
+    F = rb.cdf_from_intensity(phi)
+    quartic = np.nonzero((F._row_deg > 2) & np.isfinite(F._row_width))[0]
+    assert quartic.size > 0
+    per_row = max(64, -(-10_000 // quartic.size))
+    rng = np.random.default_rng(5)
+    rows = np.repeat(quartic, per_row)
+    width = F._row_width[rows]
+    end = _row_increment(F, rows, width)
+    tp = _row_increment(F, rows, width * rng.random(rows.size))
+    j = np.arange(rows.size) % per_row
+    tp = np.where(j == 0, end, tp)  # the row end itself
+    tp = np.where(j == 1, 1e-12 * width * np.maximum(F._row_RT[1][rows], 1.0), tp)
+    tp = np.where(j == 2, np.nextafter(end, -math.inf), tp)
+    tp = np.where(tp > 0.0, tp, end)
+    assert tp.size >= 10_000
+
+    out = F._solve_rows(rows, tp)
+    assert np.all((out > 0.0) & (out <= width))
+    assert np.all(_row_increment(F, rows, out) >= tp)
+    below = np.nextafter(out, -math.inf)
+    assert np.all(_row_increment(F, rows, below) < tp)
+
+
+_cubic = st.tuples(
+    st.floats(0.05, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.5)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(_cubic, min_size=1, max_size=3),
+    widths=st.lists(st.floats(0.2, 1.5), min_size=3, max_size=3),
+    atoms=st.lists(st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 1.5)), max_size=2),
+    tail=st.floats(0.1, 3.0),
+    us=st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=8),
+)
+def test_ppf_matches_brute_inverse_on_quartic_rows_with_atoms(coeffs, widths, atoms, tail, us):
+    starts = np.concatenate([[0.0], np.cumsum(widths[: len(coeffs)])])
+    segments = [(float(s), c) for s, c in zip(starts, coeffs)] + [(float(starts[-1]), [tail])]
+    locs = sorted({round(a, 6) for a, _ in atoms})
+    phi = rb.from_segments(segments, atoms=[(a, w) for a, (_, w) in zip(locs, atoms)])
+    F = rb.cdf_from_intensity(phi)
+    u = np.asarray(us)
+    x = F.ppf(u)
+    assert np.all(F.cdf(x) >= u)
+    for xi, ui in zip(x, u):
+        assert xi == pytest.approx(brute_ppf(F, ui), abs=1e-9)
+
+
+def test_ppf_is_chunk_invariant(monkeypatch):
+    from renewal_bounds import hazard
+
+    F = rb.cdf_from_intensity(rb.uniform(0.0, 1.0))
+    rng = np.random.default_rng(9)
+    flat = rng.random(1000)
+    grid = rng.random((13, 29))
+    expect_flat, expect_grid, expect_one = F.ppf(flat), F.ppf(grid), F.ppf(0.3)
+
+    sc = rb.ScenarioConfig(
+        phi=rb.uniform(0.0, 1.0), q=rb.uniform(0.0, 1.0), mu_rule=rb.ConstantRate(0.0),
+        t_queries=(2.0, 6.0), reps=40, seed=3,
+    )
+    whole = rb.estimate(sc, keep_samples=True)
+
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", 7)
+    assert F.ppf(flat).tobytes() == expect_flat.tobytes()
+    got = F.ppf(grid)
+    assert got.shape == grid.shape and got.tobytes() == expect_grid.tobytes()
+    one = F.ppf(0.3)
+    assert isinstance(one, float) and one == expect_one
+    chunked = rb.estimate(sc, keep_samples=True)
+    assert chunked.samples_backward.tobytes() == whole.samples_backward.tobytes()
+    assert chunked.samples_forward.tobytes() == whole.samples_forward.tobytes()

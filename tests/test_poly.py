@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from renewal_bounds import from_segments
 from renewal_bounds.poly import (
     is_zero_poly,
     pderiv,
@@ -60,3 +61,13 @@ def test_extreme_unbounded_domain():
 def test_zero_poly():
     assert is_zero_poly([0.0, 0.0])
     assert not is_zero_poly([0.0, 1e-300])
+
+
+def test_subnormal_leading_coefficient():
+    # the companion matrix of 1 + t^2 + 2.2e-309 t^3 overflows; the cubic
+    # term only adds roots beyond the float range
+    c = np.array([1.0, 0.0, 1.0, 2.225073858507203e-309])
+    mn, at = pmin_on(c, 0.0, 1.0)
+    assert mn == 1.0 and at == 0.0
+    phi = from_segments([(0.0, c), (1.0, [1.0])])  # raised LinAlgError before
+    assert phi.coeffs[0, 3] == c[3]
