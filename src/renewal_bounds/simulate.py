@@ -3,7 +3,14 @@
 Stream contract
 ---------------
 Replication ``r`` owns the generator ``PCG64(SeedSequence([seed, r]))`` --
-a pure function of ``(seed, r)``.  Each interval ``j = 1, 2, ...`` consumes
+a pure function of ``(seed, r)``.  ``path_stream`` is the scalar definition
+of that stream and the oracle the tests compare against; ``simulate_path``
+draws from it.  A slab builds no ``SeedSequence``: ``_slab_streams``
+computes the ``SeedSequence`` words of all its replications in one
+vectorized pass and seeds each row's ``PCG64`` with them, which gives the
+same streams bit for bit.
+
+Each interval ``j = 1, 2, ...`` consumes
 exactly two uniforms from that stream, in order: first the draw for
 ``zeta_j`` (hazard phi), then the draw for ``theta_j`` (hazard mu_j).  The
 theta uniform is consumed even when ``mu_j`` is the zero intensity (theta
@@ -13,10 +20,13 @@ through the generalized inverse CDF, so atoms are hit with exactly their
 mass and the interval law equals the summed-hazard law.
 
 Because interval values depend only on the stream position, batch drawing
-(vectorized waves of whole replication slabs) reproduces scalar drawing
-bit for bit, and estimates are identical for any degree of parallelism:
-per-replication results are written into index-addressed arrays, and the
-reduction is a single deterministic pass over the assembled array.
+(vectorized waves of whole replication slabs) gives every interval the value
+``generate_interval`` gives it, bit for bit.  Jump times are per-wave sums
+of intervals (see below), so their last bits depend on the wave sizes, but
+not on how replications are split into slabs or workers.  Estimates are
+therefore identical for any degree of parallelism: per-replication results
+are written into index-addressed arrays, and the reduction is a single
+deterministic pass over the assembled array.
 
 Wave loop
 ---------
@@ -44,6 +54,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
@@ -67,10 +78,92 @@ _SLAB = 16_384  # replications processed per vectorized wave
 
 
 def path_stream(seed: int, replication: int) -> np.random.Generator:
-    """The random stream owned by one replication: PCG64(SeedSequence([seed, r]))."""
+    """The random stream owned by one replication: PCG64(SeedSequence([seed, r])).
+
+    This is the scalar definition of a stream.  ``simulate_path`` draws from
+    it, and the tests hold ``_slab_streams``, which seeds whole slabs, to it.
+    """
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([int(seed), int(replication)]))
     )
+
+
+# SeedSequence's hash constants (O'Neill's seed_seq as NumPy implements it)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedWords(ISeedSequence):
+    """Hands ``PCG64`` the four seed words computed for one replication."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only PCG64's request, generate_state(4, np.uint64), is served")
+        return self._words
+
+
+def _slab_streams(seed: int, r0: int, r1: int) -> list[np.random.Generator]:
+    """The streams of replications ``[r0, r1)``, seeded in one vectorized pass.
+
+    Row ``r`` gets ``PCG64`` seeded with the words of
+    ``SeedSequence([seed, r]).generate_state(4, np.uint64)``, so it equals
+    ``path_stream(seed, r)``.  The words are O'Neill's seed_seq hash as NumPy
+    implements it (O'Neill 2015, "Developing a seed_seq alternative"; NumPy
+    NEP 19): the entropy words hashed into a pool of four with ``hashmix``,
+    mixed pairwise with ``mix``, then drawn out by the ``INIT_B``/``MULT_B``
+    pass, all in ``uint32`` arithmetic over the whole range.
+
+    The entropy is ``[seed words..., r & 0xFFFFFFFF, r >> 32]``, padded with
+    zeros to four words.  NumPy pads a short pool with ``hashmix(0)``, so a
+    zero word is the same as an absent one, and the formula is exact for every
+    ``seed < 2**64`` and ``r < 2**64`` (the seed takes one word below 2**32 and
+    two from there on).  Larger values would need more than four words and
+    are rejected.
+    """
+    seed, r0, r1 = int(seed), int(r0), int(r1)
+    if not (0 <= seed < 2**64 and 0 <= r0 <= r1 <= 2**64):
+        raise ValueError("seed and replication indices must lie in [0, 2**64)")
+    r = np.uint64(r0) + np.arange(r1 - r0, dtype=np.uint64)
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(r.size, w, dtype=np.uint32) for w in words]
+    entropy += [(r & _MASK32).astype(np.uint32), (r >> 32).astype(np.uint32)]
+    entropy += [np.zeros(r.size, dtype=np.uint32)] * (4 - len(entropy))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> 16)
+
+    pool = [hashmix(e) for e in entropy]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+
+    # generate_state(4, np.uint64): eight uint32 words cycling the pool,
+    # paired little-endian into uint64
+    state = np.empty((r.size, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    seeds = state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << 32)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seeds]
 
 
 def generate_interval(
@@ -122,10 +215,9 @@ def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np
     block = u.shape[1]
     out = np.empty_like(u)
     midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(block)))
-    for d, cdf in enumerate(scenario.mu_cdfs):
+    for d in np.unique(midx):
+        cdf = scenario.mu_cdfs[d]
         cols = midx == d
-        if not np.any(cols):
-            continue
         total = cdf.total_mass()
         uu = u[:, cols]
         if total <= 0.0:
@@ -159,7 +251,7 @@ def _waves(scenario: ScenarioConfig, gens: list[np.random.Generator], t_max: flo
         n_act = active.size
         u = np.empty((n_act, 2 * block))
         for i, row in enumerate(active):
-            u[i] = gens[row].random(2 * block)
+            gens[row].random(out=u[i])
         zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(n_act, block)
         theta = _theta_from_uniforms(scenario, u[:, 1::2], j0)
         times = base[active, None] + np.cumsum(np.minimum(zeta, theta), axis=1)
@@ -192,7 +284,7 @@ def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray,
     last_le = np.zeros((count, queries.size))
     next_gt = np.full((count, queries.size), np.nan)
 
-    gens = [path_stream(scenario.seed, r) for r in range(r0, r1)]
+    gens = _slab_streams(scenario.seed, r0, r1)
     for active, times in _waves(scenario, gens, float(queries[-1])):
         block = times.shape[1]
         for qi, t in enumerate(queries):

@@ -74,6 +74,33 @@ def test_interval_consumes_two_uniforms_in_order(sc_exp):
 
 
 # ---------------------------------------------------------------------------
+# slab seeding
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+def test_slab_seed_words_match_seed_sequence(seed):
+    from renewal_bounds.simulate import _slab_streams
+
+    for r in (0, 1, 16383, 16384, 16385, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1):
+        (stream,) = _slab_streams(seed, r, r + 1)
+        words = stream.bit_generator.seed_seq.generate_state(4, np.uint64)
+        expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.tobytes() == expected.tobytes(), (seed, r)
+
+
+@pytest.mark.parametrize("seed", [12345, 2**64 - 1])
+def test_slab_streams_draw_like_path_stream(seed):
+    from renewal_bounds.simulate import _slab_streams
+
+    streams = _slab_streams(seed, 16380, 16390)
+    assert len(streams) == 10
+    for r, stream in zip(range(16380, 16390), streams):
+        assert stream.random(50).tobytes() == rb.path_stream(seed, r).random(50).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # simulate_path
 # ---------------------------------------------------------------------------
 
@@ -152,8 +179,9 @@ def test_estimate_same_seed_identical():
     assert np.array_equal(t1.mean_forward, t2.mean_forward)
 
 
-def test_estimate_rows_match_individual_paths():
-    sc = iid_scenario(rb.exponential(1.0), reps=40)
+@pytest.mark.parametrize("seed", [12345, 0, 2**32, 2**64 - 1])
+def test_estimate_rows_match_individual_paths(seed):
+    sc = iid_scenario(rb.exponential(1.0), reps=40, seed=seed)
     table = rb.estimate(sc, keep_samples=True)
     for r in (0, 7, 39):
         p = rb.simulate_path(sc, r)
@@ -218,6 +246,26 @@ def test_estimate_parallel_matches_serial():
     parallel = rb.estimate(sc, workers=3)
     assert np.array_equal(serial.mean_backward, parallel.mean_backward)
     assert np.array_equal(serial.var_forward, parallel.var_forward)
+
+
+def test_estimate_parallel_matches_serial_across_slabs(monkeypatch):
+    # 300-rep slabs make seven jobs, so workers=3 takes the process-pool path
+    import renewal_bounds.simulate as sim
+
+    monkeypatch.setattr(sim, "_SLAB", 300)
+    sc = iid_scenario(rb.exponential(1.0), reps=2_000, seed=2**64 - 1)
+    assert sc.reps > sim._SLAB
+    serial = rb.estimate(sc, workers=1, keep_samples=True)
+    parallel = rb.estimate(sc, workers=3, keep_samples=True)
+    for name in (
+        "samples_backward", "samples_forward", "mean_backward", "mean_forward",
+        "var_backward", "var_forward",
+    ):
+        assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes()
+    for r in (0, 299, 300, 1999):
+        p = rb.simulate_path(sc, r)
+        assert np.array_equal(parallel.samples_backward[r], p.b_t)
+        assert np.array_equal(parallel.samples_forward[r], p.w_t)
 
 
 def test_half_width_contract():
