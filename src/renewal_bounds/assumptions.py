@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentMomentError
-from .hazard import GeneralizedIntensity, add_intensities, moment
-from .poly import is_zero_poly, pmax_on, pshift
+from .hazard import GeneralizedIntensity, _aligned, add_intensities, moment
+from .poly import is_zero_poly, pmax_on
 from .scenario import ScenarioConfig
 
 __all__ = ["ConditionVerdict", "AssumptionReport", "check_assumptions"]
@@ -97,16 +97,9 @@ def _envelope_violation(
     combined: GeneralizedIntensity, q: GeneralizedIntensity
 ) -> tuple[float, float]:
     """Max of (combined - Q) over the ac parts and atoms; (violation, where)."""
-    breaks = np.union1d(combined.breaks, q.breaks)
     worst, where = -math.inf, 0.0
-    for i, s in enumerate(breaks):
-        hi = breaks[i + 1] - s if i + 1 < breaks.size else math.inf
-        ia = int(np.searchsorted(combined.breaks, s, side="right") - 1)
-        ib = int(np.searchsorted(q.breaks, s, side="right") - 1)
-        diff = pshift(combined.coeffs[ia], s - combined.breaks[ia]) - pshift(
-            q.coeffs[ib], s - q.breaks[ib]
-        )
-        v, loc = pmax_on(diff, 0.0, hi)
+    for s, width, cc, cq in _aligned(combined, q):
+        v, loc = pmax_on(cc - cq, 0.0, width)
         if v > worst:
             worst, where = v, s + loc if math.isfinite(loc) else math.inf
 

@@ -49,9 +49,6 @@ class MuRule:
         """Map 1-based interval indices to positions in ``distinct_intensities``."""
         raise NotImplementedError
 
-    def intensity_for(self, j: int) -> GeneralizedIntensity:
-        return self.distinct_intensities[int(self.index_for(j))]
-
     @property
     def is_iid(self) -> bool:
         return len(self.distinct_intensities) == 1

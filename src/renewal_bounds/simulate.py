@@ -17,7 +17,10 @@ theta uniform is consumed even when ``mu_j`` is the zero intensity (theta
 is then +inf and the interval equals zeta), so traces stay aligned across
 mu rules.  The interval is ``xi_j = min(zeta_j, theta_j)``; both draws go
 through the generalized inverse CDF, so atoms are hit with exactly their
-mass and the interval law equals the summed-hazard law.
+mass and the interval law equals the summed-hazard law.  A theta uniform
+above ``mu_j``'s total mass gives theta = +inf; one at or below it, ``u = 0``
+on a zero-mass ``mu_j`` included, gives ``mu_j``'s ``ppf`` value, which is 0
+at ``u = 0``, in the batch and in ``generate_interval`` alike.
 
 Because interval values depend only on the stream position, batch drawing
 (vectorized waves of whole replication slabs) gives every interval the value
@@ -218,13 +221,9 @@ def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np
     for d in np.unique(midx):
         cdf = scenario.mu_cdfs[d]
         cols = midx == d
-        total = cdf.total_mass()
         uu = u[:, cols]
-        if total <= 0.0:
-            out[:, cols] = math.inf
-            continue
         vals = np.full(uu.shape, math.inf)
-        ok = uu <= total
+        ok = uu <= cdf.total_mass()
         if np.any(ok):
             vals[ok] = cdf.ppf(uu[ok])
         out[:, cols] = vals

@@ -2,6 +2,9 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +343,24 @@ def test_byte_identical_reruns(tmp_path):
     assert (tmp_path / "r1" / "report.json").read_bytes() == (
         tmp_path / "r2" / "report.json"
     ).read_bytes()
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: block scipy and run end to end
+    path = write(tmp_path, GENERALIZED)
+    script = """
+import sys
+sys.modules["scipy"] = None
+import renewal_bounds as rb
+from renewal_bounds.cli import main
+
+assert main(["verify", sys.argv[1], "--out", sys.argv[2], "--reps", "200"]) == 0
+phi = rb.from_segments([(0.0, [1.0]), (1.0, [2.0])], atoms=[(0.5, 0.3)])
+assert rb.moment(rb.cdf_from_intensity(phi), 2) > 0.0
+"""
+    src = str(Path(rb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+        env={"PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

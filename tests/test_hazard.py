@@ -219,6 +219,39 @@ def test_uniform_moment_against_quadrature_oracle():
     assert rb.moment(F, 3) == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_integer_gammainc_matches_mpmath(a):
+    import mpmath
+
+    from renewal_bounds.hazard import _gammainc_int
+
+    xs = [0.0, *np.logspace(-300, 3, 607).tolist()]
+    xs += [math.nextafter(a + 1.0, 0.0), a + 1.0, math.nextafter(a + 1.0, math.inf)]
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.gammainc(a, 0, x, regularized=True)
+            err = abs(mpmath.mpf(_gammainc_int(a, x)) - ref)
+            # a few units of 2^-52 relative; a subnormal result to one ulp
+            assert err <= 5 * 2.0**-52 * ref + math.ulp(0.0), (a, x)
+
+
+def test_moment_with_constant_rows_matches_mpmath_quadrature():
+    import mpmath
+
+    F = rb.cdf_from_intensity(rb.from_segments([(0, [1]), (1, [2])], atoms=[(0.5, 0.3)]))
+    with mpmath.workdps(40):
+        def sf(x):
+            if x < 0.5:
+                return mpmath.exp(-x)
+            if x < 1:
+                return mpmath.exp(-x - 0.3)
+            return mpmath.exp(-1.3 - 2 * (x - 1))
+
+        for k in (1, 2):
+            ref = mpmath.quad(lambda x: k * x ** (k - 1) * sf(x), [0, 0.5, 1, mpmath.inf])
+            assert abs(rb.moment(F, k) - ref) <= 1e-14 * ref, k
+
+
 def test_deterministic_moment():
     F = rb.cdf_from_intensity(rb.deterministic(2.0))
     assert rb.moment(F, 2) == pytest.approx(4.0, abs=1e-12)
@@ -299,6 +332,23 @@ def test_sample_monotone_in_u(us):
     F = rb.cdf_from_intensity(phi)
     xs = F.ppf(np.sort(np.asarray(us)))
     assert np.all(np.diff(xs) >= 0.0)
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.28, 1.0])
+def test_ppf_above_the_total_mass_is_infinite(rate):
+    # hazard `rate` on [0, 1), then none: F never exceeds its total mass, so
+    # a larger u has no finite inverse, even where -log1p(-u) rounds into the
+    # last finite row
+    phi = rb.from_segments([(0.0, [rate]), (1.0, [0.0])], require_proper=False)
+    F = rb.cdf_from_intensity(phi)
+    total = F.total_mass()
+    below, above = math.nextafter(total, 0.0), math.nextafter(total, 1.0)
+    for u in (below, total, above, math.nextafter(above, 1.0)):
+        x = float(F.ppf(u))
+        if u > total:
+            assert x == math.inf
+        else:
+            assert float(F.cdf(x)) >= u
 
 
 def test_sample_atom_masses_binomial():

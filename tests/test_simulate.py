@@ -73,6 +73,34 @@ def test_interval_consumes_two_uniforms_in_order(sc_exp):
     assert x2 == pytest.approx(float(sc_exp.eta_cdf.ppf(u[2])), abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        rb.zero(),
+        rb.from_segments([(0.0, [1.0]), (1.0, [0.0])], require_proper=False),
+        rb.from_segments([(0.0, [0.25]), (1.0, [0.0])], require_proper=False),
+        rb.exponential(2.0),
+    ],
+    ids=["zero", "partial", "partial0.25", "exp2"],
+)
+def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
+    # generate_interval's theta is mu_cdf.ppf(u); the batch must agree at
+    # u = 0 and on both sides of the total mass
+    from renewal_bounds.simulate import _theta_from_uniforms
+
+    sc = rb.ScenarioConfig(
+        phi=rb.exponential(1.0), q=rb.exponential(4.0),
+        mu_rule=rb.RepeatLastIntensities((mu,)), t_queries=(1.0,), reps=1, seed=1,
+    )
+    cdf = sc.mu_cdfs[0]
+    total = cdf.total_mass()
+    us = [u for u in (0.0, total, math.nextafter(total, 1.0), math.nextafter(1.0, 0.0)) if u < 1.0]
+    batch = _theta_from_uniforms(sc, np.array(us)[:, None], 1)[:, 0]
+    scalar = [float(cdf.ppf(u)) for u in us]
+    assert batch.tolist() == scalar
+    assert batch[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # slab seeding
 # ---------------------------------------------------------------------------
