@@ -261,9 +261,13 @@ def uniform(a: float, b: float) -> GeneralizedIntensity:
 _FIT_NODES = np.array([0.25, 0.5, 0.75, 1.0])
 _FIT_SOLVE = np.linalg.inv(np.vander(_FIT_NODES, 4, increasing=True) * _FIT_NODES[:, None])
 _ERR_NODES = np.array([0.0625, 0.125, 0.375, 0.625, 0.875, 0.9375])
+_FIT_MAX_DEPTH = 52  # halvings of a panel before a constant-hazard fallback
+_TAIL_EPS = 1e-12  # survival at which a fit ends and the constant tail starts
+_HAZARD_FTOL, _HAZARD_PANELS = 1e-10, 8  # from_cumulative_hazard's survival error, panels
+_CDF_FTOL, _CDF_PANELS = 1e-9, 4  # intensity_from_cdf's survival error, panels per region
 
 
-def _fit_cumhaz_region(lam, lo, hi, ftol, out, depth=0, max_depth=52):
+def _fit_cumhaz_region(lam, lo, hi, ftol, out, depth=0):
     """Append hazard segments approximating ``lam`` on [lo, hi) to ``out``.
 
     ``lam`` is the absolute cumulative hazard (atoms before the region
@@ -294,20 +298,20 @@ def _fit_cumhaz_region(lam, lo, hi, ftol, out, depth=0, max_depth=52):
             phi_c[0] -= low
         out.append((lo, phi_c))
         return
-    if depth >= max_depth:
+    if depth >= _FIT_MAX_DEPTH:
         c = max(ys[-1], 0.0) / h
         out.append((lo, np.array([c, 0.0, 0.0, 0.0])))
         return
     mid = 0.5 * (lo + hi)
-    _fit_cumhaz_region(lam, lo, mid, ftol, out, depth + 1, max_depth)
-    _fit_cumhaz_region(lam, mid, hi, ftol, out, depth + 1, max_depth)
+    _fit_cumhaz_region(lam, lo, mid, ftol, out, depth + 1)
+    _fit_cumhaz_region(lam, mid, hi, ftol, out, depth + 1)
 
 
-def _tail_edge(survival, start, tail_eps):
-    """Largest x with S(x) > tail_eps, found by doubling plus bisection."""
+def _tail_edge(survival, start):
+    """Largest x with S(x) > _TAIL_EPS, found by doubling plus bisection."""
     hi = max(start, 1.0)
     tries = 0
-    while survival(hi) > tail_eps:
+    while survival(hi) > _TAIL_EPS:
         hi *= 2.0
         tries += 1
         if tries > 200:
@@ -317,7 +321,7 @@ def _tail_edge(survival, start, tail_eps):
     lo = 0.0 if tries == 0 else hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if survival(mid) > tail_eps:
+        if survival(mid) > _TAIL_EPS:
             lo = mid
         else:
             hi = mid
@@ -329,12 +333,12 @@ def _panels(lo: float, hi: float, n: int):
     return [(float(edges[i]), float(edges[i + 1])) for i in range(n)]
 
 
-def _compile(lam, survival, jumps, *, ftol, tail_eps, panels) -> GeneralizedIntensity:
+def _compile(lam, survival, jumps, *, ftol, panels) -> GeneralizedIntensity:
     """Fit a cumulative hazard between its jumps, then close it with a constant tail.
 
     ``lam(x)`` is the absolute cumulative hazard and ``survival(x)`` the
     survival ``exp(-lam(x))``.  Each region between jumps, and the stretch
-    from the last jump to where survival drops to ``tail_eps``, is fitted in
+    from the last jump to where survival drops to ``_TAIL_EPS``, is fitted in
     ``panels`` equal panels; a region that ends at a jump ``(loc, mass)`` is
     fitted against ``lam(x, (loc, mass))``, which adds the mass back at
     ``loc`` so the region sees the survival's left limit there.  Jump weights
@@ -348,8 +352,8 @@ def _compile(lam, survival, jumps, *, ftol, tail_eps, panels) -> GeneralizedInte
     for j, (a, p) in enumerate(jumps):
         s_after = survival(a)
         s_before = s_after + p
-        if s_before <= 10.0 * tail_eps:
-            if p > 10.0 * tail_eps:
+        if s_before <= 10.0 * _TAIL_EPS:
+            if p > 10.0 * _TAIL_EPS:
                 raise DistributionError(
                     f"further mass after F reaches 1 (jump at {a:g} with no survival left)"
                 )
@@ -371,7 +375,7 @@ def _compile(lam, survival, jumps, *, ftol, tail_eps, panels) -> GeneralizedInte
         atoms.append((a, math.log(s_before / s_after)))
         region_lo = a
 
-    x_end = max(_tail_edge(survival, max(1.0, 2.0 * region_lo), tail_eps), region_lo)
+    x_end = max(_tail_edge(survival, max(1.0, 2.0 * region_lo)), region_lo)
     if x_end > region_lo:
         for lo, hi in _panels(region_lo, x_end, panels):
             _fit_cumhaz_region(lam, lo, hi, ftol, segs)
@@ -387,21 +391,15 @@ def _compile(lam, survival, jumps, *, ftol, tail_eps, panels) -> GeneralizedInte
     return from_segments(segs, atoms)
 
 
-def from_cumulative_hazard(
-    cumhaz: Callable,
-    *,
-    ftol: float = 1e-10,
-    tail_eps: float = 1e-12,
-    initial_panels: int = 8,
-) -> GeneralizedIntensity:
+def from_cumulative_hazard(cumhaz: Callable) -> GeneralizedIntensity:
     """Compile a continuous cumulative hazard into the piecewise-cubic class.
 
-    The fit is carried to the point where survival drops to ``tail_eps`` and
+    The fit is carried to the point where survival drops to 1e-12 and
     closed with a constant tail, so the compiled CDF differs from the exact
-    one by at most ``max(ftol, tail_eps)`` everywhere.
+    one by at most 1e-10 everywhere.
     """
     survival = lambda x: math.exp(-float(cumhaz(x)))
-    return _compile(cumhaz, survival, (), ftol=ftol, tail_eps=tail_eps, panels=initial_panels)
+    return _compile(cumhaz, survival, (), ftol=_HAZARD_FTOL, panels=_HAZARD_PANELS)
 
 
 # ---------------------------------------------------------------------------
@@ -671,23 +669,26 @@ class IntensityCdf(MixedCdf):
         return -np.expm1(-self._lam(x, left=True))
 
     def total_mass(self) -> float:
-        return float(-math.expm1(-self._total_lam)) if math.isfinite(self._total_lam) else 1.0
+        return float(-np.expm1(-self._total_lam))  # as ``cdf`` computes it
 
     # -- generalized inverse ---------------------------------------------------
 
     def ppf(self, u):
         """Invert F elementwise; scalar in, float out, any array shape kept.
 
-        With ``T = -log1p(-u)``, the row whose cumulative-hazard range holds
-        ``T`` is found by search.  A draw that falls in an atom's jump gets the
-        atom's location, so atoms receive exactly their mass.  Otherwise the
-        row is solved for ``tau``, and ``x`` is the row start plus ``tau``.
-        Linear and quadratic increments are solved in closed form; on a row
-        of higher degree ``tau`` is the smallest double whose increment (by
-        Horner) reaches ``T`` minus the row's starting hazard.  A final guard
+        With ``T = -log1p(-u)``, capped at the total hazard, the row whose
+        cumulative-hazard range holds ``T`` is found by search.  A draw that
+        falls in an atom's jump gets the atom's location, so atoms receive
+        exactly their mass.  Otherwise the row is solved for ``tau``, and
+        ``x`` is the row start plus ``tau``.  Linear and quadratic increments
+        are solved in closed form; on a row of higher degree ``tau`` is the
+        smallest double whose increment (by Horner) reaches ``T`` minus the
+        row's starting hazard.  A final guard
         steps ``x`` up by ulps until ``F(x) >= u`` holds exactly.  A draw above
         the total mass of an improper F gets ``+inf``: no ``x`` reaches it,
-        even where ``T`` rounds down into the last row's range.
+        even where ``T`` rounds down into the last row's range.  A draw equal
+        to the total mass gets a finite ``x``, even where ``T`` rounds above
+        the total hazard: the cap keeps it in the last row.
 
         ``x`` need not be the smallest double with ``F(x) >= u``: the
         previous double also qualifies for about 9 % of uniform(0, 1) draws,
@@ -706,7 +707,8 @@ class IntensityCdf(MixedCdf):
         return float(x[0]) if scalar else x.reshape(u.shape)
 
     def _ppf_chunk(self, u):
-        T = -np.log1p(-u)
+        # an improper F's total mass can round to a T above its total hazard
+        T = np.minimum(-np.log1p(-u), self._total_lam)
         x = np.empty_like(T)
 
         idx = np.searchsorted(self._row_lam_hi, T, side="left")
@@ -848,18 +850,13 @@ def cdf_from_intensity(phi: GeneralizedIntensity) -> IntensityCdf:
     return IntensityCdf(phi)
 
 
-def intensity_from_cdf(
-    F: MixedCdf,
-    *,
-    ftol: float = 1e-9,
-    tail_eps: float = 1e-12,
-) -> GeneralizedIntensity:
+def intensity_from_cdf(F: MixedCdf) -> GeneralizedIntensity:
     """Recover a generalized intensity from an evaluable mixed CDF.
 
     Atom weights come from survival ratios across each listed jump; the
     continuous part is fitted adaptively between jumps so that the round trip
     ``cdf_from_intensity(intensity_from_cdf(F))`` reproduces ``F`` to within
-    ``max(ftol, 10 * tail_eps)`` everywhere.
+    1e-9 everywhere.
     """
     if isinstance(F, IntensityCdf):
         return F.intensity
@@ -877,7 +874,7 @@ def intensity_from_cdf(
         return -np.log(np.maximum(s, 1e-300))
 
     survival = lambda x: float(F.sf(x))
-    return _compile(lam, survival, jumps, ftol=ftol, tail_eps=tail_eps, panels=4)
+    return _compile(lam, survival, jumps, ftol=_CDF_FTOL, panels=_CDF_PANELS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,25 +24,29 @@ at ``u = 0``, in the batch and in ``generate_interval`` alike.
 
 Because interval values depend only on the stream position, batch drawing
 (vectorized waves of whole replication slabs) gives every interval the value
-``generate_interval`` gives it, bit for bit.  Jump times are per-wave sums
-of intervals (see below), so their last bits depend on the wave sizes, but
-not on how replications are split into slabs or workers.  Estimates are
-therefore identical for any degree of parallelism: per-replication results
-are written into index-addressed arrays, and the reduction is a single
-deterministic pass over the assembled array.
+``generate_interval`` gives it, bit for bit.  The jump times of a path are
+the running sum of its intervals, ``np.cumsum(xi)`` of the whole path, so
+they too depend on the stream alone: not on the wave sizes, nor on how
+replications are split into slabs or workers.  Estimates are therefore
+identical for any degree of parallelism: per-replication results are written
+into index-addressed arrays, and the reduction is a single deterministic pass
+over the assembled array.
 
 Wave loop
 ---------
 One generator, ``_waves``, draws every interval.  It advances a set of
 streams in waves: each still-active stream draws ``2 * block`` uniforms
-(``block`` intervals), the block doubles from wave to wave, and a stream
-leaves the set once its last jump lies beyond the largest query time.  Once
-per wave it yields the rows that were active and their jump times.
-``estimate`` reduces a slab of replications to backward/forward times as the
-waves pass; ``simulate_path`` is the one-stream case, which keeps the jumps.
-A wave adds its cumulative sum to the previous wave's last jump, so the wave
-sizes fix the last bits of the jump times; how replications are split into
-slabs does not.
+(``block`` intervals), and a stream leaves the set once its last jump lies
+beyond the largest query time.  The schedule is fixed: ``block`` starts at
+``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one wave draws at
+most ``_WAVE_INTERVALS`` intervals over all its rows, so wave memory does not
+grow with the horizon.  A wave adds the previous wave's last jump to its
+first interval and then takes the cumulative sum along the row, which is
+sequential, so every jump time equals the running sum of the whole path
+whatever the wave sizes.  Once per wave it yields the rows that were active
+and their jump times.  ``estimate`` reduces a slab of replications to
+backward/forward times as the waves pass; ``simulate_path`` is the one-stream
+case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -77,7 +81,9 @@ __all__ = [
 ]
 
 EVENT_CAP = 100_000_000  # diagnostic guard against zero-length interval loops
-_SLAB = 16_384  # replications processed per vectorized wave
+_SLAB = 16_384  # replications per slab, one job of estimate, advanced together in waves
+_FIRST_BLOCK = 16  # intervals per row in the first wave; the block doubles per wave
+_WAVE_INTERVALS = 1 << 20  # intervals one wave draws over all its rows (one per row at least)
 
 
 def path_stream(seed: int, replication: int) -> np.random.Generator:
@@ -200,19 +206,6 @@ class RenewalPath:
         return int(self.jump_times.size)
 
 
-def _initial_block(scenario: ScenarioConfig, t_max: float) -> int:
-    """Wave size: enough intervals for almost every path to clear t_max.
-
-    Upper-bounds the event count by the fast envelope: needed events have
-    mean about t/E zeta and variance about t Var(zeta)/E zeta^3; stragglers
-    simply trigger another (doubled) wave.
-    """
-    mean_fast = max(scenario.zeta_mean, 1e-12)
-    expect = t_max / mean_fast
-    spread = math.sqrt(max(expect * scenario.zeta_var / mean_fast**2, expect) + 1.0)
-    return int(min(max(16, math.ceil(1.02 * expect + 6.0 * spread + 8)), 1 << 20))
-
-
 def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
     """Map theta uniforms (waves x block) through the per-index mu inverses."""
     block = u.shape[1]
@@ -236,29 +229,35 @@ def _waves(scenario: ScenarioConfig, gens: list[np.random.Generator], t_max: flo
     Yields ``(active, times)`` once per wave: the indices into ``gens`` of
     the rows still short of ``t_max``, and their jump times in this wave
     (``active.size x block``).  Rows whose last jump lies beyond ``t_max``
-    leave before the next wave, whose block is twice as long.
+    leave before the next wave.  The block starts at ``_FIRST_BLOCK``,
+    doubles from wave to wave, and is cut so that one wave draws at most
+    ``_WAVE_INTERVALS`` intervals (one per row at least).  Jump times are
+    one running sum per row, carried from wave to wave, so they do not
+    depend on the block sizes.
     """
     active = np.arange(len(gens))
     base = np.zeros(len(gens))
     j0 = 1
-    block = _initial_block(scenario, t_max)
+    block = _FIRST_BLOCK
     while active.size:
         if j0 > EVENT_CAP:
             raise EventCapExceeded(
                 f"some path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
             )
         n_act = active.size
+        block = max(1, min(block, _WAVE_INTERVALS // n_act))
         u = np.empty((n_act, 2 * block))
         for i, row in enumerate(active):
             gens[row].random(out=u[i])
         zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(n_act, block)
-        theta = _theta_from_uniforms(scenario, u[:, 1::2], j0)
-        times = base[active, None] + np.cumsum(np.minimum(zeta, theta), axis=1)
+        xi = np.minimum(zeta, _theta_from_uniforms(scenario, u[:, 1::2], j0))
+        xi[:, 0] += base[active]
+        times = np.cumsum(xi, axis=1)  # sequential: the running sum of the whole path
         yield active, times
         base[active] = times[:, -1]
         active = active[~(times[:, -1] > t_max)]
         j0 += block
-        block = min(block * 2, 1 << 20)
+        block *= 2
 
 
 def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:

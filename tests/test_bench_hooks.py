@@ -1,8 +1,14 @@
-"""The benchmark's tracer wraps package names; every one it lists must exist."""
+"""The benchmark's children run on this package: every name they use must exist."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -18,3 +24,20 @@ def test_layer_calls_resolve():
         if not callable(getattr(importlib.import_module(f"renewal_bounds.{module}"), name, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "kind, extra, key",
+    [("setup", [], "setup_s"), ("slab", ["1"], "simulate.slab_peak_mb")],
+    ids=["setup", "slab"],
+)
+def test_child_runs_on_a_scenario(kind, extra, key):
+    # the children read names of the package that no command may use (slab
+    # compiles ScenarioConfig.zeta_var and mu_cdfs); deleting one must fail here
+    root = CHILD.parents[1]
+    scenario = root / "perfbench" / "scenarios" / "tail-exp-cycle.ini"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(CHILD), kind, str(scenario), *extra]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert key in json.loads(done.stdout.splitlines()[-1])

@@ -351,6 +351,21 @@ def test_ppf_above_the_total_mass_is_infinite(rate):
             assert float(F.cdf(x)) >= u
 
 
+@pytest.mark.parametrize("cut", [0.3, 1.0, 2.5])
+def test_ppf_at_the_total_mass_is_finite(cut):
+    # hazard c on [0, cut), then none: F(cut) is the total mass, so u equal
+    # to it has an inverse at most cut, while -log1p(-u) may round above the
+    # total hazard; the next double above the total has none
+    for k in range(1, 200):
+        phi = rb.from_segments([(0.0, [k / 50]), (cut, [0.0])], require_proper=False)
+        F = rb.cdf_from_intensity(phi)
+        total = F.total_mass()
+        x = float(F.ppf(total))
+        assert math.isfinite(x) and x <= math.nextafter(cut, math.inf), k
+        assert float(F.cdf(x)) >= total, k
+        assert float(F.ppf(math.nextafter(total, 1.0))) == math.inf, k
+
+
 def test_sample_atom_masses_binomial():
     phi = rb.from_segments([(0.0, [1.0])], atoms=[(1.0, math.log(2.0))])
     F = rb.cdf_from_intensity(phi)

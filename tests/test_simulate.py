@@ -217,48 +217,52 @@ def test_estimate_rows_match_individual_paths(seed):
         assert np.array_equal(table.samples_forward[r], p.w_t)
 
 
-def _wave_sums(xi, first_block):
-    """Jump times as the wave loop accumulates them: base + cumsum, per wave."""
-    out, base, start, block = [], 0.0, 0, first_block
-    while start < len(xi):
-        times = base + np.cumsum(xi[start : start + block])
-        out.append(times)
-        base, start, block = times[-1], start + block, 2 * block
-    return np.concatenate(out)
-
-
 def test_rows_match_paths_across_waves(monkeypatch):
-    # a 16-interval first wave makes almost every path at t = 60 take at least
-    # three waves (16 + 32 Exp(1) intervals fall short of 60); the rows must
-    # equal the paths, the scalar stream and the default-block run bit for bit
+    # a first block of 4 and a budget of 64 intervals per wave make a slab of
+    # 40 rows advance one interval per wave, and a single path at t = 60 take
+    # blocks of 4, 8, 16, 32, 64, ...; jump times are the running sum of each
+    # path's intervals, so rows, paths, the scalar stream and the default
+    # schedule agree bit for bit
     import renewal_bounds.simulate as sim
 
     sc = iid_scenario(rb.exponential(1.0), reps=40, t_queries=(1.0, 30.0, 60.0), seed=8)
     default = rb.estimate(sc, keep_samples=True)
-    monkeypatch.setattr(sim, "_initial_block", lambda scenario, t_max: 16)
+    monkeypatch.setattr(sim, "_FIRST_BLOCK", 4)
+    monkeypatch.setattr(sim, "_WAVE_INTERVALS", 64)
     table = rb.estimate(sc, keep_samples=True)
+    for name in ("samples_backward", "samples_forward"):
+        assert getattr(table, name).tobytes() == getattr(default, name).tobytes()
     long_paths = 0
     for r in range(sc.reps):
         p = rb.simulate_path(sc, r)
         assert np.array_equal(table.samples_backward[r], p.b_t)
         assert np.array_equal(table.samples_forward[r], p.w_t)
-        if p.events > 16 + 32:
+        if p.events > 4 + 8 + 16:  # more than three waves
             long_paths += 1
-            if long_paths <= 3:
-                stream = rb.path_stream(sc.seed, r)
-                xi = [rb.generate_interval(j, sc, stream) for j in range(1, p.events + 1)]
-                assert np.array_equal(_wave_sums(np.array(xi), 16), p.jump_times)
-                assert np.allclose(np.cumsum(xi), p.jump_times, rtol=1e-13, atol=0.0)
+            stream = rb.path_stream(sc.seed, r)
+            xi = [rb.generate_interval(j, sc, stream) for j in range(1, p.events + 1)]
+            assert np.array_equal(np.cumsum(xi), p.jump_times)
     assert long_paths >= 30
-    # jump times are summed per wave, so another wave partition moves the last
-    # bits of B and W; splitting the replications into slabs moves none
-    for name in ("samples_backward", "samples_forward"):
-        assert np.allclose(getattr(table, name), getattr(default, name), rtol=0.0, atol=1e-12)
     monkeypatch.undo()
     monkeypatch.setattr(sim, "_SLAB", 7)
     split = rb.estimate(sc, keep_samples=True)
     for name in ("samples_backward", "samples_forward", "mean_backward", "var_forward"):
         assert getattr(split, name).tobytes() == getattr(default, name).tobytes()
+
+
+@pytest.mark.parametrize("budget", [64, 4096])
+def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
+    # at t = 400 each Exp(1) path needs about 400 intervals, 80,000 over the
+    # slab; no wave may draw more than the budget, or one interval per row
+    import renewal_bounds.simulate as sim
+
+    monkeypatch.setattr(sim, "_WAVE_INTERVALS", budget)
+    sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(400.0,), seed=3)
+    drawn = 0
+    for active, times in sim._waves(sc, sim._slab_streams(sc.seed, 0, sc.reps), 400.0):
+        assert times.size <= max(sim._WAVE_INTERVALS, active.size)
+        drawn += times.size
+    assert drawn >= 10 * budget
 
 
 def test_estimate_exponential_backward_mean():
