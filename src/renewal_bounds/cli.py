@@ -21,8 +21,10 @@ Subcommands: ``check`` (assumption report), ``bound`` (moments and bounds,
 no simulation), ``simulate`` (estimates only), ``verify`` (bounds +
 simulation + dominance verdicts), ``tail`` (backward-time tail-bound
 curves vs empirical), ``renewal`` (renewal function of the envelope).
-Exit status is 0 iff every requested verdict passes; errors exit nonzero
-with a machine-readable JSON record on stderr.  ``simulate``, ``verify``
+Exit status is 0 iff every requested verdict passes; a failed verdict
+exits 1, and errors exit 2 with a machine-readable JSON record on stderr (a
+flag value the scenario cannot take, such as ``--reps 0`` or
+``--workers 0``, is a ``UsageError``).  ``simulate``, ``verify``
 and ``tail`` refuse a scenario that fails an assumption check (exit 2,
 ``AssumptionFailure``) unless ``--force`` is given.
 
@@ -51,7 +53,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,6 +64,7 @@ from .errors import (
     DivergentMomentError,
     RenewalBoundsError,
     ScenarioFormatError,
+    UsageError,
 )
 from .gridcalc import backward_tail_bound, discretize, renewal_function
 from .hazard import (
@@ -433,20 +436,15 @@ def run(
     """Execute one subcommand; flag overrides beat file values beat defaults."""
     if command not in COMMANDS:
         raise RenewalBoundsError(f"unknown subcommand {command!r}")
+    if workers < 1:
+        raise UsageError(f"invalid --workers {workers}: at least 1 process is needed")
     scenario, out_opts = load_scenario(scenario_path)
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if reps is not None:
-        overrides["reps"] = reps
-    if step is not None:
-        overrides["step"] = step
-    if horizon is not None:
-        overrides["horizon"] = horizon
-    if overrides:
-        from dataclasses import replace
-
-        scenario = replace(scenario, **overrides)
+    for name, value in (("seed", seed), ("reps", reps), ("step", step), ("horizon", horizon)):
+        if value is not None:
+            try:
+                scenario = replace(scenario, **{name: value})
+            except ValueError as err:
+                raise UsageError(f"invalid --{name} {value}: {err}") from err
 
     directory = Path(out_dir) if out_dir is not None else out_opts.directory
     directory.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ __all__ = [
     "AssumptionFailure",
     "EventCapExceeded",
     "ScenarioFormatError",
+    "UsageError",
 ]
 
 
@@ -56,3 +57,7 @@ class ScenarioFormatError(RenewalBoundsError, ValueError):
                 where += f":{col}"
         super().__init__(f"{where}: {message}" if where else message)
         self.bare_message = message
+
+
+class UsageError(RenewalBoundsError, ValueError):
+    """A command-line flag value the scenario or the runner cannot take."""

@@ -606,6 +606,7 @@ class IntensityCdf(MixedCdf):
             cur = math.inf
 
         self._row_lo = row_lo
+        self._row_hi = row_hi
         self._row_width = row_hi - row_lo
         self._row_lam_lo = row_lam_lo
         self._row_lam_hi = row_lam_hi
@@ -635,6 +636,28 @@ class IntensityCdf(MixedCdf):
 
     # -- evaluation -----------------------------------------------------------
 
+    def _row_lam(self, rows, tau) -> np.ndarray:
+        """Cumulative hazard at offset ``tau`` into each of ``rows``: the one
+        formula that ``cdf`` and the ``ppf`` guard share."""
+        c1, c2, c3, c4 = (self._row_RT[k][rows] for k in (1, 2, 3, 4))
+        return self._row_lam_lo[rows] + _quartic(c1, c2, c3, c4, tau)
+
+    def _cdf_on_rows(self, x, rows) -> np.ndarray:
+        """``cdf(x)`` for finite ``x`` known to lie at or after the start of
+        row ``rows``, without searching for the row.
+
+        Row starts are strictly increasing, so on ``[row_lo, next row
+        start)`` the search in ``cdf`` lands on ``rows`` and this is the same
+        formula on the same operands: equal bit for bit.  An ``x`` that
+        reached the next row's start (or the full atom) gets ``cdf(x)``.
+        """
+        tau = np.minimum(x - self._row_lo[rows], self._row_width[rows])
+        F = -np.expm1(-self._row_lam(rows, tau))
+        past = x >= self._row_hi[rows]
+        if np.any(past):
+            F[past] = self.cdf(x[past])
+        return F
+
     def _lam(self, x, left: bool) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -647,8 +670,7 @@ class IntensityCdf(MixedCdf):
             tau = np.minimum(x - self._row_lo[idx], self._row_width[idx])
             inf_x = np.isinf(x)
             tau = np.where(inf_x, 0.0, tau)
-            c1, c2, c3, c4 = (self._row_RT[k][idx] for k in (1, 2, 3, 4))
-            lam = self._row_lam_lo[idx] + _quartic(c1, c2, c3, c4, tau)
+            lam = self._row_lam(idx, tau)
             if np.any(inf_x):
                 lam[inf_x] = self._row_lam_hi[idx[inf_x]]
         else:
@@ -684,7 +706,11 @@ class IntensityCdf(MixedCdf):
         are solved in closed form; on a row of higher degree ``tau`` is the
         smallest double whose increment (by Horner) reaches ``T`` minus the
         row's starting hazard.  A final guard
-        steps ``x`` up by ulps until ``F(x) >= u`` holds exactly.  A draw above
+        steps ``x`` up by ulps until ``F(x) >= u`` holds exactly.  It
+        evaluates ``F(x)`` on the row just solved, with ``cdf``'s formula and
+        so ``cdf``'s bits (``_cdf_on_rows``), without a second search; only a
+        draw whose ``x`` reached the next row's start, the full atom or no
+        row at all goes through ``cdf``, as does each ulp re-check.  A draw above
         the total mass of an improper F gets ``+inf``: no ``x`` reaches it,
         even where ``T`` rounds down into the last row's range.  A draw equal
         to the total mass gets a finite ``x``, even where ``T`` rounds above
@@ -735,9 +761,15 @@ class IntensityCdf(MixedCdf):
             xin[solve] = self._row_lo[rows] + self._solve_rows(rows, tprime)
         x[inside] = xin
 
-        # enforce F(x) >= u exactly (guard against terminal rounding); after
-        # the first full pass only the offending entries are re-checked
-        sub = np.nonzero(np.isfinite(x) & (self.cdf(x) < u))[0]
+        # enforce F(x) >= u exactly (guard against terminal rounding): F is
+        # evaluated on the row just solved, and after this first pass only
+        # the offending entries are re-checked
+        finite = np.isfinite(x)
+        F = np.ones_like(x)
+        F[inside] = self._cdf_on_rows(xin, ii)
+        rest = beyond & finite
+        F[rest] = self.cdf(x[rest])
+        sub = np.nonzero(finite & (F < u))[0]
         for _ in range(4):
             if sub.size == 0:
                 break
@@ -930,24 +962,66 @@ def add_intensities(
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_BATCH = 1 << 11  # intervals refined per integrand call: 2 * 2048 panels of 32 nodes
+_GL_MAX_DEPTH = 30  # halvings before an interval is accepted unconverged
 
 
-def _gl_panel(f, a, b):
+def _gl_panels(f, rows, a, b):
+    """32-node Gauss-Legendre panels on ``[a, b]``, one per interval;
+    ``f(rows, xs)`` evaluates interval ``rows[i]``'s integrand at ``xs[i]``."""
     half = 0.5 * (b - a)
-    xs = a + half * (_GL_NODES + 1.0)
-    return half * float(np.sum(_GL_WEIGHTS * f(xs)))
+    xs = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
+    return half * np.sum(_GL_WEIGHTS * f(rows, xs), axis=1)
 
 
-def _gl_adaptive(f, a, b, tol, depth=0):
-    whole = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_panel(f, a, mid)
-    right = _gl_panel(f, mid, b)
-    if abs(whole - (left + right)) <= tol or depth >= 30:
-        return left + right
-    return _gl_adaptive(f, a, mid, 0.5 * tol, depth + 1) + _gl_adaptive(
-        f, mid, b, 0.5 * tol, depth + 1
-    )
+def _gl_adaptive(f, rows, a, b, tol=None, whole=None, depth=0):
+    """Adaptive Gauss-Legendre integrals over the intervals ``[a[i], b[i]]``.
+
+    An interval's panel is compared with the sum of its two half panels;
+    where they differ by more than its ``tol`` (``1e-12 + 1e-11 * |panel|``
+    by default) both halves are refined with half the tolerance, to depth
+    ``_GL_MAX_DEPTH``.  One call handles one refinement level: the halves
+    of every pending interval are evaluated as one ``(2P, 32)`` array and
+    the pending intervals of the next level go to one further call.  An
+    interval's value is rebuilt bottom-up as ``left + right``, the sum
+    order of a depth-first recursion over a single interval, so batching
+    changes no bit.
+
+    Memory is bounded whatever the depth: a call refines at most
+    ``_GL_BATCH`` intervals at once, so one integrand call sees at most
+    ``2 * _GL_BATCH`` panels (131,072 nodes, 1 MiB per float array), and a
+    larger level is taken in slices, each refined to the bottom before the
+    next.  At most ``_GL_MAX_DEPTH + 1`` calls are live, each holding
+    O(``_GL_BATCH``) values, so an interval that needs every halving costs
+    time, not memory of order ``2^depth``.
+    """
+    out = np.empty(a.size)
+    for s in range(0, a.size, _GL_BATCH):
+        c = slice(s, s + _GL_BATCH)
+        r, lo, hi = rows[c], a[c], b[c]
+        w = _gl_panels(f, r, lo, hi) if whole is None else whole[c]
+        t = 1e-12 + 1e-11 * np.abs(w) if tol is None else tol[c]
+        mid = 0.5 * (lo + hi)
+        n = lo.size
+        halves = _gl_panels(f, np.concatenate((r, r)), np.concatenate((lo, mid)),
+                            np.concatenate((mid, hi)))
+        left, right = halves[:n], halves[n:]
+        val = left + right
+        go = np.nonzero(~(np.abs(w - val) <= t))[0]
+        if go.size and depth < _GL_MAX_DEPTH:
+            kids = _gl_adaptive(
+                f, np.tile(r[go], 2), np.concatenate((lo[go], mid[go])),
+                np.concatenate((mid[go], hi[go])), np.tile(0.5 * t[go], 2),
+                np.concatenate((left[go], right[go])), depth + 1)
+            val[go] = kids[: go.size] + kids[go.size:]
+        out[c] = val
+    return out
+
+
+def _gl_one(f, a, b, tol=None, row=0) -> float:
+    """``_gl_adaptive`` on the single interval ``[a, b]`` of ``row``."""
+    return float(_gl_adaptive(f, np.array([row]), np.array([a]), np.array([b]),
+                              None if tol is None else np.array([tol]))[0])
 
 
 def _gammainc_int(a: int, x: float) -> float:
@@ -998,42 +1072,45 @@ def _poly_exp_int(x0: float, L: float, m: int, c: float) -> float:
 
 
 def _moment_intensity(F: IntensityCdf, k: int) -> float:
+    lo, width, R, deg = F._row_lo, F._row_width, F._row_R, F._row_deg
+    # math.exp, not np.exp over the array: the two can differ by an ulp
+    s0 = np.array([math.exp(-v) for v in F._row_lam_lo.tolist()])
+
+    def f(rows, tau):
+        x = lo[rows, None] + tau
+        return k * x ** (k - 1) * s0[rows, None] * np.exp(-prows(R[rows], tau))
+
+    # every finite polynomial row in one batched quadrature
+    quad = np.nonzero((s0 > 0.0) & (deg > 1) & np.isfinite(width))[0]
+    gl = dict(zip(quad.tolist(), _gl_adaptive(f, quad, np.zeros(quad.size), width[quad]).tolist()))
+
     total = 0.0
-    n_rows = F._row_lo.size
-    for r in range(n_rows):
-        s0 = math.exp(-F._row_lam_lo[r])
-        if s0 == 0.0:
+    for r in range(lo.size):
+        if s0[r] == 0.0:
             continue
-        lo = F._row_lo[r]
-        width = F._row_width[r]
-        R = F._row_R[r]
-        f = lambda tau: k * (lo + tau) ** (k - 1) * s0 * np.exp(-prows(
-            np.broadcast_to(R, (tau.size, 5)), tau))
-        if F._row_deg[r] <= 1:
-            c = R[1]
-            if not math.isfinite(width) and c <= 0.0:
+        if deg[r] <= 1:
+            c = R[r, 1]
+            if not math.isfinite(width[r]) and c <= 0.0:
                 raise DivergentMomentError(
                     "improper distribution: survival does not reach zero"
                 )
-            total += k * s0 * _poly_exp_int(lo, width, k - 1, c)
-        elif math.isfinite(width):
-            est = abs(_gl_panel(f, 0.0, width))
-            total += _gl_adaptive(f, 0.0, width, 1e-12 + 1e-11 * est)
+            total += k * float(s0[r]) * _poly_exp_int(lo[r], width[r], k - 1, c)
+        elif r in gl:
+            total += gl[r]
         else:
             # growing polynomial tail: integrate on doubling windows with a
             # certified constant-hazard remainder bound
             x = 0.0
-            win = max(1.0, lo)
+            win = max(1.0, lo[r])
             acc = 0.0
-            hazard = pderiv(R)
+            hazard = pderiv(R[r])
             for _ in range(200):
-                est = abs(_gl_panel(f, x, x + win))
-                acc += _gl_adaptive(f, x, x + win, 1e-12 + 1e-11 * est)
+                acc += _gl_one(f, x, x + win, row=r)
                 x += win
                 win *= 2.0
-                s_here = s0 * math.exp(-float(pvalue(R, x)))
+                s_here = float(s0[r]) * math.exp(-float(pvalue(R[r], x)))
                 rate = float(pvalue(hazard, x))
-                rem = k * s_here * _poly_exp_int(lo + x, math.inf, k - 1, max(rate, 1e-300))
+                rem = k * s_here * _poly_exp_int(lo[r] + x, math.inf, k - 1, max(rate, 1e-300))
                 if rem <= 1e-13 * max(abs(acc), 1e-12):
                     break
             else:
@@ -1043,15 +1120,17 @@ def _moment_intensity(F: IntensityCdf, k: int) -> float:
 
 
 def _moment_generic(F: MixedCdf, k: int) -> float:
-    integrand = lambda x: k * x ** (k - 1) * np.clip(np.asarray(F.sf(x), float), 0.0, 1.0)
+    def integrand(_, x):
+        sf = np.asarray(F.sf(x.ravel()), float).reshape(x.shape)
+        return k * x ** (k - 1) * np.clip(sf, 0.0, 1.0)
+
     pts = [0.0] + [a for a, _ in F.jumps]
     x0 = max(1.0, 2.0 * pts[-1])
     total = 0.0
     edges = sorted(set(pts + [x0]))
     for a, b in zip(edges[:-1], edges[1:]):
         if b > a:
-            est = abs(_gl_panel(integrand, a, b))
-            total += _gl_adaptive(integrand, a, b, 1e-12 + 1e-11 * est)
+            total += _gl_one(integrand, a, b)
     # doubling tail windows; the integrand may still be growing toward its
     # peak at first, so divergence is signalled only after several
     # consecutive windows without contraction
@@ -1059,7 +1138,7 @@ def _moment_generic(F: MixedCdf, k: int) -> float:
     stalled = 0
     x = x0
     for _ in range(64):
-        piece = _gl_adaptive(integrand, x, 2.0 * x, 1e-13 * max(total, 1.0))
+        piece = _gl_one(integrand, x, 2.0 * x, 1e-13 * max(total, 1.0))
         total += piece
         if piece <= max(1e-13 * total, 1e-300):
             return total
@@ -1080,15 +1159,18 @@ def moment(F: MixedCdf, k: int) -> float:
     mpmath.  The moments (k = 1..4) of ``from_segments([(0, [1]), (1, [2])],
     atoms=[(0.5, 0.3)])`` agree with an mpmath quadrature of its survival to
     1.5e-16 relative.  Polynomial-hazard stretches use 32-node
-    Gauss-Legendre with interval halving.  Raises
+    Gauss-Legendre with interval halving (``_gl_adaptive``): all finite
+    rows of an :class:`IntensityCdf` are refined together, one integrand
+    call per halving level, and each row's sum is rebuilt in the order of a
+    row-by-row recursion, so batching moves no bit.  Raises
     :class:`DivergentMomentError` when the tail does not contract.
     """
     if k < 1 or int(k) != k:
         raise ValueError("moment order k must be a positive integer")
     k = int(k)
     if isinstance(F, IntensityCdf):
-        return _moment_intensity(F, k)
-    return _moment_generic(F, k)
+        return float(_moment_intensity(F, k))
+    return float(_moment_generic(F, k))
 
 
 def sample(F: MixedCdf, u):

@@ -33,9 +33,12 @@ def pvalue(coeffs, t):
 
 
 def prows(coeff_rows, t):
-    """Row-wise Horner: ``coeff_rows`` is (n, k), ``t`` is (n,)."""
+    """Row-wise Horner: ``coeff_rows`` is (n, k), ``t`` is (n,) or (n, m);
+    row i's polynomial is evaluated at ``t[i]``."""
     rows = np.asarray(coeff_rows, dtype=float)
-    acc = np.zeros(rows.shape[0])
+    t = np.asarray(t, dtype=float)
+    rows = rows.reshape(rows.shape + (1,) * (t.ndim - 1))
+    acc = np.zeros(t.shape)
     for col in range(rows.shape[1] - 1, -1, -1):
         acc = acc * t + rows[:, col]
     return acc

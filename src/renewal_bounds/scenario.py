@@ -152,10 +152,10 @@ class ScenarioConfig:
             raise ValueError("reps must be at least 1")
         if int(self.seed) != self.seed or self.seed < 0 or self.seed > 2**64 - 1:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("grid step must be positive")
-        if self.horizon is not None and self.horizon < max(self.t_queries):
-            raise ValueError("horizon must cover every query time")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ValueError("grid step must be positive and finite")
+        if self.horizon is not None and not max(self.t_queries) <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and cover every query time")
 
     # -- derived distributions (cached; all immutable) -------------------------
 

@@ -4,7 +4,10 @@ Reference CDFs are exact closed forms wrapped in CallableCdf; ``brute_ppf``
 inverts a CDF by plain bisection on its evaluator; ``ks_distance`` compares
 the ECDF's left and right limits at each distinct sample value with the
 CDF's, so ties on an atom are handled; ``renewal_by_powers`` sums lattice
-convolution powers, the definition the renewal-equation solve must match.
+convolution powers, the definition the renewal-equation solve must match;
+``moment_by_recursion`` is the scalar, depth-first adaptive Gauss-Legendre
+moment quadrature, one interval per call, that the batched ``moment`` must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import math
 
 import numpy as np
 
-from renewal_bounds import CallableCdf, convolve
+from renewal_bounds import CallableCdf, IntensityCdf, convolve
+from renewal_bounds.errors import DivergentMomentError
+from renewal_bounds.hazard import _poly_exp_int
+from renewal_bounds.poly import pderiv, prows, pvalue
 
 
 def exp_cdf(rate: float = 1.0) -> CallableCdf:
@@ -132,3 +138,88 @@ def renewal_by_powers(G, tol: float) -> np.ndarray:
         power = convolve(power, G)
         total += power.values
     return total
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _gl_panel(f, a, b):
+    half = 0.5 * (b - a)
+    xs = a + half * (_GL_NODES + 1.0)
+    return half * float(np.sum(_GL_WEIGHTS * f(xs)))
+
+
+def gl_recursive(f, a, b, tol=None, depth=0, max_depth=30):
+    """Adaptive Gauss-Legendre on one interval, one call per panel pair;
+    ``tol`` defaults to ``1e-12 + 1e-11 * |first panel|``."""
+    whole = _gl_panel(f, a, b)
+    if tol is None:
+        tol = 1e-12 + 1e-11 * abs(whole)
+    mid = 0.5 * (a + b)
+    left = _gl_panel(f, a, mid)
+    right = _gl_panel(f, mid, b)
+    if abs(whole - (left + right)) <= tol or depth >= max_depth:
+        return left + right
+    return gl_recursive(f, a, mid, 0.5 * tol, depth + 1, max_depth) + gl_recursive(
+        f, mid, b, 0.5 * tol, depth + 1, max_depth
+    )
+
+
+
+def moment_by_recursion(F, k: int) -> float:
+    """``E X^k`` row by row (an IntensityCdf) or over the survival (any CDF),
+    integrating each polynomial stretch with ``gl_recursive``."""
+    if not isinstance(F, IntensityCdf):
+        return _generic_moment_by_recursion(F, k)
+    total = 0.0
+    for r in range(F._row_lo.size):
+        s0 = math.exp(-F._row_lam_lo[r])
+        if s0 == 0.0:
+            continue
+        lo, width, R = F._row_lo[r], F._row_width[r], F._row_R[r]
+        f = lambda tau: k * (lo + tau) ** (k - 1) * s0 * np.exp(-prows(
+            np.broadcast_to(R, (tau.size, 5)), tau))
+        if F._row_deg[r] <= 1:
+            if not math.isfinite(width) and R[1] <= 0.0:
+                raise DivergentMomentError("improper distribution")
+            total += k * s0 * _poly_exp_int(lo, width, k - 1, R[1])
+        elif math.isfinite(width):
+            total += gl_recursive(f, 0.0, width)
+        else:
+            x, win, acc, hazard = 0.0, max(1.0, lo), 0.0, pderiv(R)
+            for _ in range(200):
+                acc += gl_recursive(f, x, x + win)
+                x += win
+                win *= 2.0
+                s_here = s0 * math.exp(-float(pvalue(R, x)))
+                rate = float(pvalue(hazard, x))
+                rem = k * s_here * _poly_exp_int(lo + x, math.inf, k - 1, max(rate, 1e-300))
+                if rem <= 1e-13 * max(abs(acc), 1e-12):
+                    break
+            else:
+                raise DivergentMomentError("tail remainder did not contract")
+            total += acc
+    return total
+
+
+def _generic_moment_by_recursion(F, k: int) -> float:
+    f = lambda x: k * x ** (k - 1) * np.clip(np.asarray(F.sf(x), float), 0.0, 1.0)
+    pts = [0.0] + [a for a, _ in F.jumps]
+    x = max(1.0, 2.0 * pts[-1])
+    edges = sorted(set(pts + [x]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            total += gl_recursive(f, a, b)
+    prev, stalled = math.inf, 0
+    for _ in range(64):
+        piece = gl_recursive(f, x, 2.0 * x, 1e-13 * max(total, 1.0))
+        total += piece
+        if piece <= max(1e-13 * total, 1e-300):
+            return total
+        stalled = stalled + 1 if piece >= 0.9 * prev else 0
+        if stalled >= 8:
+            raise DivergentMomentError("tail remainder did not contract")
+        prev = piece
+        x *= 2.0
+    raise DivergentMomentError("tail remainder did not contract")

@@ -328,6 +328,38 @@ def test_main_rejects_infinite_linear_cap(tmp_path, capsys):
     assert "finite" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--reps", "0"],
+        ["--seed", "-1"],
+        ["--seed", "18446744073709551616"],
+        ["--step", "0"],
+        ["--step", "nan"],
+        ["--horizon", "5"],  # below the largest query time, 10
+        ["--horizon", "inf"],
+        ["--workers", "0"],
+        ["--workers", "-2"],
+    ],
+)
+def test_main_rejects_bad_flag_values(tmp_path, capsys, flags):
+    # a bad flag is an error (exit 2, JSON on stderr), not a failed verdict
+    out = tmp_path / "out"
+    code = main(["verify", str(write(tmp_path, MINIMAL_IID)), "--out", str(out), *flags])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "UsageError"
+    assert record["message"].startswith(f"invalid {flags[0]} ")
+    assert not out.exists()
+
+
+def test_main_rejects_a_non_finite_file_step(tmp_path, capsys):
+    text = MINIMAL_IID.replace("seed = 42", "seed = 42\nstep = nan")
+    assert main(["bound", str(write(tmp_path, text)), "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError" and "finite" in record["message"]
+
+
 def test_main_unknown_scenario_file(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.ini")])
     assert code == 2

@@ -15,7 +15,9 @@ from helpers import (
     deterministic_cdf,
     exp_cdf,
     exp_with_atom_cdf,
+    gl_recursive,
     ks_distance,
+    moment_by_recursion,
     uniform_cdf,
     weibull_cdf,
 )
@@ -289,6 +291,132 @@ def test_moment_positive_mean_and_variance():
         assert m2 - m1 * m1 > 0
 
 
+# survival exp(-s^4) on one row of width 100: the quadrature halves it at
+# least five times
+_DEEP_ROW = rb.from_segments([(0, [0, 0, 0, 4.0]), (100, [4e6])])
+
+
+def _oracle_laws():
+    from test_cli import GENERALIZED, MINIMAL_IID
+
+    laws = {
+        "uniform": rb.cdf_from_intensity(rb.uniform(0.0, 1.0)),
+        "weibull1.5": rb.cdf_from_intensity(rb.weibull(1.5)),
+        "weibull2": rb.cdf_from_intensity(rb.weibull(2.0)),  # polynomial tail row
+        # its row survivals by np.exp instead of math.exp move k = 2 and 3
+        "weibull2.5x3": rb.cdf_from_intensity(rb.weibull(2.5, 3.0)),
+        "atoms": rb.cdf_from_intensity(rb.from_segments(
+            [(0, [1.0]), (1, [2.0, 0.5]), (2.5, [0.3, 0.1, 0.2])],
+            atoms=[(0.5, 0.3), (1.7, 0.2)])),
+        "cumhaz": rb.cdf_from_intensity(
+            rb.from_cumulative_hazard(lambda x: np.asarray(x) ** 1.7 + 0.3 * np.asarray(x))),
+        # one finite polynomial row, then a linear tail
+        "one-interval": rb.cdf_from_intensity(rb.from_segments([(0, [0.0, 1.0]), (2, [2.0])])),
+        "deep": rb.cdf_from_intensity(_DEEP_ROW),
+        "exp-generic": exp_cdf(1.5),
+        "uniform-generic": uniform_cdf(1.0, 3.0),
+        "weibull-generic": weibull_cdf(1.5, 2.0),
+        "atom-generic": exp_with_atom_cdf(),
+    }
+    for name, text in (("generalized", GENERALIZED), ("minimal", MINIMAL_IID)):
+        sc = _parse_scenario_text(text)
+        laws[f"{name}.eta"] = sc.eta_cdf
+        laws[f"{name}.zeta"] = sc.zeta_cdf
+        for i, F in enumerate(sc.interval_cdfs):
+            laws[f"{name}.interval{i}"] = F
+    return laws
+
+
+def _parse_scenario_text(text):
+    import tempfile
+    from pathlib import Path
+
+    from renewal_bounds.cli import parse_scenario
+
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "scenario.ini"
+        path.write_text(text)
+        return parse_scenario(path)
+
+
+def _record_levels(monkeypatch):
+    """Record ``(depth, intervals)`` of every ``_gl_adaptive`` call."""
+    from renewal_bounds import hazard
+
+    calls = []
+    batched = hazard._gl_adaptive
+
+    def spy(f, rows, a, b, tol=None, whole=None, depth=0):
+        calls.append((depth, a.size))
+        return batched(f, rows, a, b, tol, whole, depth)
+
+    monkeypatch.setattr(hazard, "_gl_adaptive", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name, F", list(_oracle_laws().items()))
+def test_moment_is_bit_equal_to_the_recursive_quadrature(name, F):
+    for k in (1, 2, 3, 4):
+        got, expect = rb.moment(F, k), moment_by_recursion(F, k)
+        assert type(got) is float and got == expect, (name, k, got, expect)
+
+
+def test_moment_of_an_improper_law_diverges_like_the_oracle():
+    F = rb.cdf_from_intensity(_GUARD_LAWS["improper"])
+    for k in (1, 2):
+        with pytest.raises(DivergentMomentError):
+            moment_by_recursion(F, k)
+        with pytest.raises(DivergentMomentError):
+            rb.moment(F, k)
+
+
+def test_moment_refines_deep_and_every_row_at_once(monkeypatch):
+    calls = _record_levels(monkeypatch)
+    rb.moment(rb.cdf_from_intensity(_DEEP_ROW), 2)
+    assert max(depth for depth, _ in calls) >= 5
+    calls.clear()
+    F = rb.cdf_from_intensity(rb.uniform(0.0, 1.0))
+    rb.moment(F, 3)
+    rows = np.count_nonzero((F._row_deg > 1) & np.isfinite(F._row_width))
+    assert calls == [(0, rows)] and rows > 100  # every quartic row in one call
+
+
+def test_quadrature_memory_is_bounded_and_bits_kept(monkeypatch):
+    # a square wave with a jump in every panel never converges at tol = 0:
+    # each interval is halved down to the depth cap, 2^8 leaves apiece, yet
+    # no integrand call may see more than 2 * _GL_BATCH panels
+    from renewal_bounds import hazard
+
+    monkeypatch.setattr(hazard, "_GL_BATCH", 4)
+    monkeypatch.setattr(hazard, "_GL_MAX_DEPTH", 8)
+    wave = lambda x: np.where(np.sin(1000.0 * x) > 0.0, 1.0, -0.5)
+    seen = []
+
+    def f(rows, x):
+        seen.append(x.shape[0])
+        return wave(x) * (1.0 + rows[:, None])
+
+    a, b = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 3.0])
+    got = hazard._gl_adaptive(f, np.arange(3), a, b, tol=np.zeros(3))
+    assert max(seen) <= 2 * 4 and sum(seen) > 3 * 2**9
+    for i in range(3):
+        expect = gl_recursive(lambda x: wave(x) * (1.0 + i), a[i], b[i], 0.0, max_depth=8)
+        assert got[i] == expect
+
+
+def test_quadrature_reaches_the_depth_cap_on_a_step(monkeypatch):
+    # the panel holding the jump at 1/3 never converges: depth 30 is reached
+    from renewal_bounds import hazard
+
+    calls = _record_levels(monkeypatch)
+    step = lambda x: np.where(x < 1.0 / 3.0, 1.0, 2.0)
+    got = hazard._gl_adaptive(lambda _, x: step(x), np.zeros(1, dtype=int),
+                              np.array([0.0]), np.array([1.0]))
+    # both halves of the one unconverged interval go down a level together
+    assert calls == [(0, 1)] + [(d, 2) for d in range(1, hazard._GL_MAX_DEPTH + 1)]
+    assert got[0] == gl_recursive(step, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -457,6 +585,54 @@ def test_ppf_matches_brute_inverse_on_quartic_rows_with_atoms(coeffs, widths, at
     assert np.all(F.cdf(x) >= u)
     for xi, ui in zip(x, u):
         assert xi == pytest.approx(brute_ppf(F, ui), abs=1e-9)
+
+
+_GUARD_LAWS = {
+    "uniform": rb.uniform(0.0, 1.0),
+    "weibull1.5": rb.weibull(1.5),
+    "atoms": rb.from_segments(
+        [(0, [0.2, 0.3]), (1, [0.5, 0.1, 0.05]), (1.8, [0.4, 0.0, 0.2, 0.1])],
+        atoms=[(0.7, 0.4), (1.8, 0.3), (2.2, math.inf)]),
+    "improper": rb.from_segments([(0, [0.5, 0.2]), (1.3, [0.0])], atoms=[(0.4, 0.25)],
+                                 require_proper=False),
+}
+
+
+@pytest.mark.parametrize("phi", list(_GUARD_LAWS.values()), ids=list(_GUARD_LAWS))
+def test_guard_cdf_on_the_solved_row_is_cdf(phi):
+    F = rb.cdf_from_intensity(phi)
+    lo, hi, width = F._row_lo, F._row_hi, F._row_width
+    rows, xs = [], []
+    for r in range(lo.size):
+        end = lo[r] + width[r]
+        points = [lo[r], end, np.nextafter(lo[r], math.inf)]
+        if math.isfinite(hi[r]):  # the next row's start, or the full atom
+            points += [hi[r], np.nextafter(hi[r], 0.0), np.nextafter(hi[r], math.inf)]
+        # the constant tail of a compiled law can be huge: stay short of overflow
+        span = width[r] if math.isfinite(width[r]) else 10.0 / max(1.0, F._row_R[r, 1])
+        points += list(lo[r] + span * np.array([1e-9, 0.1, 0.37, 0.5, 0.9, 1 - 1e-12]))
+        for x in points:
+            if math.isfinite(x) and x >= lo[r]:
+                rows.append(r)
+                xs.append(x)
+    rows, xs = np.array(rows), np.array(xs)
+    if F._full_loc is not None:
+        assert np.any(xs == F._full_loc)
+    got = F._cdf_on_rows(xs, rows)
+    assert got.tobytes() == F.cdf(xs).tobytes()
+
+
+@pytest.mark.parametrize("phi", list(_GUARD_LAWS.values()), ids=list(_GUARD_LAWS))
+def test_ppf_reaches_u_at_every_row_end(phi):
+    F = rb.cdf_from_intensity(phi)
+    ends = -np.expm1(-F._row_lam_hi[np.isfinite(F._row_lam_hi)])
+    u = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    u = u[(u > 0.0) & (u < 1.0)]
+    assert u.size >= 3
+    x = F.ppf(u)
+    total = F.total_mass()
+    assert np.all(np.isfinite(x[u <= total])) and np.all(np.isinf(x[u > total]))
+    assert np.all(F.cdf(x[u <= total]) >= u[u <= total])
 
 
 def test_ppf_is_chunk_invariant(monkeypatch):
