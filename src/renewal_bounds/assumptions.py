@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DivergentMomentError
 from .hazard import GeneralizedIntensity, _aligned, add_intensities, moment
-from .poly import is_zero_poly, pmax_on
+from .poly import is_zero_poly, pmax_rows
 from .scenario import ScenarioConfig
 
 __all__ = ["ConditionVerdict", "AssumptionReport", "check_assumptions"]
@@ -98,8 +98,10 @@ def _envelope_violation(
 ) -> tuple[float, float]:
     """Max of (combined - Q) over the ac parts and atoms; (violation, where)."""
     worst, where = -math.inf, 0.0
-    for s, width, cc, cq in _aligned(combined, q):
-        v, loc = pmax_on(cc - cq, 0.0, width)
+    pieces = list(_aligned(combined, q))
+    vals, locs = pmax_rows([cc - cq for _, _, cc, cq in pieces], 0.0,
+                           [width for _, width, _, _ in pieces])
+    for (s, _, _, _), v, loc in zip(pieces, vals.tolist(), locs.tolist()):
         if v > worst:
             worst, where = v, s + loc if math.isfinite(loc) else math.inf
 
@@ -202,14 +204,10 @@ def check_assumptions(
     )
 
     atom_at_zero = q.atom_locs.size > 0 and q.atom_locs[0] == 0.0
-    sup_q = -math.inf
-    breaks = q.breaks
-    for i, s in enumerate(breaks):
-        if s >= _ZERO_WINDOW:
-            break
-        hi = min(breaks[i + 1] if i + 1 < breaks.size else math.inf, _ZERO_WINDOW) - s
-        v, _ = pmax_on(q.coeffs[i], 0.0, hi)
-        sup_q = max(sup_q, v)
+    near = q.breaks < _ZERO_WINDOW
+    ends = np.minimum(np.append(q.breaks[1:], math.inf), _ZERO_WINDOW)
+    vals, _ = pmax_rows(q.coeffs[near], 0.0, (ends - q.breaks)[near])
+    sup_q = max([-math.inf, *vals.tolist()])
     ok4 = not atom_at_zero
     c4 = ConditionVerdict(
         4,

@@ -17,6 +17,17 @@ Atom weight convention: ``delta = -log(S(a+0)/S(a-0))``, the survival-ratio
 form, which makes ``F = 1 - exp(-cumhaz)`` an exact reconstruction identity
 for any mixed distribution in the class.
 
+A law given by its cumulative hazard (``uniform``, fractional ``weibull``,
+``from_cumulative_hazard``, ``intensity_from_cdf``) is compiled by
+``_fit_cumhaz``: each panel between jumps gets a quartic cumulative hazard,
+and a panel whose fit fails is halved.  The fit runs one refinement level at
+a time: a level evaluates the cumulative hazard of every pending panel in
+one call on a flat array, fits and tests all panels with array operations
+(their minima by closed-form cubic extrema, ``poly.pmin_rows``), and the
+segments come out in the order of a depth-first halving, with the same bits.
+``uniform`` and ``weibull`` cache their read-only results, so a law that a
+scenario names twice is compiled once.
+
 The module uses numpy only: the one special function it needs, the
 regularized incomplete gamma of an integer shape, has a closed form
 (``_gammainc_int``).
@@ -24,6 +35,7 @@ regularized incomplete gamma of an integer shape, has a closed form
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,7 +47,7 @@ from .poly import (
     is_zero_poly,
     pderiv,
     pinteg,
-    pmin_on,
+    pmin_rows,
     prows,
     pshift,
     pvalue,
@@ -89,14 +101,15 @@ class GeneralizedIntensity:
     atom_weights: np.ndarray
 
     def __post_init__(self):
-        breaks = np.atleast_1d(np.asarray(self.breaks, dtype=float))
-        coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
-        locs = np.atleast_1d(np.asarray(self.atom_locs, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.atom_weights, dtype=float))
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "atom_locs", locs)
-        object.__setattr__(self, "atom_weights", weights)
+        # private read-only copies: a compiled law may be shared (see uniform)
+        breaks = np.atleast_1d(np.array(self.breaks, dtype=float))
+        coeffs = np.atleast_2d(np.array(self.coeffs, dtype=float))
+        locs = np.atleast_1d(np.array(self.atom_locs, dtype=float))
+        weights = np.atleast_1d(np.array(self.atom_weights, dtype=float))
+        for name, arr in (("breaks", breaks), ("coeffs", coeffs),
+                          ("atom_locs", locs), ("atom_weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
         if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
             raise IntensityError("segment breakpoints must start at 0")
@@ -109,16 +122,17 @@ class GeneralizedIntensity:
         if not np.all(np.isfinite(coeffs)):
             raise IntensityError("hazard coefficients must be finite")
 
-        for i in range(breaks.size):
-            hi = breaks[i + 1] - breaks[i] if i + 1 < breaks.size else math.inf
-            low, where = pmin_on(coeffs[i], 0.0, hi)
-            if low < -_NONNEG_SLACK:
-                raise IntensityError(
-                    f"hazard negative ({low:.3e}) at s = {breaks[i] + where:.6g}"
-                )
-        tail = coeffs[-1]
-        dmin, _ = pmin_on(pderiv(tail), 0.0, math.inf)
-        if dmin < -_NONNEG_SLACK:
+        # every segment over its width, and the tail's slope over [0, inf)
+        rows = np.vstack((coeffs, np.append(pderiv(coeffs[-1]), 0.0)))
+        widths = np.append(np.diff(breaks), [math.inf, math.inf])
+        low, where = pmin_rows(rows, 0.0, widths)
+        bad = np.nonzero(low[:-1] < -_NONNEG_SLACK)[0]
+        if bad.size:
+            i = bad[0]
+            raise IntensityError(
+                f"hazard negative ({low[i]:.3e}) at s = {breaks[i] + where[i]:.6g}"
+            )
+        if low[-1] < -_NONNEG_SLACK:
             raise IntensityError("last segment must be constant or growing")
 
         if locs.shape != weights.shape or locs.ndim != 1:
@@ -216,12 +230,15 @@ def deterministic(c: float) -> GeneralizedIntensity:
     return from_segments([(0.0, [0.0])], atoms=[(c, ATOM_INF)])
 
 
+@functools.lru_cache(maxsize=64)
 def weibull(shape: float, scale: float = 1.0) -> GeneralizedIntensity:
     """Weibull hazard ``(shape/scale) * (s/scale)**(shape-1)``.
 
     Integer shapes 1..4 are exact polynomials; fractional shapes in [1, 4]
     are compiled adaptively.  Shapes below 1 have a hazard unbounded at the
-    origin and are not representable in the polynomial class.
+    origin and are not representable in the polynomial class.  Laws are
+    read-only and cached by parameters, so a scenario that names the same
+    law twice compiles it once.
     """
     if scale <= 0:
         raise IntensityError("weibull scale must be positive")
@@ -235,12 +252,15 @@ def weibull(shape: float, scale: float = 1.0) -> GeneralizedIntensity:
     return from_cumulative_hazard(lambda x: (np.asarray(x) / scale) ** shape)
 
 
+@functools.lru_cache(maxsize=64)
 def uniform(a: float, b: float) -> GeneralizedIntensity:
     """Uniform(a, b) compiled into the polynomial hazard class.
 
     The hazard ``1/(b - s)`` is fitted adaptively up to survival 1e-12 and
     closed with a huge constant tail, so CDF, moments and samples agree with
-    the exact uniform to well below 1e-8.
+    the exact uniform to well below 1e-8.  Laws are read-only and cached by
+    parameters, so a scenario that names the same law twice compiles it
+    once.
     """
     if not 0 <= a < b:
         raise IntensityError("uniform requires 0 <= a < b")
@@ -260,6 +280,7 @@ def uniform(a: float, b: float) -> GeneralizedIntensity:
 # quartic through the origin, interpolating at z = 1/4, 1/2, 3/4, 1
 _FIT_NODES = np.array([0.25, 0.5, 0.75, 1.0])
 _FIT_SOLVE = np.linalg.inv(np.vander(_FIT_NODES, 4, increasing=True) * _FIT_NODES[:, None])
+_FIT_POWER = np.array([1.0, 2.0, 3.0, 4.0])  # phi_c[k] = (k + 1) d[k] / h^(k+1)
 _ERR_NODES = np.array([0.0625, 0.125, 0.375, 0.625, 0.875, 0.9375])
 _FIT_MAX_DEPTH = 52  # halvings of a panel before a constant-hazard fallback
 _TAIL_EPS = 1e-12  # survival at which a fit ends and the constant tail starts
@@ -267,44 +288,79 @@ _HAZARD_FTOL, _HAZARD_PANELS = 1e-10, 8  # from_cumulative_hazard's survival err
 _CDF_FTOL, _CDF_PANELS = 1e-9, 4  # intensity_from_cdf's survival error, panels per region
 
 
-def _fit_cumhaz_region(lam, lo, hi, ftol, out, depth=0):
-    """Append hazard segments approximating ``lam`` on [lo, hi) to ``out``.
+def _fit_cumhaz(lam, edges, ftol):
+    """Hazard segments ``(start, coefficients)`` approximating ``lam`` on the
+    panels between consecutive ``edges``.
 
-    ``lam`` is the absolute cumulative hazard (atoms before the region
+    ``lam`` is the absolute cumulative hazard (atoms before the panels
     included), so the survival error check is performed on the actual scale.
+    Each panel gets the quartic cumulative hazard through the origin that
+    interpolates ``lam`` at its fit nodes; the fit is kept where its hazard
+    is nonnegative (up to ``_NONNEG_SLACK``, shaved off) and its survival is
+    within ``ftol`` at the error nodes, and the panel is halved otherwise,
+    down to ``_FIT_MAX_DEPTH`` halvings and a constant-hazard fallback.
     Knot values interpolate exactly, hence errors do not accumulate across
     segments.
-    """
-    h = hi - lo
-    lam_lo = float(lam(lo))
-    ys = np.asarray(lam(lo + h * _FIT_NODES), dtype=float) - lam_lo
-    ys = np.maximum.accumulate(np.maximum(ys, 0.0))  # clip eval noise
-    if ys[-1] == 0.0:
-        out.append((lo, np.zeros(4)))
-        return
-    d = _FIT_SOLVE @ ys  # q(z) = sum d[k] z^(k+1)
-    phi_c = np.array([d[0] / h, 2 * d[1] / h**2, 3 * d[2] / h**3, 4 * d[3] / h**4])
 
-    low, _ = pmin_on(phi_c, 0.0, h)
-    ok = low >= -_NONNEG_SLACK * max(1.0, float(np.max(np.abs(phi_c))))
-    if ok:
-        zs = lo + h * _ERR_NODES
-        s_true = np.exp(-np.asarray(lam(zs), dtype=float))
-        q = pvalue(pinteg(phi_c), h * _ERR_NODES)
-        s_fit = np.exp(-(lam_lo + q))
-        ok = float(np.max(np.abs(s_fit - s_true))) <= ftol
-    if ok:
-        if low < 0.0:  # shave sub-slack undershoot so the constructor accepts
-            phi_c[0] -= low
-        out.append((lo, phi_c))
-        return
-    if depth >= _FIT_MAX_DEPTH:
-        c = max(ys[-1], 0.0) / h
-        out.append((lo, np.array([c, 0.0, 0.0, 0.0])))
-        return
-    mid = 0.5 * (lo + hi)
-    _fit_cumhaz_region(lam, lo, mid, ftol, out, depth + 1)
-    _fit_cumhaz_region(lam, mid, hi, ftol, out, depth + 1)
+    One pass handles one refinement level: ``lam`` is called once on the
+    flat array of every pending panel's fit nodes and once on the error
+    nodes of those that pass, and the minima come from one
+    ``pmin_rows`` call.  A panel's ``lam(lo)`` (a left half reuses its
+    parent's), its powers ``h**k`` and its ``_FIT_SOLVE @ y`` stay per
+    panel: numpy's array ``power`` and batched matrix products round
+    differently from the scalar forms in the last bit.
+    The segments come out in the depth-first order of halving each panel
+    in turn.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    lam_lo = np.array([float(lam(a)) for a in lo.tolist()])
+    pos = np.arange(lo.size)  # position among the panels of this level
+    keys, segs = [], []
+    for depth in range(_FIT_MAX_DEPTH + 1):
+        n = lo.size
+        h = hi - lo
+        ys = np.asarray(lam((lo[:, None] + h[:, None] * _FIT_NODES).ravel()), dtype=float)
+        ys = ys.reshape(n, 4) - lam_lo[:, None]
+        ys = np.maximum.accumulate(np.maximum(ys, 0.0), axis=1)  # clip eval noise
+        flat = ys[:, -1] == 0.0
+        d = np.zeros((n, 4))
+        powers = np.ones((n, 4))
+        for i in np.nonzero(~flat)[0].tolist():
+            hh = float(h[i])
+            d[i] = _FIT_SOLVE @ ys[i]  # q(z) = sum d[k] z^(k+1)
+            powers[i] = hh, hh**2, hh**3, hh**4
+        phi_c = d * _FIT_POWER / powers
+        low, _ = pmin_rows(phi_c, 0.0, h)
+        ok = ~flat & (low >= -_NONNEG_SLACK * np.maximum(1.0, np.max(np.abs(phi_c), axis=1)))
+        test = np.nonzero(ok)[0]
+        if test.size:
+            th = h[test, None] * _ERR_NODES
+            s_true = np.exp(-np.asarray(lam((lo[test, None] + th).ravel()), dtype=float))
+            integ = np.zeros((test.size, 5))  # pinteg(phi_c)
+            integ[:, 1:] = phi_c[test] / _FIT_POWER
+            q = prows(integ, th)
+            s_fit = np.exp(-(lam_lo[test, None] + q))
+            ok[test] = np.max(np.abs(s_fit - s_true.reshape(q.shape)), axis=1) <= ftol
+        shave = ok & (low < 0.0)  # sub-slack undershoot, so the constructor accepts
+        phi_c[shave, 0] -= low[shave]
+        done = flat | ok
+        if depth == _FIT_MAX_DEPTH:  # constant-hazard fallback
+            rest = ~done
+            phi_c[rest] = 0.0
+            phi_c[rest, 0] = ys[rest, -1] / h[rest]
+            done[:] = True
+        # a leaf's left edge in units of the finest halving: depth-first order
+        keys += (pos[done] << (_FIT_MAX_DEPTH - depth)).tolist()
+        segs += zip(lo[done].tolist(), phi_c[done])
+        split = np.nonzero(~done)[0]
+        if split.size == 0:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate((lo[split], mid))
+        hi = np.concatenate((mid, hi[split]))
+        lam_lo = np.concatenate((lam_lo[split], [float(lam(m)) for m in mid.tolist()]))
+        pos = np.concatenate((2 * pos[split], 2 * pos[split] + 1))
+    return [segs[i] for i in np.argsort(keys, kind="stable")]
 
 
 def _tail_edge(survival, start):
@@ -326,11 +382,6 @@ def _tail_edge(survival, start):
         else:
             hi = mid
     return lo if lo > 0 else hi * 0.5
-
-
-def _panels(lo: float, hi: float, n: int):
-    edges = np.linspace(lo, hi, n + 1)
-    return [(float(edges[i]), float(edges[i + 1])) for i in range(n)]
 
 
 def _compile(lam, survival, jumps, *, ftol, panels) -> GeneralizedIntensity:
@@ -360,8 +411,7 @@ def _compile(lam, survival, jumps, *, ftol, panels) -> GeneralizedIntensity:
             continue  # numerically irrelevant jump deep in the tail
         if a > region_lo:
             region_lam = lambda x, _j=(a, p): lam(x, _j)
-            for lo, hi in _panels(region_lo, a, panels):
-                _fit_cumhaz_region(region_lam, lo, hi, ftol, segs)
+            segs += _fit_cumhaz(region_lam, np.linspace(region_lo, a, panels + 1), ftol)
         if s_after <= 0.0:
             if j != len(jumps) - 1:
                 raise DistributionError(
@@ -377,8 +427,7 @@ def _compile(lam, survival, jumps, *, ftol, panels) -> GeneralizedIntensity:
 
     x_end = max(_tail_edge(survival, max(1.0, 2.0 * region_lo)), region_lo)
     if x_end > region_lo:
-        for lo, hi in _panels(region_lo, x_end, panels):
-            _fit_cumhaz_region(lam, lo, hi, ftol, segs)
+        segs += _fit_cumhaz(lam, np.linspace(region_lo, x_end, panels + 1), ftol)
     if not segs:
         segs.append((0.0, np.zeros(4)))
 

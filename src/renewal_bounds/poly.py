@@ -19,6 +19,8 @@ __all__ = [
     "pshift",
     "pmin_on",
     "pmax_on",
+    "pmin_rows",
+    "pmax_rows",
     "is_zero_poly",
 ]
 
@@ -71,61 +73,89 @@ def pshift(coeffs, dt):
     return out
 
 
-def _real_roots(coeffs):
-    """Real roots of the polynomial (may be empty)."""
-    c = np.asarray(coeffs, dtype=float)
-    # trim leading coefficients that are zero, or so small (subnormal) that
-    # the companion matrix would overflow: their extra roots lie beyond the
-    # float range
-    deg = c.size - 1
-    with np.errstate(over="ignore"):
-        while deg > 0 and (c[deg] == 0.0 or not np.all(np.isfinite(c[:deg] / c[deg]))):
-            deg -= 1
-    if deg == 0:
-        return np.empty(0)
-    roots = np.roots(c[: deg + 1][::-1])
-    scale = 1.0 + np.max(np.abs(roots.real)) if roots.size else 1.0
-    real = roots[np.abs(roots.imag) <= 1e-9 * scale].real
-    return real
+def _extreme_rows(coeffs, lo, hi, sign):
+    """Extreme values of ``sign * p_i`` over ``[lo[i], hi[i]]`` for many
+    polynomials of degree <= 3 at once; returns (values, locations).
 
-
-def _extreme_on(coeffs, lo, hi, sign):
-    """Extreme value of ``sign * p`` over [lo, hi]; returns (value, location).
-
-    ``hi`` may be ``inf``; the limit behaviour of the leading term is then a
-    candidate with location ``inf``.
+    The candidates of each row are, in order, ``lo``, ``hi`` (when finite)
+    and the real critical points strictly inside the interval; the first
+    largest value wins.  Critical points are the roots of the derivative
+    ``d0 + d1 t + d2 t^2``.  A leading coefficient that is zero, or so small
+    (subnormal) that dividing by it overflows, is trimmed: its extra root
+    lies beyond the float range.  A quadratic is solved in monic form by
+    the stable formula (the larger root ``P + sign(P) sqrt(P^2 - C)``, then
+    ``C`` over it); a complex pair counts as one real double root when its
+    imaginary part is at most ``1e-9 * (1 + |re|)``.  Where ``hi`` is
+    infinite and the leading term drives ``sign * p`` to ``+inf``, the
+    result is ``(inf, inf)``.
     """
-    c = np.asarray(coeffs, dtype=float)
-    cand = [lo]
-    if math.isfinite(hi):
-        cand.append(hi)
-    crit = _real_roots(pderiv(c))
-    for r in crit:
-        if lo < r < hi:
-            cand.append(float(r))
-    cand = np.asarray(cand)
-    vals = sign * pvalue(c, cand)
-    best = int(np.argmax(vals))
-    value, where = float(vals[best]), float(cand[best])
-    if not math.isfinite(hi):
-        deg = c.size - 1
-        while deg > 0 and c[deg] == 0.0:
-            deg -= 1
-        if deg > 0 and sign * c[deg] > 0:
-            return math.inf, math.inf
+    given = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    n, m = given.shape
+    if m > 4:
+        raise ValueError("extrema are limited to degree 3")
+    c = np.zeros((n, 4))  # zero leading coefficients change no Horner bit
+    c[:, :m] = given
+    x = np.empty((n, 4))  # candidates: lo, hi, then the critical points
+    x.T[:] = lo
+    x[:, 1] = hi
+    ok = np.zeros((n, 4), dtype=bool)
+    ok[:, 0] = True
+    ok[:, 1] = np.isfinite(x[:, 1])
+    d0, d1, d2 = c[:, 1], 2.0 * c[:, 2], 3.0 * c[:, 3]
+    if d1.any() or d2.any():  # else every row is constant
+        with np.errstate(all="ignore"):
+            quad = (d2 != 0.0) & np.isfinite(d0 / d2) & np.isfinite(d1 / d2)
+            lin = ~quad & (d1 != 0.0) & np.isfinite(d0 / d1)
+            x[lin, 2] = -(d0[lin] / d1[lin])
+            ok[lin, 2] = True
+            P, C = -0.5 * (d1[quad] / d2[quad]), d0[quad] / d2[quad]
+            disc = P * P - C
+            big = np.isinf(disc)  # P * P overflowed: scale by |P|
+            disc[big] = 1.0 - C[big] / P[big] / P[big]
+            sq = np.sqrt(np.abs(disc))
+            sq[big] *= np.abs(P[big])
+            pair = disc < 0.0
+            first = P + np.copysign(sq, P)
+            x[quad, 2] = np.where(pair, P, first)
+            x[quad, 3] = np.where(pair, P, C / np.where(first == 0.0, 1.0, first))
+            ok[quad, 2:] = (~pair | (sq <= 1e-9 * (1.0 + np.abs(P))))[:, None]
+        ok[:, 2:] &= (x[:, :1] < x[:, 2:]) & (x[:, 2:] < x[:, 1:2])
+    x = np.where(ok, x, x[:, :1])
+    acc = np.zeros((n, 4))
+    for k in range(3, -1, -1):
+        acc = acc * x + c[:, k, None]
+    vals = np.where(ok, sign * acc, -np.inf)
+    rows = np.arange(n)
+    best = np.argmax(vals, axis=1)
+    value, where = vals[rows, best], x[rows, best]
+    # the limit of the leading term when the interval is unbounded
+    lead = c[rows, 3 - np.argmax(c[:, :0:-1] != 0.0, axis=1)]
+    up = ~ok[:, 1] & (sign * lead > 0.0)
+    value[up] = where[up] = math.inf
     return value, where
+
+
+def pmax_rows(coeffs, lo, hi):
+    """(max, argmax) of each row's polynomial over [lo, hi] (``hi`` may be inf)."""
+    return _extreme_rows(coeffs, lo, hi, 1.0)
+
+
+def pmin_rows(coeffs, lo, hi):
+    """(min, argmin) of each row's polynomial over [lo, hi] (``hi`` may be inf)."""
+    value, where = _extreme_rows(coeffs, lo, hi, -1.0)
+    return -value, where
 
 
 def pmax_on(coeffs, lo, hi):
     """(max, argmax) of the polynomial over [lo, hi] (``hi`` may be inf)."""
-    v, where = _extreme_on(coeffs, lo, hi, +1.0)
-    return v, where
+    value, where = pmax_rows(np.asarray(coeffs, dtype=float)[None], lo, hi)
+    return float(value[0]), float(where[0])
 
 
 def pmin_on(coeffs, lo, hi):
     """(min, argmin) of the polynomial over [lo, hi] (``hi`` may be inf)."""
-    v, where = _extreme_on(coeffs, lo, hi, -1.0)
-    return -v, where
+    value, where = pmin_rows(np.asarray(coeffs, dtype=float)[None], lo, hi)
+    return float(value[0]), float(where[0])
 
 
 def is_zero_poly(coeffs) -> bool:

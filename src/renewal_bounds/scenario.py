@@ -144,6 +144,8 @@ class ScenarioConfig:
         object.__setattr__(self, "t_queries", tuple(float(t) for t in self.t_queries))
         if not self.t_queries:
             raise ValueError("at least one query time is required")
+        if not all(math.isfinite(t) for t in self.t_queries):
+            raise ValueError("query times must be finite")
         if any(t < 0 for t in self.t_queries):
             raise ValueError("query times must be nonnegative")
         if any(b < a for a, b in zip(self.t_queries, self.t_queries[1:])):
@@ -166,8 +168,9 @@ class ScenarioConfig:
 
     @cached_property
     def zeta_cdf(self) -> IntensityCdf:
-        """CDF of the fast envelope zeta (hazard Q)."""
-        return cdf_from_intensity(self.q)
+        """CDF of the fast envelope zeta (hazard Q); the eta CDF itself when
+        Q is phi, as when both name the same cached law."""
+        return self.eta_cdf if self.q is self.phi else cdf_from_intensity(self.q)
 
     @cached_property
     def mu_cdfs(self) -> tuple[IntensityCdf, ...]:

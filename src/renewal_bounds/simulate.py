@@ -56,7 +56,6 @@ a scenario come from one place, ``_bounds``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -345,6 +344,8 @@ def estimate(
     W = np.empty((reps, nq))
     jobs = [(scenario, r0, min(r0 + _SLAB, reps)) for r0 in range(0, reps, _SLAB)]
     parallel = workers > 1 and len(jobs) > 1
+    if parallel:  # imported here: concurrent.futures costs every command ~13 ms
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for r0, b, w in (pool.map if parallel else map)(_slab_worker, jobs):
             B[r0 : r0 + b.shape[0]] = b

@@ -7,7 +7,10 @@ CDF's, so ties on an atom are handled; ``renewal_by_powers`` sums lattice
 convolution powers, the definition the renewal-equation solve must match;
 ``moment_by_recursion`` is the scalar, depth-first adaptive Gauss-Legendre
 moment quadrature, one interval per call, that the batched ``moment`` must
-reproduce bit for bit.
+reproduce bit for bit; ``extreme_by_roots`` finds a polynomial's extrema
+through the roots of its derivative by ``np.roots``, and
+``fit_by_recursion`` is the panel-by-panel, depth-first hazard fit that
+the level-batched compile must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import numpy as np
 
 from renewal_bounds import CallableCdf, IntensityCdf, convolve
 from renewal_bounds.errors import DivergentMomentError
+from renewal_bounds import hazard
 from renewal_bounds.hazard import _poly_exp_int
-from renewal_bounds.poly import pderiv, prows, pvalue
+from renewal_bounds.poly import pderiv, pinteg, prows, pvalue
 
 
 def exp_cdf(rate: float = 1.0) -> CallableCdf:
@@ -223,3 +227,89 @@ def _generic_moment_by_recursion(F, k: int) -> float:
         prev = piece
         x *= 2.0
     raise DivergentMomentError("tail remainder did not contract")
+
+
+def _real_roots(coeffs):
+    """Real roots of the polynomial (may be empty)."""
+    c = np.asarray(coeffs, dtype=float)
+    # trim leading coefficients that are zero, or so small (subnormal) that
+    # the companion matrix would overflow: their extra roots lie beyond the
+    # float range
+    deg = c.size - 1
+    with np.errstate(over="ignore"):
+        while deg > 0 and (c[deg] == 0.0 or not np.all(np.isfinite(c[:deg] / c[deg]))):
+            deg -= 1
+    if deg == 0:
+        return np.empty(0)
+    roots = np.roots(c[: deg + 1][::-1])
+    scale = 1.0 + np.max(np.abs(roots.real)) if roots.size else 1.0
+    return roots[np.abs(roots.imag) <= 1e-9 * scale].real
+
+
+def extreme_by_roots(coeffs, lo, hi, sign):
+    """Extreme value of ``sign * p`` over [lo, hi], any degree; (value, location).
+
+    ``hi`` may be ``inf``; the limit behaviour of the leading term is then a
+    candidate with location ``inf``.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    cand = [lo]
+    if math.isfinite(hi):
+        cand.append(hi)
+    for r in _real_roots(pderiv(c)):
+        if lo < r < hi:
+            cand.append(float(r))
+    cand = np.asarray(cand)
+    vals = sign * pvalue(c, cand)
+    best = int(np.argmax(vals))
+    value, where = float(vals[best]), float(cand[best])
+    if not math.isfinite(hi):
+        deg = c.size - 1
+        while deg > 0 and c[deg] == 0.0:
+            deg -= 1
+        if deg > 0 and sign * c[deg] > 0:
+            return math.inf, math.inf
+    return value, where
+
+
+def fit_by_recursion(lam, lo, hi, ftol, out, depth=0):
+    """Append hazard segments approximating ``lam`` on [lo, hi) to ``out``,
+    one panel per call, halving depth-first."""
+    h = hi - lo
+    lam_lo = float(lam(lo))
+    ys = np.asarray(lam(lo + h * hazard._FIT_NODES), dtype=float) - lam_lo
+    ys = np.maximum.accumulate(np.maximum(ys, 0.0))
+    if ys[-1] == 0.0:
+        out.append((lo, np.zeros(4)))
+        return
+    d = hazard._FIT_SOLVE @ ys
+    phi_c = np.array([d[0] / h, 2 * d[1] / h**2, 3 * d[2] / h**3, 4 * d[3] / h**4])
+    neg, _ = extreme_by_roots(phi_c, 0.0, h, -1.0)
+    low = -neg
+    ok = low >= -hazard._NONNEG_SLACK * max(1.0, float(np.max(np.abs(phi_c))))
+    if ok:
+        zs = lo + h * hazard._ERR_NODES
+        s_true = np.exp(-np.asarray(lam(zs), dtype=float))
+        q = pvalue(pinteg(phi_c), h * hazard._ERR_NODES)
+        s_fit = np.exp(-(lam_lo + q))
+        ok = float(np.max(np.abs(s_fit - s_true))) <= ftol
+    if ok:
+        if low < 0.0:
+            phi_c[0] -= low
+        out.append((lo, phi_c))
+        return
+    if depth >= hazard._FIT_MAX_DEPTH:
+        out.append((lo, np.array([max(ys[-1], 0.0) / h, 0.0, 0.0, 0.0])))
+        return
+    mid = 0.5 * (lo + hi)
+    fit_by_recursion(lam, lo, mid, ftol, out, depth + 1)
+    fit_by_recursion(lam, mid, hi, ftol, out, depth + 1)
+
+
+def fit_panels_by_recursion(lam, edges, ftol):
+    """``fit_by_recursion`` on each panel between consecutive ``edges`` in
+    turn: a stand-in for ``hazard._fit_cumhaz``."""
+    out = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        fit_by_recursion(lam, lo, hi, ftol, out)
+    return out

@@ -396,3 +396,24 @@ assert rb.moment(rb.cdf_from_intensity(phi), 2) > 0.0
         env={"PYTHONPATH": src}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("times", ["1 nan 10", "1 5 inf", "-inf 1"])
+def test_main_rejects_non_finite_query_times(tmp_path, capsys, times):
+    text = MINIMAL_IID.replace("t_queries = 1 5 10", f"t_queries = {times}")
+    assert main(["bound", str(write(tmp_path, text)), "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert "query times must be finite" in record["message"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # concurrent.futures (with multiprocessing and logging) is imported only
+    # when --workers > 1 starts a pool
+    script = "import sys, renewal_bounds.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'logging') if m in sys.modules))"
+    src = str(Path(rb.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 import renewal_bounds as rb
 from renewal_bounds import IntensityError, DistributionError, DivergentMomentError
+from renewal_bounds import hazard
 
 from helpers import (
     brute_ppf,
     deterministic_cdf,
+    erlang_cdf,
     exp_cdf,
     exp_with_atom_cdf,
+    fit_panels_by_recursion,
     gl_recursive,
     ks_distance,
     moment_by_recursion,
@@ -145,6 +148,145 @@ def test_round_trip_family(make):
     pts = np.concatenate([np.linspace(0.0, 10.0, 4001), [a for a, _ in F.jumps]])
     err = np.max(np.abs(np.asarray(F2.cdf(pts)) - np.asarray(F.cdf(pts))))
     assert err <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# level-batched compile, against the panel-by-panel recursion
+# ---------------------------------------------------------------------------
+
+
+def _one_d_erlang(x):
+    """Erlang(3) CDF that refuses 2-D input, as a user's function may."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise AssertionError(f"called with a {x.ndim}-D array")
+    return erlang_cdf(3)(x)
+
+
+def _scenario_laws(text):
+    sc = _parse_scenario_text(text)
+    return [sc.phi, sc.q, *sc.mu_rule.distinct_intensities,
+            *(F.intensity for F in sc.interval_cdfs)]
+
+
+def _compiled_laws():
+    from test_cli import GENERALIZED, MINIMAL_IID
+
+    return {
+        "uniform01": lambda: rb.uniform(0.0, 1.0),
+        "uniform25": lambda: rb.uniform(2.0, 5.0),
+        "weibull1.5": lambda: rb.weibull(1.5),
+        "weibull2.5x3": lambda: rb.weibull(2.5, 3.0),
+        "erlang2": lambda: rb.intensity_from_cdf(rb.CallableCdf(erlang_cdf(2))),
+        "exp+atom": lambda: rb.intensity_from_cdf(exp_with_atom_cdf()),  # a jump
+        "one-d": lambda: rb.intensity_from_cdf(rb.CallableCdf(_one_d_erlang)),
+        "generalized": lambda: _scenario_laws(GENERALIZED),
+        "minimal": lambda: _scenario_laws(MINIMAL_IID),
+    }
+
+
+def _bits(laws):
+    laws = [laws] if isinstance(laws, rb.GeneralizedIntensity) else laws
+    return [tuple(a.tobytes() for a in (phi.breaks, phi.coeffs, phi.atom_locs, phi.atom_weights))
+            for phi in laws]
+
+
+@pytest.fixture
+def fresh_laws():
+    """Empty the law caches before and after, so that every law is compiled."""
+    hazard.uniform.cache_clear()
+    hazard.weibull.cache_clear()
+    yield
+    hazard.uniform.cache_clear()
+    hazard.weibull.cache_clear()
+
+
+@pytest.mark.parametrize("name", list(_compiled_laws()))
+def test_compile_is_bit_equal_to_the_recursive_fit(name, fresh_laws, monkeypatch):
+    make = _compiled_laws()[name]
+    got = _bits(make())
+    hazard.uniform.cache_clear()
+    hazard.weibull.cache_clear()
+    monkeypatch.setattr(hazard, "_fit_cumhaz", fit_panels_by_recursion)
+    assert got == _bits(make())
+
+
+def test_fit_falls_back_to_constants_like_the_recursion(fresh_laws, monkeypatch):
+    monkeypatch.setattr(hazard, "_FIT_MAX_DEPTH", 3)
+    phi = rb.uniform(0.0, 1.0)
+    constant = (phi.coeffs[:-1, 0] > 0.0) & np.all(phi.coeffs[:-1, 1:] == 0.0, axis=1)
+    assert np.count_nonzero(constant) >= 1  # panels near 1 reach the depth cap
+    hazard.uniform.cache_clear()
+    monkeypatch.setattr(hazard, "_fit_cumhaz", fit_panels_by_recursion)
+    assert _bits(phi) == _bits(rb.uniform(0.0, 1.0))
+
+
+def test_fit_refines_deep_with_one_flat_lam_call_per_pass():
+    calls = []
+
+    def cumhaz(x):  # uniform(0, 1)'s
+        x = np.asarray(x, dtype=float)
+        calls.append(x.shape)
+        return -np.log(np.clip(1.0 - np.minimum(x, 1.0), 1e-300, 1.0))
+
+    phi = rb.from_cumulative_hazard(cumhaz)
+    widths = np.diff(phi.breaks)
+    panel = phi.breaks[-1] / hazard._HAZARD_PANELS  # about, before the tail edge
+    assert widths.min() <= panel / 2**5  # depth >= 5
+    arrays = [shape for shape in calls if len(shape) and shape[0] > 1]
+    assert all(len(shape) == 1 for shape in arrays)
+    # two array calls per refinement level, where the recursion made two per panel
+    assert len(arrays) <= 2 * (hazard._FIT_MAX_DEPTH + 1) and len(arrays) < phi.breaks.size / 2
+
+
+def test_named_laws_are_compiled_once_and_read_only(fresh_laws, monkeypatch):
+    compiles = []
+    compile_ = hazard._compile
+    monkeypatch.setattr(hazard, "_compile", lambda *a, **k: compiles.append(1) or compile_(*a, **k))
+    u = rb.uniform(0.0, 1.0)
+    assert rb.uniform(0, 1) is u and len(compiles) == 1
+    assert rb.weibull(1.5) is rb.weibull(1.5) and len(compiles) == 2
+    for arr in (u.breaks, u.coeffs, u.atom_locs, u.atom_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1.0
+
+
+def test_intensity_keeps_its_own_copy_of_the_arrays():
+    breaks, coeffs = np.array([0.0, 1.0]), np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0]])
+    phi = rb.GeneralizedIntensity(breaks, coeffs, np.empty(0), np.empty(0))
+    breaks[1], coeffs[0, 0] = 5.0, 9.0  # the caller's arrays stay writeable
+    assert phi.breaks.tolist() == [0.0, 1.0] and phi.coeffs[0, 0] == 1.0
+
+
+def test_scenario_with_phi_as_q_builds_one_row_table(fresh_laws, monkeypatch):
+    from renewal_bounds import scenario
+
+    text = """\
+[phi]
+family = uniform
+a = 0
+b = 1
+
+[Q]
+family = uniform
+a = 0.0
+b = 1.0
+
+[mu]
+rule = constant-rate
+rate = 0
+
+[simulation]
+t_queries = 5
+reps = 10
+seed = 1
+"""
+    built = []
+    build = scenario.cdf_from_intensity
+    monkeypatch.setattr(scenario, "cdf_from_intensity", lambda phi: built.append(phi) or build(phi))
+    sc = _parse_scenario_text(text)
+    assert sc.q is sc.phi and sc.zeta_cdf is sc.eta_cdf
+    assert built == [sc.phi]
 
 
 # ---------------------------------------------------------------------------
