@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergentMomentError
-from .hazard import GeneralizedIntensity, _aligned, add_intensities, moment
+from .hazard import GeneralizedIntensity, _aligned, moment
 from .poly import is_zero_poly, pmax_rows
 from .scenario import ScenarioConfig
 
@@ -165,8 +165,7 @@ def check_assumptions(
     )
 
     worst, where, worst_mu = -math.inf, 0.0, 0
-    for m, mu in enumerate(rule.distinct_intensities):
-        combined = add_intensities(phi, mu)
+    for m, combined in enumerate(scenario.interval_intensities):
         v, loc = _envelope_violation(combined, q)
         if v > worst:
             worst, where, worst_mu = v, loc, m

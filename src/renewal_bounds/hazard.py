@@ -497,7 +497,7 @@ def _check_u(u):
     # ppf tolerates u == 0 (maps to the left end of the support) so that raw
     # generator output, which includes 0.0 with tiny probability, is safe.
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    if not (np.all(u >= 0.0) and np.all(u < 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1)")
     return u
 
@@ -687,13 +687,21 @@ class IntensityCdf(MixedCdf):
 
     def _row_lam(self, rows, tau) -> np.ndarray:
         """Cumulative hazard at offset ``tau`` into each of ``rows``: the one
-        formula that ``cdf`` and the ``ppf`` guard share."""
+        formula that ``cdf`` and the ``ppf`` guard share.
+
+        ``rows`` may be one row for every ``tau``.  If that row has degree
+        <= 1 this is ``lam_lo + c1 * tau``: for finite ``tau`` Horner's
+        ``((0 tau + 0) tau + 0) tau + c1`` is exactly ``c1``.
+        """
+        if np.ndim(rows) == 0 and self._row_deg[rows] <= 1:
+            return self._row_lam_lo[rows] + self._row_R[rows, 1] * tau
         c1, c2, c3, c4 = (self._row_RT[k][rows] for k in (1, 2, 3, 4))
         return self._row_lam_lo[rows] + _quartic(c1, c2, c3, c4, tau)
 
     def _cdf_on_rows(self, x, rows) -> np.ndarray:
         """``cdf(x)`` for finite ``x`` known to lie at or after the start of
-        row ``rows``, without searching for the row.
+        row ``rows`` (one row per ``x``, or one for all), without searching
+        for the row.
 
         Row starts are strictly increasing, so on ``[row_lo, next row
         start)`` the search in ``cdf`` lands on ``rows`` and this is the same
@@ -746,6 +754,7 @@ class IntensityCdf(MixedCdf):
 
     def ppf(self, u):
         """Invert F elementwise; scalar in, float out, any array shape kept.
+        A ``u`` outside [0, 1), NaN included, raises ``ValueError``.
 
         With ``T = -log1p(-u)``, capped at the total hazard, the row whose
         cumulative-hazard range holds ``T`` is found by search.  A draw that
@@ -755,7 +764,7 @@ class IntensityCdf(MixedCdf):
         are solved in closed form; on a row of higher degree ``tau`` is the
         smallest double whose increment (by Horner) reaches ``T`` minus the
         row's starting hazard.  A final guard
-        steps ``x`` up by ulps until ``F(x) >= u`` holds exactly.  It
+        steps ``x`` up until ``F(x) >= u`` holds exactly.  It
         evaluates ``F(x)`` on the row just solved, with ``cdf``'s formula and
         so ``cdf``'s bits (``_cdf_on_rows``), without a second search; only a
         draw whose ``x`` reached the next row's start, the full atom or no
@@ -764,6 +773,17 @@ class IntensityCdf(MixedCdf):
         even where ``T`` rounds down into the last row's range.  A draw equal
         to the total mass gets a finite ``x``, even where ``T`` rounds above
         the total hazard: the cap keeps it in the last row.
+
+        A chunk with no draw above the total mass, past the last row or in
+        an atom's jump (nearly every chunk of a law without atoms) is solved
+        on whole arrays, without compressing draws through masks, and one
+        with every draw above the total mass (a zero intensity's draws, but
+        for ``u = 0``) is ``+inf`` at once.  A law of
+        one row and no full atom skips the search too, since every ``T``
+        lies in that row, and uses the row's scalar coefficients; on a row
+        of degree <= 1 the solve is ``T' / c1`` and the guard's cumulative
+        hazard ``lam_lo + c1 tau``.  These are the masked path's formulas on
+        the same operands, so every draw keeps its bits.
 
         ``x`` need not be the smallest double with ``F(x) >= u``: the
         previous double also qualifies for about 9 % of uniform(0, 1) draws,
@@ -782,13 +802,27 @@ class IntensityCdf(MixedCdf):
         return float(x[0]) if scalar else x.reshape(u.shape)
 
     def _ppf_chunk(self, u):
+        beyond = u > self.total_mass()  # above the total mass, which F never reaches
+        if beyond.all():  # e.g. a zero intensity's draws: all but u = 0
+            return np.full_like(u, math.inf)
         # an improper F's total mass can round to a T above its total hazard
         T = np.minimum(-np.log1p(-u), self._total_lam)
-        x = np.empty_like(T)
+        if self._full_loc is None and self._row_lo.size == 1:
+            # T is capped at the one row's end hazard, so the search would
+            # give every draw row 0: its scalars serve all of them
+            idx = 0
+        else:
+            idx = np.searchsorted(self._row_lam_hi, T, side="left")
+            beyond |= idx >= self._row_lo.size  # past the last row
+        if not beyond.any():
+            lam_lo = self._row_lam_lo[idx]
+            if not np.any(T <= lam_lo):
+                # no draw beyond F or in an atom's jump: solve all in place
+                x = self._row_lo[idx] + self._solve_rows(idx, T - lam_lo)
+                return self._step_up(x, u, self._cdf_on_rows(x, idx))
 
-        idx = np.searchsorted(self._row_lam_hi, T, side="left")
-        # past the last row, or above the total mass, which F never reaches
-        beyond = (idx >= self._row_lo.size) | (u > self.total_mass())
+        idx = np.broadcast_to(idx, T.shape)
+        x = np.empty_like(T)
         if np.any(beyond):
             if self._full_loc is not None:
                 x[beyond] = self._full_loc
@@ -810,24 +844,56 @@ class IntensityCdf(MixedCdf):
             xin[solve] = self._row_lo[rows] + self._solve_rows(rows, tprime)
         x[inside] = xin
 
-        # enforce F(x) >= u exactly (guard against terminal rounding): F is
-        # evaluated on the row just solved, and after this first pass only
-        # the offending entries are re-checked
-        finite = np.isfinite(x)
         F = np.ones_like(x)
         F[inside] = self._cdf_on_rows(xin, ii)
-        rest = beyond & finite
+        rest = beyond & np.isfinite(x)
         F[rest] = self.cdf(x[rest])
-        sub = np.nonzero(finite & (F < u))[0]
-        for _ in range(4):
-            if sub.size == 0:
-                break
-            x[sub] = np.nextafter(x[sub], math.inf)
-            sub = sub[np.asarray(self.cdf(x[sub]), dtype=float) < u[sub]]
+        return self._step_up(x, u, F)
+
+    def _step_up(self, x, u, F):
+        """Enforce ``F(x) >= u`` exactly (a guard against terminal rounding).
+
+        ``F`` is the first pass, evaluated on the rows just solved; only the
+        finite offending entries move up, re-checked through ``cdf``: one
+        ulp at a time for four steps, then by steps that double.  Where
+        ``f(x) ulp(x)`` is far below ``ulp(F)``, F is flat over many ulps of
+        ``x``: just after an atom at the origin, up to thousands.  A draw
+        that passes after a step of ``w > 1`` ulps is bisected back over
+        those ``w`` ulps, so every moved ``x`` is the smallest double at or
+        above the solved one with ``F(x) >= u``, as a walk of single ulps
+        would give, and ``ppf`` stays monotone in ``u``.
+        """
+        sub = np.flatnonzero(F < u)
+        sub = sub[np.isfinite(x[sub])]
+        # x >= 0, so its bits order as its values and bits + k is k ulps up
+        bits = x.view(np.int64)
+        steps = 0
+        while sub.size:
+            w = 1 if steps < 4 else 2 ** (steps - 4)
+            steps += 1
+            bits[sub] += w
+            ok = np.asarray(self.cdf(x[sub]), dtype=float) >= u[sub]
+            done = sub[ok]
+            while w > 1:  # x[done] passes and x[done] - w ulps fails
+                w //= 2
+                bits[done] -= w
+                back = np.asarray(self.cdf(x[done]), dtype=float) < u[done]
+                bits[done[back]] += w
+            sub = sub[~ok]
         return x
 
     def _solve_rows(self, rows, tprime):
-        """Solve R_row(tau) = tprime for tau within each row (vectorized)."""
+        """Solve R_row(tau) = tprime for tau within each row (vectorized).
+
+        ``rows`` may be one row for every draw: a row of degree <= 1 is then
+        solved with its scalar coefficient, with no per-draw gather or degree
+        mask.
+        """
+        if np.ndim(rows) == 0:
+            if self._row_deg[rows] <= 1:  # c1 > 0: with zero hazard every T is <= lam_lo
+                return tprime / self._row_R[rows, 1]
+            rows = np.full(tprime.shape, rows)
+
         out = np.empty_like(tprime)
         deg = self._row_deg[rows]
 
@@ -974,7 +1040,9 @@ def _aligned(a: GeneralizedIntensity, b: GeneralizedIntensity):
         i = int(np.searchsorted(phi.breaks, s, side="right") - 1)
         return pshift(phi.coeffs[i], s - phi.breaks[i])
 
-    breaks = np.union1d(a.breaks, b.breaks)
+    # np.union1d's sort and dedupe, without the numpy.ma import it triggers
+    breaks = np.sort(np.concatenate((a.breaks, b.breaks)))
+    breaks = breaks[np.concatenate(([True], breaks[1:] != breaks[:-1]))]
     for i, s in enumerate(breaks):
         width = breaks[i + 1] - s if i + 1 < breaks.size else math.inf
         yield s, width, local(a, s), local(b, s)
@@ -1228,6 +1296,7 @@ def sample(F: MixedCdf, u):
     Monotone in ``u``; atoms receive exactly their probability mass.
     Accepts scalars or arrays.
     """
-    if np.any(np.asarray(u) <= 0.0) or np.any(np.asarray(u) >= 1.0):
+    u = np.asarray(u, dtype=float)
+    if not (np.all(u > 0.0) and np.all(u < 1.0)):  # NaN fails both
         raise ValueError("u must lie strictly inside (0, 1)")
     return F.ppf(u)

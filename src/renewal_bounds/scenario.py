@@ -54,6 +54,11 @@ class MuRule:
         return len(self.distinct_intensities) == 1
 
 
+def _is_zero(mu: GeneralizedIntensity) -> bool:
+    """True for the zero intensity, which adds nothing to a hazard."""
+    return mu.breaks.size == 1 and mu.atom_locs.size == 0 and not mu.coeffs.any()
+
+
 def _rate_intensity(rate: float) -> GeneralizedIntensity:
     return exponential(rate) if rate > 0 else zero()
 
@@ -177,11 +182,26 @@ class ScenarioConfig:
         return tuple(cdf_from_intensity(m) for m in self.mu_rule.distinct_intensities)
 
     @cached_property
-    def interval_cdfs(self) -> tuple[IntensityCdf, ...]:
-        """CDFs of the actual intervals, one per distinct mu (hazard phi + mu)."""
+    def interval_intensities(self) -> tuple[GeneralizedIntensity, ...]:
+        """Hazards phi + mu of the actual intervals, one per distinct mu.
+
+        A zero mu (one all-zero segment, no atoms) gives phi itself:
+        ``add_intensities(phi, zero())`` builds phi's breaks, coefficients
+        and atoms anew, the same bits but for the sign of a zero
+        coefficient, which ``pshift`` drops wherever a law is read.
+        """
         return tuple(
-            cdf_from_intensity(add_intensities(self.phi, m))
+            self.phi if _is_zero(m) else add_intensities(self.phi, m)
             for m in self.mu_rule.distinct_intensities
+        )
+
+    @cached_property
+    def interval_cdfs(self) -> tuple[IntensityCdf, ...]:
+        """CDFs of the actual intervals, one per distinct mu; ``eta_cdf``
+        itself for a zero mu."""
+        return tuple(
+            self.eta_cdf if law is self.phi else cdf_from_intensity(law)
+            for law in self.interval_intensities
         )
 
     @cached_property

@@ -17,10 +17,10 @@ theta uniform is consumed even when ``mu_j`` is the zero intensity (theta
 is then +inf and the interval equals zeta), so traces stay aligned across
 mu rules.  The interval is ``xi_j = min(zeta_j, theta_j)``; both draws go
 through the generalized inverse CDF, so atoms are hit with exactly their
-mass and the interval law equals the summed-hazard law.  A theta uniform
-above ``mu_j``'s total mass gives theta = +inf; one at or below it, ``u = 0``
-on a zero-mass ``mu_j`` included, gives ``mu_j``'s ``ppf`` value, which is 0
-at ``u = 0``, in the batch and in ``generate_interval`` alike.
+mass and the interval law equals the summed-hazard law.  Theta is
+``mu_j``'s ``ppf`` value, in the batch and in ``generate_interval`` alike:
+``ppf`` itself gives +inf for a uniform above ``mu_j``'s total mass, and 0
+for ``u = 0``, on a zero-mass ``mu_j`` too.
 
 Because interval values depend only on the stream position, batch drawing
 (vectorized waves of whole replication slabs) gives every interval the value
@@ -55,7 +55,6 @@ a scenario come from one place, ``_bounds``.
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -206,19 +205,18 @@ class RenewalPath:
 
 
 def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
-    """Map theta uniforms (waves x block) through the per-index mu inverses."""
+    """Map theta uniforms (waves x block) through the per-index mu inverses.
+
+    Each distinct mu index in the block maps its columns with one ``ppf``
+    call, which itself gives ``+inf`` above that mu's total mass.
+    """
     block = u.shape[1]
     out = np.empty_like(u)
     midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(block)))
-    for d in np.unique(midx):
-        cdf = scenario.mu_cdfs[d]
+    for d in np.flatnonzero(np.bincount(midx)):  # np.unique, without numpy.ma
         cols = midx == d
-        uu = u[:, cols]
-        vals = np.full(uu.shape, math.inf)
-        ok = uu <= cdf.total_mass()
-        if np.any(ok):
-            vals[ok] = cdf.ppf(uu[ok])
-        out[:, cols] = vals
+        # compress is C-ordered, so ppf ravels it without a copy
+        out[:, cols] = scenario.mu_cdfs[d].ppf(u.compress(cols, axis=1))
     return out
 
 

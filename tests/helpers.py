@@ -10,7 +10,10 @@ moment quadrature, one interval per call, that the batched ``moment`` must
 reproduce bit for bit; ``extreme_by_roots`` finds a polynomial's extrema
 through the roots of its derivative by ``np.roots``, and
 ``fit_by_recursion`` is the panel-by-panel, depth-first hazard fit that
-the level-batched compile must reproduce bit for bit.
+the level-batched compile must reproduce bit for bit; ``ppf_by_masks`` is
+the inversion that compresses every draw through the ``beyond``, ``inside``,
+``at_atom`` and ``solve`` masks and gathers each draw's row coefficients,
+which ``IntensityCdf.ppf`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from renewal_bounds import CallableCdf, IntensityCdf, convolve
 from renewal_bounds.errors import DivergentMomentError
 from renewal_bounds import hazard
-from renewal_bounds.hazard import _poly_exp_int
+from renewal_bounds.hazard import _newton_quartic, _poly_exp_int, _quartic
 from renewal_bounds.poly import pderiv, pinteg, prows, pvalue
 
 
@@ -312,4 +315,85 @@ def fit_panels_by_recursion(lam, edges, ftol):
     out = []
     for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
         fit_by_recursion(lam, lo, hi, ftol, out)
+    return out
+
+
+def ppf_by_masks(F, u):
+    """``F.ppf(u)`` for an IntensityCdf and a 1-D array ``u`` in [0, 1), by
+    masks: search every draw's row, compress the draws inside a row, split
+    them into atom hits and solves, gather each solve's row coefficients and
+    expand the results back."""
+    T = np.minimum(-np.log1p(-u), F._total_lam)
+    x = np.empty_like(T)
+    idx = np.searchsorted(F._row_lam_hi, T, side="left")
+    beyond = (idx >= F._row_lo.size) | (u > F.total_mass())
+    if np.any(beyond):
+        x[beyond] = F._full_loc if F._full_loc is not None else math.inf
+    inside = ~beyond
+    ii = idx[inside]
+    t_in = T[inside]
+    lam_lo = F._row_lam_lo[ii]
+    at_atom = t_in <= lam_lo
+    xin = np.empty_like(t_in)
+    xin[at_atom] = F._row_lo[ii[at_atom]]
+    solve = ~at_atom
+    if np.any(solve):
+        rows = ii[solve]
+        xin[solve] = F._row_lo[rows] + _solve_rows_by_masks(F, rows, t_in[solve] - lam_lo[solve])
+    x[inside] = xin
+
+    finite = np.isfinite(x)
+    G = np.ones_like(x)
+    G[inside] = _cdf_on_rows_by_gathers(F, xin, ii)
+    rest = beyond & finite
+    G[rest] = F.cdf(x[rest])
+    sub = np.nonzero(finite & (G < u))[0]
+    for _ in range(4):
+        if sub.size == 0:
+            break
+        x[sub] = np.nextafter(x[sub], math.inf)
+        sub = sub[np.asarray(F.cdf(x[sub]), dtype=float) < u[sub]]
+    return x
+
+
+def _cdf_on_rows_by_gathers(F, x, rows):
+    tau = np.minimum(x - F._row_lo[rows], F._row_width[rows])
+    c1, c2, c3, c4 = (F._row_RT[k][rows] for k in (1, 2, 3, 4))
+    G = -np.expm1(-(F._row_lam_lo[rows] + _quartic(c1, c2, c3, c4, tau)))
+    past = x >= F._row_hi[rows]
+    if np.any(past):
+        G[past] = F.cdf(x[past])
+    return G
+
+
+def _solve_rows_by_masks(F, rows, tprime):
+    out = np.empty_like(tprime)
+    deg = F._row_deg[rows]
+    lin = deg <= 1
+    if np.any(lin):
+        c1 = F._row_R[rows[lin], 1]
+        out[lin] = np.where(c1 > 0, tprime[lin] / np.where(c1 > 0, c1, 1.0), 0.0)
+    quad = deg == 2
+    if np.any(quad):
+        c1 = F._row_R[rows[quad], 1]
+        c2 = F._row_R[rows[quad], 2]
+        tp = tprime[quad]
+        disc = np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * tp, 0.0))
+        out[quad] = 2.0 * tp / (c1 + disc)
+    gen = deg > 2
+    if np.any(gen):
+        ridx = rows[gen]
+        tp = tprime[gen]
+        c1, c2, c3, c4 = (F._row_RT[k][ridx] for k in (1, 2, 3, 4))
+        hi = F._row_width[ridx]
+        unb = ~np.isfinite(hi)
+        if np.any(unb):
+            guess = np.maximum(1.0, tp[unb])
+            for _ in range(200):
+                need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
+                if not np.any(need):
+                    break
+                guess = np.where(need, guess * 2.0, guess)
+            hi[unb] = guess
+        out[gen] = _newton_quartic(c1, c2, c3, c4, hi, tp)
     return out

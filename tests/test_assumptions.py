@@ -1,6 +1,8 @@
 """Assumption checking: verdicts for the five structural conditions."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,53 @@ def test_rate_rule_factories_reject_bad_rates(make):
     with pytest.raises(rb.IntensityError):
         make()
 
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
+
+def _zero_mu_scenario(name, tmp_path):
+    from renewal_bounds.cli import load_scenario
+    from test_cli import GENERALIZED, MINIMAL_IID
+
+    if name == "atoms":
+        phi = rb.from_segments([(0.0, [1.0]), (2.0, [0.5, 0.25])], atoms=[(1.0, 0.5)])
+        q = rb.from_segments([(0.0, [3.0]), (2.0, [1.0, 0.5])], atoms=[(1.0, 0.75)])
+        mu = rb.CycledIntensities((rb.exponential(1.0), rb.zero()))
+        return scenario(phi, q, mu)
+    text = {"generalized": GENERALIZED, "minimal": MINIMAL_IID}.get(name)
+    path = _PERFBENCH / f"{name}.ini"
+    if text is not None:
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+    return load_scenario(path)[0]
+
+
+def _law_bits(phi):
+    return [a.tobytes() for a in (phi.breaks, phi.coeffs, phi.atom_locs, phi.atom_weights)]
+
+
+@pytest.mark.parametrize("name", ["generalized", "minimal", "verify-exp-cycle",
+                                  "verify-uniform-t50", "tail-exp-cycle", "atoms"])
+def test_zero_mu_reuses_phi_and_its_cdf(name, tmp_path, monkeypatch):
+    from renewal_bounds import scenario as scenario_module
+
+    sc = _zero_mu_scenario(name, tmp_path)
+    zeros = [m for m, mu in enumerate(sc.mu_rule.distinct_intensities)
+             if not mu.coeffs.any() and not mu.atom_locs.size]
+    assert zeros
+    for m in zeros:
+        assert sc.interval_intensities[m] is sc.phi
+        assert sc.interval_cdfs[m] is sc.eta_cdf
+    assert _law_bits(sc.phi) == _law_bits(rb.add_intensities(sc.phi, rb.zero()))
+    c2 = rb.check_assumptions(sc).condition(2)
+    bounds = [rb.lorden_classical_bound(F) for F in sc.interval_cdfs]
+
+    # the same scenario with every interval law summed and compiled anew
+    monkeypatch.setattr(scenario_module, "_is_zero", lambda mu: False)
+    summed = replace(sc)
+    assert all(law is not sc.phi for law in summed.interval_intensities)
+    c2_summed = rb.check_assumptions(summed).condition(2)
+    assert (c2.status, c2.detail, c2.diagnostics) == (
+        c2_summed.status, c2_summed.detail, c2_summed.diagnostics)
+    assert bounds == [rb.lorden_classical_bound(F) for F in summed.interval_cdfs]

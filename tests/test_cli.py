@@ -417,3 +417,24 @@ def test_cli_import_leaves_the_process_pool_out():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_check_and_verify_leave_numpy_ma_out(tmp_path):
+    # np.unique and np.union1d import numpy.ma on their first call, which
+    # costs a process about 10 ms; neither command needs it
+    path = write(tmp_path, GENERALIZED)
+    script = """
+import sys
+from renewal_bounds.cli import main
+
+assert main(["check", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert main(["verify", sys.argv[1], "--out", sys.argv[2], "--reps", "200"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(rb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+        env={"PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renewal_bounds as rb
@@ -21,6 +21,7 @@ from helpers import (
     gl_recursive,
     ks_distance,
     moment_by_recursion,
+    ppf_by_masks,
     uniform_cdf,
     weibull_cdf,
 )
@@ -593,6 +594,16 @@ def test_sample_rejects_out_of_range():
             rb.sample(F, u)
 
 
+@pytest.mark.parametrize("u", [math.nan, np.array([0.2, math.nan, 0.7])], ids=["scalar", "array"])
+@pytest.mark.parametrize("entry", ["ppf", "sample", "callable-ppf"])
+def test_nan_u_is_rejected(entry, u):
+    F = rb.cdf_from_intensity(rb.exponential(1.0))
+    call = {"ppf": lambda: F.ppf(u), "sample": lambda: rb.sample(F, u),
+            "callable-ppf": lambda: exp_cdf(1.0).ppf(u)}[entry]
+    with pytest.raises(ValueError):
+        call()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(1e-6, 1.0 - 1e-9), min_size=2, max_size=40))
 def test_sample_monotone_in_u(us):
@@ -709,6 +720,8 @@ _cubic = st.tuples(
 
 
 @settings(max_examples=40, deadline=None)
+@example(coeffs=[(1.5, 0.0, 0.0, 0.0), (0.25, 0.0, 0.0, 0.0)], widths=[0.375, 1.0, 1.0],
+         atoms=[], tail=1.0, us=[0.4375])  # F is flat over more than four ulps of x
 @given(
     coeffs=st.lists(_cubic, min_size=1, max_size=3),
     widths=st.lists(st.floats(0.2, 1.5), min_size=3, max_size=3),
@@ -801,3 +814,60 @@ def test_ppf_is_chunk_invariant(monkeypatch):
     chunked = rb.estimate(sc, keep_samples=True)
     assert chunked.samples_backward.tobytes() == whole.samples_backward.tobytes()
     assert chunked.samples_forward.tobytes() == whole.samples_forward.tobytes()
+
+
+_ORACLE_LAWS = {
+    "exp0.7": rb.exponential(0.7),
+    "exp1": rb.exponential(1.0),
+    "exp2": rb.exponential(2.0),
+    "exp3": rb.exponential(3.0),
+    "exp+atom0": rb.from_segments([(0.0, [1.0])], atoms=[(0.0, 0.5)]),
+    "exp+atom1.5": rb.from_segments([(0.0, [1.0])], atoms=[(1.5, 0.5)]),
+    "deterministic2": rb.deterministic(2.0),
+    "zero": rb.zero(),
+    "improper": rb.from_segments([(0, [0.25]), (1, [0])], require_proper=False),
+    "uniform": rb.uniform(0.0, 1.0),
+    "weibull1.5": rb.weibull(1.5),
+    # one row of degree 2, and one of degree 3 (the quartic solver)
+    "linear-hazard": rb.from_segments([(0.0, [0.5, 1.0])]),
+    "quadratic-hazard": rb.from_segments([(0.0, [0.5, 0.0, 1.0])]),
+}
+
+
+@pytest.mark.parametrize("phi", list(_ORACLE_LAWS.values()), ids=list(_ORACLE_LAWS))
+def test_ppf_is_bit_equal_to_the_masked_inversion(phi, monkeypatch):
+    # the whole-array shortcuts (every draw inside a row, one-row laws,
+    # degree <= 1 rows) must give the masked inversion's bits
+    F = rb.cdf_from_intensity(phi)
+    total = F.total_mass()
+    edges = [0.0, 5e-324, 1.0 - 2.0**-53,
+             math.nextafter(total, 0.0), total, math.nextafter(total, 1.0)]
+    edges = np.array([e for e in edges if e < 1.0])
+    u = np.concatenate([edges, np.random.default_rng(17).random(10**6)])
+    got = F.ppf(u)
+    _assert_like_the_masked_inversion(F, u, got)
+    # monotone in u, the draws that the guard moved far included
+    by_u = got[np.argsort(u)]
+    assert np.all(by_u[1:] >= by_u[:-1])
+    for e in edges:
+        _assert_like_the_masked_inversion(F, np.array([e]), np.array([F.ppf(e)]))
+
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", 7)
+    few = u[:3000]
+    _assert_like_the_masked_inversion(F, few, F.ppf(few))
+
+
+def _assert_like_the_masked_inversion(F, u, got):
+    # bit for bit wherever the masked inversion meets F(x) >= u; where its
+    # four-ulp guard stopped short, ppf steps on to the first larger x that does
+    want = ppf_by_masks(F, u)
+    short = np.zeros(u.size, dtype=bool)
+    finite = np.isfinite(want)
+    short[finite] = F.cdf(want[finite]) < u[finite]
+    # a count, not pytest's diff of two long byte strings
+    differ = np.count_nonzero((got.view(np.uint64) != want.view(np.uint64)) & ~short)
+    assert differ == 0, f"{differ} of {got.size} draws differ"
+    assert np.all(got[short] > want[short])
+    assert np.all(F.cdf(np.nextafter(got[short], 0.0)) < u[short])
+    finite = np.isfinite(got)
+    assert np.all(F.cdf(got[finite]) >= u[finite])
