@@ -113,6 +113,8 @@ class GeneralizedIntensity:
 
         if breaks.ndim != 1 or breaks.size == 0 or breaks[0] != 0.0:
             raise IntensityError("segment breakpoints must start at 0")
+        if not np.all(np.isfinite(breaks)):
+            raise IntensityError("segment breakpoints must be finite")
         if np.any(np.diff(breaks) <= 0):
             raise IntensityError("segment breakpoints must be strictly increasing")
         if coeffs.shape != (breaks.size, 4):
@@ -138,11 +140,13 @@ class GeneralizedIntensity:
         if locs.shape != weights.shape or locs.ndim != 1:
             raise IntensityError("atom locations/weights must be matching 1-D lists")
         if locs.size:
+            if not np.all(np.isfinite(locs)):
+                raise IntensityError("atom locations must be finite")
             if np.any(locs < 0):
                 raise IntensityError("atom locations must be nonnegative")
             if np.any(np.diff(locs) <= 0):
                 raise IntensityError("atom locations must be strictly increasing")
-            if np.any(weights <= 0):
+            if not np.all(weights > 0):  # NaN too
                 raise IntensityError("atom weights must be positive")
             if np.any(np.isinf(weights[:-1])):
                 raise IntensityError("only the last atom may be a full atom")

@@ -4,11 +4,27 @@ Stream contract
 ---------------
 Replication ``r`` owns the generator ``PCG64(SeedSequence([seed, r]))`` --
 a pure function of ``(seed, r)``.  ``path_stream`` is the scalar definition
-of that stream and the oracle the tests compare against; ``simulate_path``
-draws from it.  A slab builds no ``SeedSequence``: ``_slab_streams``
-computes the ``SeedSequence`` words of all its replications in one
-vectorized pass and seeds each row's ``PCG64`` with them, which gives the
-same streams bit for bit.
+of that stream and the oracle the tests compare against.  The simulator
+builds no ``SeedSequence``: ``_slab_streams`` computes the ``SeedSequence``
+words of a whole slab of replications in one vectorized pass and holds the
+slab's streams in one object, which draws them in two stages.
+
+* The first ``_LIMB_DRAWS`` doubles of every stream (waves 1-3 at the
+  default schedule) are PCG64 itself in numpy ``uint64`` limbs: each row's
+  128-bit state and increment, stepped for all rows at once, one stream
+  position at a time, with the XSL-RR output turned into a double as
+  ``Generator.random`` does (O'Neill 2014, "PCG: a family of simple fast
+  space-efficient statistically good algorithms for random number
+  generation").
+* A row that is still drawing when a wave would pass that position gets a
+  numpy ``Generator`` seeded from its words and moved to its position with
+  ``bit_generator.advance`` (LCG jump-ahead; Brown 1994, "Random number
+  generation with arbitrary strides").  Most rows end before then and never
+  build one.
+
+Both stages give the bits of ``path_stream``; no option selects between
+them, and ``simulate_path`` draws through the same object, as a one-row
+slab.
 
 Each interval ``j = 1, 2, ...`` consumes
 exactly two uniforms from that stream, in order: first the draw for
@@ -34,19 +50,22 @@ over the assembled array.
 
 Wave loop
 ---------
-One generator, ``_waves``, draws every interval.  It advances a set of
+One generator, ``_waves``, draws every interval.  It advances a slab's
 streams in waves: each still-active stream draws ``2 * block`` uniforms
 (``block`` intervals), and a stream leaves the set once its last jump lies
 beyond the largest query time.  The schedule is fixed: ``block`` starts at
 ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one wave draws at
 most ``_WAVE_INTERVALS`` intervals over all its rows, so wave memory does not
-grow with the horizon.  A wave adds the previous wave's last jump to its
-first interval and then takes the cumulative sum along the row, which is
-sequential, so every jump time equals the running sum of the whole path
-whatever the wave sizes.  Once per wave it yields the rows that were active
-and their jump times.  ``estimate`` reduces a slab of replications to
-backward/forward times as the waves pass; ``simulate_path`` is the one-stream
-case, which keeps the jumps.
+grow with the horizon.  A wave's uniforms come from one call to the slab's
+streams: limbs while the wave ends at or below ``_LIMB_DRAWS`` stream
+positions, per-row ``Generator``s from the first wave that would pass it.
+A wave adds the previous wave's last
+jump to its first interval and then takes the cumulative sum along the row,
+which is sequential, so every jump time equals the running sum of the whole
+path whatever the wave sizes.  Once per wave it yields the rows that were
+active and their jump times.  ``estimate`` reduces a slab of replications
+to backward/forward times as the waves pass; ``simulate_path`` is the
+one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -87,8 +106,8 @@ _WAVE_INTERVALS = 1 << 20  # intervals one wave draws over all its rows (one per
 def path_stream(seed: int, replication: int) -> np.random.Generator:
     """The random stream owned by one replication: PCG64(SeedSequence([seed, r])).
 
-    This is the scalar definition of a stream.  ``simulate_path`` draws from
-    it, and the tests hold ``_slab_streams``, which seeds whole slabs, to it.
+    This is the scalar definition of a stream.  The simulator draws the same
+    bits through ``_slab_streams``, and the tests hold it to this one.
     """
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([int(seed), int(replication)]))
@@ -114,16 +133,161 @@ class _SeedWords(ISeedSequence):
         return self._words
 
 
-def _slab_streams(seed: int, r0: int, r1: int) -> list[np.random.Generator]:
+# PCG64's LCG multiplier (O'Neill 2014), split into the uint64 halves and the
+# uint32 quarters that the limb arithmetic multiplies by
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+# limb operands stay numpy uint64: under numpy < 2's promotion rules a Python
+# int operand would turn a uint64 array into float64
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_DOUBLE_UNIT = 2.0**-53
+_LIMB_DRAWS = 224  # stream positions drawn in limbs: waves 1-3 (blocks 16, 32, 64) by default
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry) -> None:
+    """Advance 128-bit LCG states by one step in place: ``state * M + inc mod 2**128``.
+
+    A state is two ``uint64`` arrays, its high and low halves.  Every product
+    wraps modulo 2**64 except the high half of ``lo * M_lo``, which is built
+    from 32-bit partial products (Warren, "Hacker's Delight", mulhu).  ``tmp``
+    is four ``uint64`` scratch arrays and ``carry`` one ``bool`` array, all
+    of the states' length.
+    """
+    a0, a1, t, c = tmp
+    np.bitwise_and(lo, _LOW32, out=a0)
+    np.right_shift(lo, _U32, out=a1)
+    np.multiply(a0, _MULT_LO0, out=t)
+    np.right_shift(t, _U32, out=t)
+    np.multiply(a1, _MULT_LO0, out=c)
+    t += c  # a1 * b0 + (a0 * b0 >> 32) < 2**64
+    np.bitwise_and(t, _LOW32, out=c)
+    a0 *= _MULT_LO1
+    a0 += c  # a0 * b1 + (t & 0xFFFFFFFF) < 2**64
+    t >>= _U32
+    a0 >>= _U32
+    a1 *= _MULT_LO1
+    a1 += t
+    a1 += a0  # the high half of lo * M_lo
+    hi *= _MULT_LO
+    hi += a1
+    np.multiply(lo, _MULT_HI, out=c)
+    hi += c
+    lo *= _MULT_LO
+    lo += inc_lo
+    np.less(lo, inc_lo, out=carry)
+    hi += inc_hi
+    hi += carry
+
+
+def _xsl_rr_doubles(hi, lo, tmp, out) -> None:
+    """PCG64's XSL-RR output of each state, as the double ``Generator.random`` makes of it.
+
+    The 64-bit output is ``hi ^ lo`` rotated right by the top six bits of the
+    state; the double is its top 53 bits times ``2**-53``.  A rotation by 0
+    shifts left by 64, which numpy makes 0 (or ``x``, as the hardware does):
+    either way ``y | x << 64`` is ``x``.
+    """
+    x, r, y, _ = tmp
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, _U58, out=r)
+    np.right_shift(x, r, out=y)
+    np.subtract(_U64, r, out=r)
+    x <<= r
+    x |= y
+    x >>= _U11
+    np.multiply(x, _DOUBLE_UNIT, out=out)
+
+
+class _SlabStreams:
+    """The streams of one slab's replications, drawn in two stages.
+
+    Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))``, which is
+    ``path_stream`` of its replication.  ``random`` draws the next doubles of
+    a set of rows; all of them stand at the same stream position.
+
+    * While a call ends at or below stream position ``_LIMB_DRAWS``, every
+      row's 128-bit state and increment are ``uint64`` limbs, and a call steps
+      all its rows at once, one stream position at a time.
+    * The first call that would pass that position builds a ``Generator`` for
+      each of its rows only, seeded from the row's words and moved to the
+      position with ``bit_generator.advance``.  That call and every later one
+      fill each row from its ``Generator``.
+
+    A call is either all limbs or all ``Generator``s, and both give the bits
+    of ``Generator.random``.  A row left out of a call never draws again.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words  # (rows, 4) uint64: generate_state(4, np.uint64) per row
+        self.position = 0  # doubles drawn so far by every row still drawing
+        self._gens: list[np.random.Generator | None] | None = None
+        w0, w1, w2, w3 = (np.ascontiguousarray(w) for w in words.T)
+        # PCG64's seeding: inc = (w2:w3) << 1 | 1, state = inc + (w0:w1), one step
+        self._inc_hi = (w2 << _U1) | (w3 >> _U63)
+        self._inc_lo = (w3 << _U1) | _U1
+        self._lo = self._inc_lo + w1
+        self._hi = self._inc_hi + w0
+        self._hi += self._lo < w1
+        n = words.shape[0]
+        _lcg_step(
+            self._hi, self._lo, self._inc_hi, self._inc_lo,
+            np.empty((4, n), dtype=np.uint64), np.empty(n, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return self.words.shape[0]
+
+    def random(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` doubles of each stream in ``rows``, one row each."""
+        if self._gens is None and self.position + count <= _LIMB_DRAWS:
+            u = self._limb_doubles(rows, count)
+        else:
+            if self._gens is None:
+                self._hand_over(rows)
+            u = np.empty((rows.size, count))
+            for i, row in enumerate(rows.tolist()):
+                self._gens[row].random(out=u[i])
+        self.position += count
+        return u
+
+    def _limb_doubles(self, rows: np.ndarray, count: int) -> np.ndarray:
+        hi, lo = self._hi[rows], self._lo[rows]
+        inc_hi, inc_lo = self._inc_hi[rows], self._inc_lo[rows]
+        tmp = np.empty((4, rows.size), dtype=np.uint64)
+        carry = np.empty(rows.size, dtype=bool)
+        cols = np.empty((count, rows.size))  # contiguous columns, transposed once
+        for col in cols:
+            _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry)
+            _xsl_rr_doubles(hi, lo, tmp, col)
+        self._hi[rows], self._lo[rows] = hi, lo
+        return cols.T
+
+    def _hand_over(self, rows: np.ndarray) -> None:
+        self._gens = [None] * len(self)
+        for row in rows.tolist():
+            gen = np.random.Generator(np.random.PCG64(_SeedWords(self.words[row])))
+            gen.bit_generator.advance(self.position)
+            self._gens[row] = gen
+        self._hi = self._lo = self._inc_hi = self._inc_lo = None
+
+
+def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
     """The streams of replications ``[r0, r1)``, seeded in one vectorized pass.
 
-    Row ``r`` gets ``PCG64`` seeded with the words of
-    ``SeedSequence([seed, r]).generate_state(4, np.uint64)``, so it equals
-    ``path_stream(seed, r)``.  The words are O'Neill's seed_seq hash as NumPy
-    implements it (O'Neill 2015, "Developing a seed_seq alternative"; NumPy
-    NEP 19): the entropy words hashed into a pool of four with ``hashmix``,
-    mixed pairwise with ``mix``, then drawn out by the ``INIT_B``/``MULT_B``
-    pass, all in ``uint32`` arithmetic over the whole range.
+    Row ``r`` is seeded with the words of
+    ``SeedSequence([seed, r]).generate_state(4, np.uint64)``, so it draws
+    like ``path_stream(seed, r)``: its first ``_LIMB_DRAWS`` doubles in
+    limbs, and any later ones from a ``Generator`` built for it at the
+    handover (see ``_SlabStreams``).  The words are O'Neill's seed_seq hash as
+    NumPy implements it (O'Neill 2015, "Developing a seed_seq alternative";
+    NumPy NEP 19): the entropy words hashed into a pool of four with
+    ``hashmix``, mixed pairwise with ``mix``, then drawn out by the
+    ``INIT_B``/``MULT_B`` pass, all in ``uint32`` arithmetic over the whole
+    range.
 
     The entropy is ``[seed words..., r & 0xFFFFFFFF, r >> 32]``, padded with
     zeros to four words.  NumPy pads a short pool with ``hashmix(0)``, so a
@@ -170,7 +334,7 @@ def _slab_streams(seed: int, r0: int, r1: int) -> list[np.random.Generator]:
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> 16)
     seeds = state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << 32)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seeds]
+    return _SlabStreams(seeds)
 
 
 def generate_interval(
@@ -220,20 +384,22 @@ def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np
     return out
 
 
-def _waves(scenario: ScenarioConfig, gens: list[np.random.Generator], t_max: float):
-    """Draw intervals from ``gens`` in waves until every path passes ``t_max``.
+def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
+    """Draw intervals from a slab's ``streams`` in waves until every path passes ``t_max``.
 
-    Yields ``(active, times)`` once per wave: the indices into ``gens`` of
-    the rows still short of ``t_max``, and their jump times in this wave
+    Yields ``(active, times)`` once per wave: the rows of ``streams`` still
+    short of ``t_max``, and their jump times in this wave
     (``active.size x block``).  Rows whose last jump lies beyond ``t_max``
-    leave before the next wave.  The block starts at ``_FIRST_BLOCK``,
-    doubles from wave to wave, and is cut so that one wave draws at most
-    ``_WAVE_INTERVALS`` intervals (one per row at least).  Jump times are
-    one running sum per row, carried from wave to wave, so they do not
-    depend on the block sizes.
+    leave before the next wave and never draw again.  The block starts at
+    ``_FIRST_BLOCK``, doubles from wave to wave, and is cut so that one wave
+    draws at most ``_WAVE_INTERVALS`` intervals (one per row at least).  A
+    wave's ``2 * block`` uniforms per row are one ``streams.random`` call,
+    in limbs or from per-row ``Generator``s (see ``_SlabStreams``).  Jump
+    times are one running sum per row, carried from wave to wave, so they do
+    not depend on the block sizes.
     """
-    active = np.arange(len(gens))
-    base = np.zeros(len(gens))
+    active = np.arange(len(streams))
+    base = np.zeros(len(streams))
     j0 = 1
     block = _FIRST_BLOCK
     while active.size:
@@ -243,9 +409,7 @@ def _waves(scenario: ScenarioConfig, gens: list[np.random.Generator], t_max: flo
             )
         n_act = active.size
         block = max(1, min(block, _WAVE_INTERVALS // n_act))
-        u = np.empty((n_act, 2 * block))
-        for i, row in enumerate(active):
-            gens[row].random(out=u[i])
+        u = streams.random(active, 2 * block)
         zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(n_act, block)
         xi = np.minimum(zeta, _theta_from_uniforms(scenario, u[:, 1::2], j0))
         xi[:, 0] += base[active]
@@ -261,8 +425,8 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
     """Simulate one trajectory until the first jump beyond max(t_queries)."""
     queries = np.asarray(scenario.t_queries)
     t_max = float(queries[-1])
-    gens = [path_stream(scenario.seed, replication)]
-    jumps = np.concatenate([times[0] for _, times in _waves(scenario, gens, t_max)])
+    streams = _slab_streams(scenario.seed, replication, replication + 1)
+    jumps = np.concatenate([times[0] for _, times in _waves(scenario, streams, t_max)])
     jumps = jumps[: int(np.argmax(jumps > t_max)) + 1]
 
     n_t = np.searchsorted(jumps, queries, side="right")
@@ -279,8 +443,8 @@ def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray,
     last_le = np.zeros((count, queries.size))
     next_gt = np.full((count, queries.size), np.nan)
 
-    gens = _slab_streams(scenario.seed, r0, r1)
-    for active, times in _waves(scenario, gens, float(queries[-1])):
+    streams = _slab_streams(scenario.seed, r0, r1)
+    for active, times in _waves(scenario, streams, float(queries[-1])):
         block = times.shape[1]
         for qi, t in enumerate(queries):
             cnt = np.sum(times <= t, axis=1)

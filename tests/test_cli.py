@@ -360,6 +360,21 @@ def test_main_rejects_a_non_finite_file_step(tmp_path, capsys):
     assert record["error"] == "ScenarioFormatError" and "finite" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "line", ["segment = nan: 2.0", "segment = inf: 2.0", "atom = nan: 0.5", "atom = 1: nan"]
+)
+def test_main_rejects_non_finite_breaks_and_atoms(tmp_path, capsys, line):
+    text = MINIMAL_IID.replace(
+        "[phi]\nfamily = exp\nrate = 1.0", f"[phi]\nfamily = piecewise\nsegment = 0: 1.0\n{line}"
+    )
+    # the law's IntensityError, reported at its line as a format error
+    assert main(["check", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert "invalid intensity in [phi]" in record["message"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_main_unknown_scenario_file(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.ini")])
     assert code == 2

@@ -49,6 +49,23 @@ def test_rejects_unordered_atoms():
         rb.from_segments([(0.0, [1.0])], atoms=[(1.0, -0.5)])
 
 
+@pytest.mark.parametrize(
+    "segments, atoms",
+    [
+        ([(0.0, [1.0]), (math.nan, [2.0])], []),
+        ([(0.0, [1.0]), (math.inf, [2.0])], []),
+        ([(0.0, [1.0])], [(math.nan, 0.5)]),
+        ([(0.0, [1.0])], [(math.inf, 0.5)]),
+        ([(0.0, [1.0])], [(1.0, math.nan)]),
+        ([(0.0, [1.0])], [(1.0, 0.5), (2.0, math.nan)]),
+    ],
+    ids=["nan-break", "inf-break", "nan-loc", "inf-loc", "nan-weight", "nan-last-weight"],
+)
+def test_rejects_non_finite_breaks_and_atoms(segments, atoms):
+    with pytest.raises(IntensityError):
+        rb.from_segments(segments, atoms=atoms)
+
+
 def test_rejects_zero_mass_by_default():
     with pytest.raises(IntensityError):
         rb.from_segments([(0.0, [1.0]), (1.0, [0.0])])

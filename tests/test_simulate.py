@@ -106,13 +106,27 @@ def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+SLAB_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+SLAB_REPLICATIONS = (0, 1, 16383, 16384, 16385, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1)
+
+
+def _rows_of(seed, replications):
+    # one slab whose rows are the given replications, in order
+    from renewal_bounds.simulate import _SlabStreams, _slab_streams
+
+    return _SlabStreams(np.concatenate([_slab_streams(seed, r, r + 1).words for r in replications]))
+
+
+def _handed_over(streams):
+    return [] if streams._gens is None else [i for i, g in enumerate(streams._gens) if g is not None]
+
+
+@pytest.mark.parametrize("seed", SLAB_SEEDS)
 def test_slab_seed_words_match_seed_sequence(seed):
     from renewal_bounds.simulate import _slab_streams
 
-    for r in (0, 1, 16383, 16384, 16385, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1):
-        (stream,) = _slab_streams(seed, r, r + 1)
-        words = stream.bit_generator.seed_seq.generate_state(4, np.uint64)
+    for r in SLAB_REPLICATIONS:
+        words = _slab_streams(seed, r, r + 1).words[0]
         expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
         assert words.dtype == np.uint64
         assert words.tobytes() == expected.tobytes(), (seed, r)
@@ -124,8 +138,51 @@ def test_slab_streams_draw_like_path_stream(seed):
 
     streams = _slab_streams(seed, 16380, 16390)
     assert len(streams) == 10
-    for r, stream in zip(range(16380, 16390), streams):
-        assert stream.random(50).tobytes() == rb.path_stream(seed, r).random(50).tobytes()
+    u = streams.random(np.arange(10), 50)
+    for i, r in enumerate(range(16380, 16390)):
+        assert u[i].tobytes() == rb.path_stream(seed, r).random(50).tobytes()
+
+
+@pytest.mark.parametrize("seed", SLAB_SEEDS)
+def test_limb_doubles_match_generator_random(seed):
+    # the default schedule's first three waves draw positions 0-223 in limbs
+    from renewal_bounds.simulate import _LIMB_DRAWS
+
+    streams = _rows_of(seed, SLAB_REPLICATIONS)
+    rows = np.arange(len(SLAB_REPLICATIONS))
+    u = np.hstack([streams.random(rows, count) for count in (32, 64, 128)])
+    assert streams.position == _LIMB_DRAWS == 224
+    assert _handed_over(streams) == []
+    for i, r in enumerate(SLAB_REPLICATIONS):
+        assert u[i].tobytes() == rb.path_stream(seed, r).random(224).tobytes(), (seed, r)
+
+
+@pytest.mark.parametrize(
+    "counts, handover",
+    [((32, 64, 128, 256, 512), 224), ((8, 16, 32, 64, 128, 256), 120)],
+    ids=["at-224", "at-120"],
+)
+@pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
+def test_handed_over_rows_continue_bit_equal(counts, handover, seed):
+    # blocks 16, 32, 64 hand over at position 224; blocks 4, 8, 16, 32, 64
+    # (_FIRST_BLOCK = 4) at 120, where the next wave would straddle 224; only
+    # the rows still drawing get a Generator, and every row keeps its stream
+    streams = _rows_of(seed, SLAB_REPLICATIONS)
+    rows = np.arange(len(SLAB_REPLICATIONS))
+    survivors = [1, 4, 5, 8]
+    drawn = {i: [] for i in rows.tolist()}
+    for count in counts:
+        if streams.position == handover:
+            assert _handed_over(streams) == []
+            rows = rows[survivors]  # the other rows leave as the limbs end
+        u = streams.random(rows, count)
+        for i, row in enumerate(rows.tolist()):
+            drawn[row].append(u[i])
+    assert _handed_over(streams) == survivors
+    for i, r in enumerate(SLAB_REPLICATIONS):
+        u = np.concatenate(drawn[i])
+        assert u.size == (sum(counts) if i in survivors else handover)
+        assert u.tobytes() == rb.path_stream(seed, r).random(u.size).tobytes(), r
 
 
 # ---------------------------------------------------------------------------
