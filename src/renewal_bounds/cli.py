@@ -62,6 +62,7 @@ import numpy as np
 from .assumptions import check_assumptions
 from .errors import (
     DivergentMomentError,
+    IntensityError,
     RenewalBoundsError,
     ScenarioFormatError,
     UsageError,
@@ -285,13 +286,18 @@ def _build_mu_rule(sections: dict[str, list[_Entry]], path: str) -> MuRule:
         if rule == "cycle":
             return CycledIntensities(tuple(members))
         return RepeatLastIntensities(tuple(members))
-    if rule == "constant-rate":
-        return ConstantRate(_as_float(_require(entries, "rate", path, "mu"), path))
-    if rule == "linear-capped-rate":
-        base = _as_float(_require(entries, "base", path, "mu"), path)
-        slope = _as_float(_require(entries, "slope", path, "mu"), path)
-        cap = _as_float(_require(entries, "cap", path, "mu"), path)
-        return LinearCappedRate(base, slope, cap)
+    try:
+        if rule == "constant-rate":
+            return ConstantRate(_as_float(_require(entries, "rate", path, "mu"), path))
+        if rule == "linear-capped-rate":
+            base = _as_float(_require(entries, "base", path, "mu"), path)
+            slope = _as_float(_require(entries, "slope", path, "mu"), path)
+            cap = _as_float(_require(entries, "cap", path, "mu"), path)
+            return LinearCappedRate(base, slope, cap)
+    except IntensityError as err:
+        raise ScenarioFormatError(
+            f"invalid mu rule in [mu]: {err}", path, rule_entry.line, rule_entry.col
+        ) from err
     raise ScenarioFormatError(
         f"unknown mu rule {rule_entry.value!r} "
         "(expected cycle, repeat-last, constant-rate, linear-capped-rate)",

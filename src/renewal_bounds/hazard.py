@@ -134,8 +134,9 @@ class GeneralizedIntensity:
             raise IntensityError(
                 f"hazard negative ({low[i]:.3e}) at s = {breaks[i] + where[i]:.6g}"
             )
-        if low[-1] < -_NONNEG_SLACK:
-            raise IntensityError("last segment must be constant or growing")
+        # a constant tail inside the slack would still make F decrease
+        if low[-1] < -_NONNEG_SLACK or (coeffs[-1, 0] < 0.0 and not coeffs[-1, 1:].any()):
+            raise IntensityError("last segment must be nonnegative and constant or growing")
 
         if locs.shape != weights.shape or locs.ndim != 1:
             raise IntensityError("atom locations/weights must be matching 1-D lists")
@@ -244,9 +245,9 @@ def weibull(shape: float, scale: float = 1.0) -> GeneralizedIntensity:
     read-only and cached by parameters, so a scenario that names the same
     law twice compiles it once.
     """
-    if scale <= 0:
-        raise IntensityError("weibull scale must be positive")
-    if shape < 1 or shape > 4:
+    if not 0 < scale < math.inf:  # NaN fails too
+        raise IntensityError("weibull scale must be positive and finite")
+    if not 1 <= shape <= 4:
         raise IntensityError("weibull shape must lie in [1, 4]")
     if float(shape).is_integer():
         k = int(shape)
@@ -266,8 +267,8 @@ def uniform(a: float, b: float) -> GeneralizedIntensity:
     parameters, so a scenario that names the same law twice compiles it
     once.
     """
-    if not 0 <= a < b:
-        raise IntensityError("uniform requires 0 <= a < b")
+    if not 0 <= a < b < math.inf:  # NaN fails too
+        raise IntensityError("uniform requires 0 <= a < b < inf")
     span = b - a
 
     def cumhaz(x):
@@ -304,7 +305,8 @@ def _fit_cumhaz(lam, edges, ftol):
     within ``ftol`` at the error nodes, and the panel is halved otherwise,
     down to ``_FIT_MAX_DEPTH`` halvings and a constant-hazard fallback.
     Knot values interpolate exactly, hence errors do not accumulate across
-    segments.
+    segments.  A non-finite ``lam`` at a fit node raises
+    :class:`DistributionError`.
 
     One pass handles one refinement level: ``lam`` is called once on the
     flat array of every pending panel's fit nodes and once on the error
@@ -325,6 +327,8 @@ def _fit_cumhaz(lam, edges, ftol):
         h = hi - lo
         ys = np.asarray(lam((lo[:, None] + h[:, None] * _FIT_NODES).ravel()), dtype=float)
         ys = ys.reshape(n, 4) - lam_lo[:, None]
+        if not np.all(np.isfinite(ys)):  # else every panel would halve to the last level
+            raise DistributionError("cumulative hazard is not finite")
         ys = np.maximum.accumulate(np.maximum(ys, 0.0), axis=1)  # clip eval noise
         flat = ys[:, -1] == 0.0
         d = np.zeros((n, 4))
@@ -610,8 +614,6 @@ class IntensityCdf(MixedCdf):
         events = {0.0}
         events.update(float(b) for b in phi.breaks)
         events.update(float(a) for a in phi.atom_locs)
-        if full_loc is not None:
-            events = {e for e in events if e < full_loc} | {full_loc}
         starts = np.array(sorted(events))
         if full_loc is not None:
             starts = starts[starts < full_loc]
@@ -761,33 +763,30 @@ class IntensityCdf(MixedCdf):
         A ``u`` outside [0, 1), NaN included, raises ``ValueError``.
 
         With ``T = -log1p(-u)``, capped at the total hazard, the row whose
-        cumulative-hazard range holds ``T`` is found by search.  A draw that
-        falls in an atom's jump gets the atom's location, so atoms receive
-        exactly their mass.  Otherwise the row is solved for ``tau``, and
-        ``x`` is the row start plus ``tau``.  Linear and quadratic increments
-        are solved in closed form; on a row of higher degree ``tau`` is the
-        smallest double whose increment (by Horner) reaches ``T`` minus the
-        row's starting hazard.  A final guard
-        steps ``x`` up until ``F(x) >= u`` holds exactly.  It
-        evaluates ``F(x)`` on the row just solved, with ``cdf``'s formula and
-        so ``cdf``'s bits (``_cdf_on_rows``), without a second search; only a
-        draw whose ``x`` reached the next row's start, the full atom or no
-        row at all goes through ``cdf``, as does each ulp re-check.  A draw above
-        the total mass of an improper F gets ``+inf``: no ``x`` reaches it,
-        even where ``T`` rounds down into the last row's range.  A draw equal
-        to the total mass gets a finite ``x``, even where ``T`` rounds above
-        the total hazard: the cap keeps it in the last row.
+        cumulative-hazard range holds ``T`` is found by search.  Some draws
+        are placed: one above the total mass of an improper F gets ``+inf``
+        (no ``x`` reaches it, even where ``T`` rounds down into the last
+        row's range), one past the last row gets the full atom's location,
+        and one in an atom's jump gets the atom's location, so atoms receive
+        exactly their mass.  Every other draw is solved for ``tau`` on
+        whole arrays, and ``x`` is the row start plus ``tau``.  Linear and
+        quadratic increments are solved in closed form; on a row of higher
+        degree ``tau`` is the smallest double whose increment (by Horner)
+        reaches ``T`` minus the row's starting hazard.  A draw equal to the
+        total mass gets a finite ``x``, even where ``T`` rounds above the
+        total hazard: the cap keeps it in the last row.
 
-        A chunk with no draw above the total mass, past the last row or in
-        an atom's jump (nearly every chunk of a law without atoms) is solved
-        on whole arrays, without compressing draws through masks, and one
-        with every draw above the total mass (a zero intensity's draws, but
-        for ``u = 0``) is ``+inf`` at once.  A law of
-        one row and no full atom skips the search too, since every ``T``
-        lies in that row, and uses the row's scalar coefficients; on a row
-        of degree <= 1 the solve is ``T' / c1`` and the guard's cumulative
-        hazard ``lam_lo + c1 tau``.  These are the masked path's formulas on
-        the same operands, so every draw keeps its bits.
+        A final guard steps ``x`` up until ``F(x) >= u`` holds exactly.  For
+        a solved draw it evaluates ``F(x)`` on the row just solved, with
+        ``cdf``'s formula and so ``cdf``'s bits (``_cdf_on_rows``), without
+        a second search; a placed draw, a solved ``x`` that reached the next
+        row's start and each ulp re-check go through ``cdf``.  A chunk with
+        every draw above the total mass (a zero intensity's draws, but for
+        ``u = 0``) is ``+inf`` at once.  A law of one row and no full atom
+        skips the search, since every ``T`` lies in that row, and uses the
+        row's scalar coefficients; on a row of degree <= 1 the solve is
+        ``T' / c1`` and the guard's cumulative hazard ``lam_lo + c1 tau``:
+        the per-draw formulas on the same operands, so the bits are the same.
 
         ``x`` need not be the smallest double with ``F(x) >= u``: the
         previous double also qualifies for about 9 % of uniform(0, 1) draws,
@@ -825,41 +824,26 @@ class IntensityCdf(MixedCdf):
                 x = self._row_lo[idx] + self._solve_rows(idx, T - lam_lo)
                 return self._step_up(x, u, self._cdf_on_rows(x, idx))
 
+        # place a draw beyond F at the full atom (improper: at +inf) and one
+        # in an atom's jump at its row start; solve the others as above
         idx = np.broadcast_to(idx, T.shape)
-        x = np.empty_like(T)
-        if np.any(beyond):
-            if self._full_loc is not None:
-                x[beyond] = self._full_loc
-            else:
-                x[beyond] = math.inf  # improper: mass at infinity
-        inside = ~beyond
-        ii = idx[inside]
-        t_in = T[inside]
-        lam_lo = self._row_lam_lo[ii]
-
-        at_atom = t_in <= lam_lo
-        xin = np.empty_like(t_in)
-        xin[at_atom] = self._row_lo[ii[at_atom]]
-
-        solve = ~at_atom
-        if np.any(solve):
-            rows = ii[solve]
-            tprime = t_in[solve] - lam_lo[solve]
-            xin[solve] = self._row_lo[rows] + self._solve_rows(rows, tprime)
-        x[inside] = xin
-
-        F = np.ones_like(x)
-        F[inside] = self._cdf_on_rows(xin, ii)
-        rest = beyond & np.isfinite(x)
-        F[rest] = self.cdf(x[rest])
+        x = np.full_like(T, math.inf if self._full_loc is None else self._full_loc)
+        at_atom = np.zeros_like(beyond)
+        at_atom[~beyond] = T[~beyond] <= self._row_lam_lo[idx[~beyond]]
+        x[at_atom] = self._row_lo[idx[at_atom]]
+        solve = ~(beyond | at_atom)
+        x[solve] = self._ppf_chunk(u[solve])
+        F = np.ones_like(x)  # a solved draw has been stepped up already
+        F[~solve] = self.cdf(x[~solve])
         return self._step_up(x, u, F)
 
     def _step_up(self, x, u, F):
         """Enforce ``F(x) >= u`` exactly (a guard against terminal rounding).
 
-        ``F`` is the first pass, evaluated on the rows just solved; only the
-        finite offending entries move up, re-checked through ``cdf``: one
-        ulp at a time for four steps, then by steps that double.  Where
+        ``F`` is the first pass, evaluated on the rows just solved or, for
+        a placed draw, by ``cdf``; only the finite offending entries move
+        up, re-checked through ``cdf``: one ulp at a time for four steps,
+        then by steps that double.  Where
         ``f(x) ulp(x)`` is far below ``ulp(F)``, F is flat over many ulps of
         ``x``: just after an atom at the origin, up to thousands.  A draw
         that passes after a step of ``w > 1`` ulps is bisected back over
@@ -889,12 +873,13 @@ class IntensityCdf(MixedCdf):
     def _solve_rows(self, rows, tprime):
         """Solve R_row(tau) = tprime for tau within each row (vectorized).
 
-        ``rows`` may be one row for every draw: a row of degree <= 1 is then
-        solved with its scalar coefficient, with no per-draw gather or degree
-        mask.
+        Every ``tprime`` is positive, so no row has zero hazard: its
+        cumulative hazard would end where it starts.  ``rows`` may be one row
+        for every draw: a row of degree <= 1 is then solved with its scalar
+        coefficient, with no per-draw gather or degree mask.
         """
         if np.ndim(rows) == 0:
-            if self._row_deg[rows] <= 1:  # c1 > 0: with zero hazard every T is <= lam_lo
+            if self._row_deg[rows] <= 1:
                 return tprime / self._row_R[rows, 1]
             rows = np.full(tprime.shape, rows)
 
@@ -903,8 +888,7 @@ class IntensityCdf(MixedCdf):
 
         lin = deg <= 1
         if np.any(lin):
-            c1 = self._row_R[rows[lin], 1]
-            out[lin] = np.where(c1 > 0, tprime[lin] / np.where(c1 > 0, c1, 1.0), 0.0)
+            out[lin] = tprime[lin] / self._row_R[rows[lin], 1]
 
         quad = deg == 2
         if np.any(quad):

@@ -17,8 +17,6 @@ __all__ = [
     "pderiv",
     "pinteg",
     "pshift",
-    "pmin_on",
-    "pmax_on",
     "pmin_rows",
     "pmax_rows",
     "is_zero_poly",
@@ -144,18 +142,6 @@ def pmin_rows(coeffs, lo, hi):
     """(min, argmin) of each row's polynomial over [lo, hi] (``hi`` may be inf)."""
     value, where = _extreme_rows(coeffs, lo, hi, -1.0)
     return -value, where
-
-
-def pmax_on(coeffs, lo, hi):
-    """(max, argmax) of the polynomial over [lo, hi] (``hi`` may be inf)."""
-    value, where = pmax_rows(np.asarray(coeffs, dtype=float)[None], lo, hi)
-    return float(value[0]), float(where[0])
-
-
-def pmin_on(coeffs, lo, hi):
-    """(min, argmin) of the polynomial over [lo, hi] (``hi`` may be inf)."""
-    value, where = pmin_rows(np.asarray(coeffs, dtype=float)[None], lo, hi)
-    return float(value[0]), float(where[0])
 
 
 def is_zero_poly(coeffs) -> bool:

@@ -103,7 +103,7 @@ class RepeatLastIntensities(MuRule):
 
 def ConstantRate(rate: float) -> RepeatLastIntensities:
     """mu_j is the constant hazard ``rate`` for every j (0 means no extra hazard)."""
-    if rate < 0:
+    if not rate >= 0:  # NaN fails too
         raise IntensityError("constant mu rate must be nonnegative")
     return RepeatLastIntensities((_rate_intensity(rate),))
 

@@ -164,6 +164,7 @@ def test_rate_rule_factories(rule, rates, index):
         lambda: rb.LinearCappedRate(math.inf, 0.5, math.inf),
         lambda: rb.LinearCappedRate(0.5, math.inf, 1.0),
         lambda: rb.LinearCappedRate(math.nan, 0.5, 1.0),
+        lambda: rb.ConstantRate(math.nan),  # was the zero intensity
     ],
 )
 def test_rate_rule_factories_reject_bad_rates(make):

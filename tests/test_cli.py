@@ -324,8 +324,59 @@ def test_main_rejects_infinite_linear_cap(tmp_path, capsys):
     code = main(["check", str(write(tmp_path, text))])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "IntensityError"
+    assert record["error"] == "ScenarioFormatError"
     assert "finite" in record["message"]
+    assert record["where"]["line"] == 10  # the rule's line
+
+
+@pytest.mark.parametrize("rate", ["nan", "-1"])
+def test_main_rejects_a_bad_constant_rate_at_the_rule_line(tmp_path, capsys, rate):
+    # a NaN rate passed every condition as the zero intensity
+    text = MINIMAL_IID.replace("rate = 0.0", f"rate = {rate}")
+    assert main(["check", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert "invalid mu rule in [mu]" in record["message"]
+    assert record["where"]["line"] == 10
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        "family = weibull\nshape = nan",
+        "family = weibull\nshape = 1.5\nscale = nan",
+        "family = uniform\na = 0\nb = inf",
+    ],
+    ids=["weibull-shape-nan", "weibull-scale-nan", "uniform-b-inf"],
+)
+def test_main_rejects_non_finite_family_parameters_at_once(tmp_path, law):
+    # such a law made every fitted panel fail and halve, toward 2^52 panels:
+    # in a subprocess with a timeout, a runaway fails instead of hanging
+    text = MINIMAL_IID.replace("[phi]\nfamily = exp\nrate = 1.0", f"[phi]\n{law}")
+    src = str(Path(rb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "renewal_bounds.cli", "check", str(write(tmp_path, text)),
+         "--out", str(tmp_path / "out")],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 2, done.stderr
+    record = json.loads(done.stderr.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert "invalid intensity in [phi]" in record["message"]
+    assert record["where"]["line"] == 2
+
+
+def test_main_rejects_a_negative_constant_tail(tmp_path, capsys):
+    # inside the hazard's slack, but F < 0: --force made ppf die in its ulp walk
+    text = MINIMAL_IID.replace(
+        "[phi]\nfamily = exp\nrate = 1.0", "[phi]\nfamily = piecewise\nsegment = 0: -1e-13"
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", str(write(tmp_path, text)), "--force", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert "last segment" in record["message"]
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(

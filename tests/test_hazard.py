@@ -80,6 +80,46 @@ def test_rejects_shrinking_tail():
         rb.from_segments([(0.0, [1.0, -0.1])])  # decreasing last segment
 
 
+@pytest.mark.parametrize("segments", [[(0.0, [-1e-13])], [(0.0, [1.0]), (1.0, [-1e-13])]])
+def test_rejects_a_negative_constant_tail_inside_the_slack(segments):
+    # F would fall below 0 for ever; ppf(0.5) overflowed in its ulp walk
+    with pytest.raises(IntensityError, match="last segment"):
+        rb.from_segments(segments)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: rb.weibull(math.nan), "shape"),
+        (lambda: rb.weibull(1.5, math.nan), "scale"),
+        (lambda: rb.weibull(1.5, math.inf), "scale"),
+        (lambda: rb.uniform(0.0, math.inf), "uniform"),
+    ],
+    ids=["weibull-shape-nan", "weibull-scale-nan", "weibull-scale-inf", "uniform-b-inf"],
+)
+def test_families_reject_non_finite_parameters(make, match, monkeypatch):
+    monkeypatch.setattr(hazard, "_FIT_MAX_DEPTH", 4)  # bounds a fit that runs away
+    with pytest.raises(IntensityError, match=match):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rb.from_cumulative_hazard(lambda x: np.asarray(x) * np.nan),
+        lambda: rb.intensity_from_cdf(
+            rb.CallableCdf(lambda x: np.asarray(x) * np.nan, sf=lambda x: np.asarray(x) * np.nan)
+        ),
+    ],
+    ids=["cumhaz", "sf"],
+)
+def test_compile_rejects_a_non_finite_cumulative_hazard(make, monkeypatch):
+    # every panel would fail its fit and halve, down to the last level
+    monkeypatch.setattr(hazard, "_FIT_MAX_DEPTH", 4)
+    with pytest.raises(DistributionError, match="not finite"):
+        make()
+
+
 def test_full_atom_only_last():
     with pytest.raises(IntensityError):
         rb.from_segments([(0.0, [1.0])], atoms=[(1.0, rb.ATOM_INF), (2.0, 1.0)])
@@ -848,6 +888,11 @@ _ORACLE_LAWS = {
     # one row of degree 2, and one of degree 3 (the quartic solver)
     "linear-hazard": rb.from_segments([(0.0, [0.5, 1.0])]),
     "quadratic-hazard": rb.from_segments([(0.0, [0.5, 0.0, 1.0])]),
+    # quartic rows, an interior atom and a full atom: one chunk mixes draws
+    # placed at the full atom (8.8 %), draws in the atom's jump (19.6 %) and
+    # Newton solves
+    "quartic+atoms": rb.from_segments([(0.0, [0.5, 0.2, 0.1]), (1.0, [1.0])],
+                                      atoms=[(0.5, 0.3), (2.5, rb.ATOM_INF)]),
 }
 
 

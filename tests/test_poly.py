@@ -10,9 +10,7 @@ from renewal_bounds.poly import (
     is_zero_poly,
     pderiv,
     pinteg,
-    pmax_on,
     pmax_rows,
-    pmin_on,
     pmin_rows,
     pshift,
     prows,
@@ -43,22 +41,27 @@ def test_integral_derivative_inverse():
     assert pvalue(pinteg(c), 0.0) == 0.0
 
 
+def _one_row(extreme, c, lo, hi):
+    value, where = extreme(np.asarray(c, dtype=float)[None], lo, hi)
+    return float(value[0]), float(where[0])
+
+
 def test_extreme_on_interval():
     # p(t) = (t-1)^2 has min 0 at t=1, max 1 at the endpoints of [0, 2]
     c = np.array([1.0, -2.0, 1.0])
-    mn, at = pmin_on(c, 0.0, 2.0)
+    mn, at = _one_row(pmin_rows, c, 0.0, 2.0)
     assert mn == pytest.approx(0.0, abs=1e-12)
     assert at == pytest.approx(1.0, abs=1e-9)
-    mx, _ = pmax_on(c, 0.0, 2.0)
+    mx, _ = _one_row(pmax_rows, c, 0.0, 2.0)
     assert mx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extreme_unbounded_domain():
-    up, loc = pmax_on(np.array([0.0, 1.0]), 0.0, math.inf)
+    up, loc = _one_row(pmax_rows, [0.0, 1.0], 0.0, math.inf)
     assert math.isinf(up) and math.isinf(loc)
-    down, _ = pmin_on(np.array([0.0, 1.0]), 0.0, math.inf)
+    down, _ = _one_row(pmin_rows, [0.0, 1.0], 0.0, math.inf)
     assert down == 0.0
-    const, loc0 = pmax_on(np.array([3.0]), 0.0, math.inf)
+    const, loc0 = _one_row(pmax_rows, [3.0], 0.0, math.inf)
     assert const == 3.0 and loc0 == 0.0
 
 
@@ -71,7 +74,7 @@ def test_subnormal_leading_coefficient():
     # the companion matrix of 1 + t^2 + 2.2e-309 t^3 overflows; the cubic
     # term only adds roots beyond the float range
     c = np.array([1.0, 0.0, 1.0, 2.225073858507203e-309])
-    mn, at = pmin_on(c, 0.0, 1.0)
+    mn, at = _one_row(pmin_rows, c, 0.0, 1.0)
     assert mn == 1.0 and at == 0.0
     phi = from_segments([(0.0, c), (1.0, [1.0])])  # raised LinAlgError before
     assert phi.coeffs[0, 3] == c[3]
@@ -88,8 +91,7 @@ def _check_against_oracle(c, lo, hi):
     for sign, batched in ((1.0, pmax_rows), (-1.0, pmin_rows)):
         expect_v, expect_at = extreme_by_roots(c, lo, hi, sign)
         expect_v *= sign
-        got_v, got_at = batched(np.asarray(c, dtype=float)[None], lo, hi)
-        got_v, got_at = float(got_v[0]), float(got_at[0])
+        got_v, got_at = _one_row(batched, c, lo, hi)
         if expect_at in (lo, hi):  # no root involved: the same bits
             assert (got_v, got_at) == (expect_v, expect_at), (c, lo, hi, sign)
         else:
@@ -113,15 +115,15 @@ def test_extrema_match_the_roots_oracle_on_random_cubics():
     assert interior > n // 10  # the roots are exercised, not only the endpoints
 
 
-def test_batched_extrema_equal_the_one_row_wrappers():
+def test_batched_extrema_equal_one_row_calls():
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=(200, 4))
     his = np.exp(rng.normal(size=200))
     his[::5] = math.inf
-    for batched, single in ((pmax_rows, pmax_on), (pmin_rows, pmin_on)):
+    for batched in (pmax_rows, pmin_rows):
         values, places = batched(coeffs, 0.0, his)
         for c, hi, v, at in zip(coeffs, his, values, places):
-            assert (float(v), float(at)) == single(c, 0.0, hi)
+            assert (float(v), float(at)) == _one_row(batched, c, 0.0, hi)
 
 
 @pytest.mark.parametrize("c, lo, hi", [
@@ -166,4 +168,4 @@ def test_near_double_root_discriminant_rounds_negative(r):
 
 def test_extrema_reject_degree_four():
     with pytest.raises(ValueError):
-        pmin_on([1.0, 0.0, 0.0, 0.0, 1.0], 0.0, 1.0)
+        _one_row(pmin_rows, [1.0, 0.0, 0.0, 0.0, 1.0], 0.0, 1.0)
