@@ -372,10 +372,22 @@ def _fit_cumhaz(lam, edges, ftol):
 
 
 def _tail_edge(survival, start):
-    """Largest x with S(x) > _TAIL_EPS, found by doubling plus bisection."""
+    """Largest x with S(x) > _TAIL_EPS, found by doubling plus bisection.
+
+    A NaN survival raises :class:`DistributionError`: read as one below
+    ``_TAIL_EPS``, it would end the fit, and the law, where it appears.
+    """
+    def above(x):
+        s = survival(x)
+        if math.isnan(s):
+            raise DistributionError(
+                f"cumulative hazard is not finite: survival is NaN at x = {x:g}"
+            )
+        return s > _TAIL_EPS
+
     hi = max(start, 1.0)
     tries = 0
-    while survival(hi) > _TAIL_EPS:
+    while above(hi):
         hi *= 2.0
         tries += 1
         if tries > 200:
@@ -385,7 +397,7 @@ def _tail_edge(survival, start):
     lo = 0.0 if tries == 0 else hi / 2.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if survival(mid) > _TAIL_EPS:
+        if above(mid):
             lo = mid
         else:
             hi = mid
@@ -514,6 +526,7 @@ _PPF_CHUNK = 1 << 15  # draws per ppf pass: keeps the solver's temporaries in ca
 _NEWTON_ITERS = 60  # safeguarded-Newton cap, the step count of a full bisection
 _FINISH_STEPS = 64  # cap on the ulp walk that ends a quartic solve
 _ULP = 2.0**-52
+_GUIDE_BUCKETS = 1024  # equal-probability buckets of u in a row search's guide table
 
 
 def _quartic(c1, c2, c3, c4, tau):
@@ -523,18 +536,28 @@ def _quartic(c1, c2, c3, c4, tau):
 
 
 def _newton_quartic(c1, c2, c3, c4, width, tp):
-    """Smallest double ``tau`` in (0, width] whose Horner value ``R(tau)`` is >= ``tp``.
+    """A double ``tau`` in (0, width] where the Horner value ``R(tau)`` reaches ``tp``.
 
     ``R(tau) = c1 tau + c2 tau^2 + c3 tau^3 + c4 tau^4`` is a row's
     cumulative-hazard increment; its derivative is the row's hazard.
     Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4) keeps
     a bracket ``[lo, hi]`` with ``R(lo) < tp`` and takes the midpoint when a
     step leaves it or the hazard is not positive.  Only unconverged draws
-    iterate; a draw stops once its step or its bracket is down to an ulp.
-    The answer is then walked ulp by ulp: up until ``R >= tp``, then down
-    while the previous double still qualifies.  ``width`` is returned when
-    no double below it qualifies: at a row end, ``R(width)`` can fall a
-    rounding short of the target.
+    iterate, in buffers reused from step to step; the masked divide and the
+    midpoint are computed only in a step where some draw needs them.  A
+    draw stops once its step or its bracket is down to an ulp.
+
+    The finish evaluates ``R`` at Newton's end point and at the double
+    before it, once for the whole array.  Where the end point qualifies
+    (``R >= tp``) and its predecessor does not, that is the answer; the
+    other draws walk ulp by ulp: up until ``R >= tp``, or down while the
+    previous double still qualifies.  So the result qualifies, the double
+    before it does not, and it is the first such double on that walk from
+    Newton's end point.  It need not be the smallest qualifying double: the
+    Horner value is not monotone at the ulp scale, so a lower double, past
+    one that fails, can qualify again.  ``width`` is returned when no double
+    below it qualifies: at a row end, ``R(width)`` can fall a rounding
+    short of the target.
     """
     n = tp.size
     tau_end = np.empty(n)
@@ -545,36 +568,70 @@ def _newton_quartic(c1, c2, c3, c4, width, tp):
     # chord through the origin: exact on a linear row, left of the root on
     # a convex one
     tau = hi * (tp / np.maximum(_quartic(c1, c2, c3, c4, hi), tp))
-    for _ in range(_NEWTON_ITERS):
+    bufs = np.empty((6, n))
+    flags = np.empty((3, n), dtype=bool)
+    for it in range(_NEWTON_ITERS):
+        m = tau.size
+        p, dp, f, a = bufs[:4, :m]
+        new = bufs[4 + it % 2, :m]  # never the buffer that holds tau
+        ge, done, tmp = flags[:, :m]
         # R and R' by one Horner pass
-        p = k4 * tau + k3
-        dp = k4 * tau + p
-        p = p * tau + k2
-        dp = dp * tau + p
-        p = p * tau + k1
-        f = p * tau - t
-        df = dp * tau + p
-        ge = f >= 0.0
-        hi = np.where(ge, tau, hi)
-        lo = np.where(ge, lo, tau)
-        pos = df > 0.0
-        new = tau - f / np.where(pos, df, 1.0)
-        new = np.where(pos & (new > lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = (np.abs(new - tau) <= _ULP * new) | (hi - lo <= _ULP * hi)
+        np.multiply(k4, tau, out=a)
+        np.add(a, k3, out=p)
+        np.add(a, p, out=dp)
+        p *= tau
+        p += k2
+        dp *= tau
+        dp += p
+        p *= tau
+        p += k1
+        np.multiply(p, tau, out=f)
+        f -= t
+        dp *= tau
+        dp += p  # R'
+        np.greater_equal(f, 0.0, out=ge)
+        np.copyto(hi, tau, where=ge)
+        np.logical_not(ge, out=ge)
+        np.copyto(lo, tau, where=ge)
+        pos = np.greater(dp, 0.0, out=done)
+        if pos.all():
+            np.divide(f, dp, out=f)
+        else:
+            np.divide(f, np.where(pos, dp, 1.0), out=f)
+        np.subtract(tau, f, out=new)
+        inside = np.greater(new, lo, out=ge)
+        inside &= np.less_equal(new, hi, out=tmp)
+        inside &= pos
+        if not inside.all():
+            mid = np.add(lo, hi, out=f)
+            mid *= 0.5
+            np.copyto(new, mid, where=np.logical_not(inside, out=tmp))
+        np.subtract(new, tau, out=a)
+        np.abs(a, out=a)
+        np.multiply(new, _ULP, out=f)
+        np.less_equal(a, f, out=done)
+        np.subtract(hi, lo, out=a)
+        np.multiply(hi, _ULP, out=f)
+        done |= np.less_equal(a, f, out=tmp)
         tau = new
-        if np.all(done):
+        if done.all():
             break
-        if np.any(done):
-            tau_end[ids[done]] = tau[done]
-            keep = ~done
+        if done.any():
+            # index gathers: a boolean index branches on every element
+            stop = np.flatnonzero(done)
+            tau_end[ids[stop]] = tau[stop]
+            keep = np.flatnonzero(np.logical_not(done, out=tmp))
             ids, tau, lo, hi, t = ids[keep], tau[keep], lo[keep], hi[keep], t[keep]
             k1, k2, k3, k4 = k1[keep], k2[keep], k3[keep], k4[keep]
     tau_end[ids] = tau
 
+    # a qualifying tau is > 0 (R(0) = 0 < tp), so its bits less one are the
+    # double below it; elsewhere ``below`` is not used
+    below = (tau_end.view(np.int64) - 1).view(np.float64)
+    qualified = _quartic(c1, c2, c3, c4, tau_end) >= tp
+    prev_ok = _quartic(c1, c2, c3, c4, below) >= tp
     # walk up to the first qualifying double, the row end at the latest ...
-    walk = np.nonzero(_quartic(c1, c2, c3, c4, tau_end) < tp)[0]
-    qualified = np.ones(n, dtype=bool)
-    qualified[walk] = False
+    walk = np.flatnonzero(~qualified)
     for _ in range(_FINISH_STEPS):
         if walk.size == 0:
             break
@@ -584,9 +641,10 @@ def _newton_quartic(c1, c2, c3, c4, width, tp):
                     & (_quartic(c1[walk], c2[walk], c3[walk], c4[walk], up) < tp[walk])]
     tau_end[walk] = width[walk]
     # ... and, from a qualifying start, down while the previous double
-    # still qualifies
-    walk = np.nonzero(qualified)[0]
-    for _ in range(_FINISH_STEPS):
+    # still qualifies: the first step is the one evaluated above
+    walk = np.flatnonzero(qualified & prev_ok)
+    tau_end[walk] = below[walk]
+    for _ in range(_FINISH_STEPS - 1):
         if walk.size == 0:
             break
         down = np.nextafter(tau_end[walk], -math.inf)
@@ -672,11 +730,14 @@ class IntensityCdf(MixedCdf):
         for p in range(1, 5):
             deg[row_R[:, p] != 0.0] = p
         self._row_deg = deg
+        self._row_cls = np.clip(deg - 1, 0, 2)  # _solve_rows' degree class
         self._full_loc = full_loc
         self._total_lam = cur
         self._atom_locs = np.asarray(a_locs)
         self._atom_deltas = np.asarray(a_deltas)
         self._atom_lam_before = np.asarray(a_lam_before)
+        if full_loc is not None or n_rows > 1:  # else ppf needs no row search
+            self._guide_row, self._guide_lo, self._guide_hi = self._guide()
 
         s_before = np.exp(-self._atom_lam_before)
         with np.errstate(invalid="ignore"):
@@ -763,18 +824,26 @@ class IntensityCdf(MixedCdf):
         A ``u`` outside [0, 1), NaN included, raises ``ValueError``.
 
         With ``T = -log1p(-u)``, capped at the total hazard, the row whose
-        cumulative-hazard range holds ``T`` is found by search.  Some draws
+        cumulative-hazard range holds ``T`` is found by a guide table
+        (``_search``): ``u``'s bucket among ``_GUIDE_BUCKETS``
+        equal-probability buckets names a row, two comparisons confirm it,
+        and only the draws they reject go to a binary search.  Some draws
         are placed: one above the total mass of an improper F gets ``+inf``
         (no ``x`` reaches it, even where ``T`` rounds down into the last
         row's range), one past the last row gets the full atom's location,
         and one in an atom's jump gets the atom's location, so atoms receive
         exactly their mass.  Every other draw is solved for ``tau`` on
-        whole arrays, and ``x`` is the row start plus ``tau``.  Linear and
-        quadratic increments are solved in closed form; on a row of higher
-        degree ``tau`` is the smallest double whose increment (by Horner)
-        reaches ``T`` minus the row's starting hazard.  A draw equal to the
-        total mass gets a finite ``x``, even where ``T`` rounds above the
-        total hazard: the cap keeps it in the last row.
+        whole arrays, split by masks only where a chunk mixes rows of
+        degree <= 1, 2 and higher, and ``x`` is the row start plus ``tau``.
+        Linear and quadratic increments are solved in closed form.  On a row
+        of higher degree, safeguarded Newton runs in reused buffers, and a
+        one-pass finish evaluates the increment (by Horner) at Newton's end
+        point and at the double before it for the whole chunk: ``tau`` is a
+        double whose increment reaches ``T`` minus the row's starting hazard
+        where the double before it does not, and only the draws those two
+        values do not settle walk by ulps (``_newton_quartic``).  A draw
+        equal to the total mass gets a finite ``x``, even where ``T`` rounds
+        above the total hazard: the cap keeps it in the last row.
 
         A final guard steps ``x`` up until ``F(x) >= u`` holds exactly.  For
         a solved draw it evaluates ``F(x)`` on the row just solved, with
@@ -815,7 +884,7 @@ class IntensityCdf(MixedCdf):
             # give every draw row 0: its scalars serve all of them
             idx = 0
         else:
-            idx = np.searchsorted(self._row_lam_hi, T, side="left")
+            idx = self._search(u, T)
             beyond |= idx >= self._row_lo.size  # past the last row
         if not beyond.any():
             lam_lo = self._row_lam_lo[idx]
@@ -836,6 +905,34 @@ class IntensityCdf(MixedCdf):
         F = np.ones_like(x)  # a solved draw has been stepped up already
         F[~solve] = self.cdf(x[~solve])
         return self._step_up(x, u, F)
+
+    def _guide(self):
+        """Guide table of the row search (Chen & Asau 1974; Devroye 1986,
+        III.2.4): per bucket ``[k, k + 1) / _GUIDE_BUCKETS`` of ``u``, the row
+        that ``ppf``'s search gives the bucket's lowest ``u``, the first row a
+        draw in the bucket can land in, and the hazard range ``(lo, hi]``
+        that confirms it (``-inf`` and ``inf`` beyond the table)."""
+        u0 = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+        T0 = np.minimum(-np.log1p(-u0), self._total_lam)
+        rows = np.searchsorted(self._row_lam_hi, T0, side="left")
+        edges = np.concatenate(([-math.inf], self._row_lam_hi, [math.inf]))
+        return rows, edges[rows], edges[rows + 1]
+
+    def _search(self, u, T):
+        """``np.searchsorted(self._row_lam_hi, T, side="left")`` for draws
+        ``u`` in [0, 1) with hazards ``T``, by guide table.
+
+        A draw keeps its bucket's row ``g`` where ``lam_hi[g - 1] < T <=
+        lam_hi[g]``; since ``lam_hi`` is nondecreasing, that is the left
+        search's answer.  Only a draw past its bucket's first row, in a
+        bucket that spans a row end, is searched.
+        """
+        k = (u * _GUIDE_BUCKETS).astype(np.intp)  # exact: a power-of-two scale
+        idx = self._guide_row[k]
+        miss = np.flatnonzero((self._guide_lo[k] >= T) | (T > self._guide_hi[k]))
+        if miss.size:
+            idx[miss] = np.searchsorted(self._row_lam_hi, T[miss], side="left")
+        return idx
 
     def _step_up(self, x, u, F):
         """Enforce ``F(x) >= u`` exactly (a guard against terminal rounding).
@@ -876,45 +973,48 @@ class IntensityCdf(MixedCdf):
         Every ``tprime`` is positive, so no row has zero hazard: its
         cumulative hazard would end where it starts.  ``rows`` may be one row
         for every draw: a row of degree <= 1 is then solved with its scalar
-        coefficient, with no per-draw gather or degree mask.
+        coefficient, with no per-draw gather.  Rows fall in three classes by
+        degree (<= 1, 2, higher); a chunk whose rows share one class is
+        solved on whole arrays, and only a mixed chunk is split by masks.
         """
         if np.ndim(rows) == 0:
             if self._row_deg[rows] <= 1:
                 return tprime / self._row_R[rows, 1]
             rows = np.full(tprime.shape, rows)
-
+        cls = self._row_cls[rows]
+        first = cls[0]
+        if not np.any(cls != first):
+            return self._solve_class(first, rows, tprime)
         out = np.empty_like(tprime)
-        deg = self._row_deg[rows]
-
-        lin = deg <= 1
-        if np.any(lin):
-            out[lin] = tprime[lin] / self._row_R[rows[lin], 1]
-
-        quad = deg == 2
-        if np.any(quad):
-            c1 = self._row_R[rows[quad], 1]
-            c2 = self._row_R[rows[quad], 2]
-            tp = tprime[quad]
-            disc = np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * tp, 0.0))
-            out[quad] = 2.0 * tp / (c1 + disc)
-
-        gen = deg > 2
-        if np.any(gen):
-            ridx = rows[gen]
-            tp = tprime[gen]
-            c1, c2, c3, c4 = (self._row_RT[k][ridx] for k in (1, 2, 3, 4))
-            hi = self._row_width[ridx]
-            unb = ~np.isfinite(hi)
-            if np.any(unb):
-                guess = np.maximum(1.0, tp[unb])
-                for _ in range(200):
-                    need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
-                    if not np.any(need):
-                        break
-                    guess = np.where(need, guess * 2.0, guess)
-                hi[unb] = guess
-            out[gen] = _newton_quartic(c1, c2, c3, c4, hi, tp)
+        for c in range(3):
+            m = cls == c
+            if np.any(m):
+                out[m] = self._solve_class(c, rows[m], tprime[m])
         return out
+
+    def _solve_class(self, cls, rows, tp):
+        """``_solve_rows`` on rows of one degree class: ``tp / c1`` for degree
+        <= 1, the stable quadratic formula for degree 2, and safeguarded
+        Newton (``_newton_quartic``) above."""
+        c1 = self._row_RT[1][rows]
+        if cls == 0:
+            return tp / c1
+        c2 = self._row_RT[2][rows]
+        if cls == 1:
+            disc = np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * tp, 0.0))
+            return 2.0 * tp / (c1 + disc)
+        c3, c4 = self._row_RT[3][rows], self._row_RT[4][rows]
+        hi = self._row_width[rows]
+        unb = ~np.isfinite(hi)
+        if np.any(unb):
+            guess = np.maximum(1.0, tp[unb])
+            for _ in range(200):
+                need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
+                if not np.any(need):
+                    break
+                guess = np.where(need, guess * 2.0, guess)
+            hi[unb] = guess
+        return _newton_quartic(c1, c2, c3, c4, hi, tp)
 
 
 class CallableCdf(MixedCdf):

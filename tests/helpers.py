@@ -13,7 +13,9 @@ through the roots of its derivative by ``np.roots``, and
 the level-batched compile must reproduce bit for bit; ``ppf_by_masks`` is
 the inversion that compresses every draw through the ``beyond``, ``inside``,
 ``at_atom`` and ``solve`` masks and gathers each draw's row coefficients,
-which ``IntensityCdf.ppf`` must reproduce bit for bit.
+which ``IntensityCdf.ppf`` must reproduce bit for bit, and
+``newton_quartic_by_masks`` is its quartic solver, which
+``hazard._newton_quartic`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from renewal_bounds import CallableCdf, IntensityCdf, convolve
 from renewal_bounds.errors import DivergentMomentError
 from renewal_bounds import hazard
-from renewal_bounds.hazard import _newton_quartic, _poly_exp_int, _quartic
+from renewal_bounds.hazard import _poly_exp_int, _quartic
 from renewal_bounds.poly import pderiv, pinteg, prows, pvalue
 
 
@@ -395,5 +397,73 @@ def _solve_rows_by_masks(F, rows, tprime):
                     break
                 guess = np.where(need, guess * 2.0, guess)
             hi[unb] = guess
-        out[gen] = _newton_quartic(c1, c2, c3, c4, hi, tp)
+        out[gen] = newton_quartic_by_masks(c1, c2, c3, c4, hi, tp)
     return out
+
+
+def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
+    """The safeguarded Newton solve of a quartic row with a ulp-walk finish,
+    written with masks: ``np.where`` for the bracket, the divide and the
+    midpoint in every step, a fresh array per operation, and gathers for
+    every ulp of the walk, up while ``R < tp`` and then down while the
+    previous double still qualifies.  ``hazard._newton_quartic`` must
+    reproduce it bit for bit.
+    """
+    n = tp.size
+    tau_end = np.empty(n)
+    ids = np.arange(n)
+    k1, k2, k3, k4, t = c1, c2, c3, c4, tp  # the unconverged draws' rows
+    lo = np.zeros(n)
+    hi = width.copy()
+    # chord through the origin: exact on a linear row, left of the root on
+    # a convex one
+    tau = hi * (tp / np.maximum(_quartic(c1, c2, c3, c4, hi), tp))
+    for _ in range(hazard._NEWTON_ITERS):
+        # R and R' by one Horner pass
+        p = k4 * tau + k3
+        dp = k4 * tau + p
+        p = p * tau + k2
+        dp = dp * tau + p
+        p = p * tau + k1
+        f = p * tau - t
+        df = dp * tau + p
+        ge = f >= 0.0
+        hi = np.where(ge, tau, hi)
+        lo = np.where(ge, lo, tau)
+        pos = df > 0.0
+        new = tau - f / np.where(pos, df, 1.0)
+        new = np.where(pos & (new > lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = (np.abs(new - tau) <= hazard._ULP * new) | (hi - lo <= hazard._ULP * hi)
+        tau = new
+        if np.all(done):
+            break
+        if np.any(done):
+            tau_end[ids[done]] = tau[done]
+            keep = ~done
+            ids, tau, lo, hi, t = ids[keep], tau[keep], lo[keep], hi[keep], t[keep]
+            k1, k2, k3, k4 = k1[keep], k2[keep], k3[keep], k4[keep]
+    tau_end[ids] = tau
+
+    # walk up to the first qualifying double, the row end at the latest ...
+    walk = np.nonzero(_quartic(c1, c2, c3, c4, tau_end) < tp)[0]
+    qualified = np.ones(n, dtype=bool)
+    qualified[walk] = False
+    for _ in range(hazard._FINISH_STEPS):
+        if walk.size == 0:
+            break
+        up = np.minimum(np.nextafter(tau_end[walk], math.inf), width[walk])
+        tau_end[walk] = up
+        walk = walk[(up < width[walk])
+                    & (_quartic(c1[walk], c2[walk], c3[walk], c4[walk], up) < tp[walk])]
+    tau_end[walk] = width[walk]
+    # ... and, from a qualifying start, down while the previous double
+    # still qualifies
+    walk = np.nonzero(qualified)[0]
+    for _ in range(hazard._FINISH_STEPS):
+        if walk.size == 0:
+            break
+        down = np.nextafter(tau_end[walk], -math.inf)
+        ok = _quartic(c1[walk], c2[walk], c3[walk], c4[walk], down) >= tp[walk]
+        walk = walk[ok]
+        tau_end[walk] = down[ok]
+    return tau_end

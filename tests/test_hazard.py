@@ -21,6 +21,7 @@ from helpers import (
     gl_recursive,
     ks_distance,
     moment_by_recursion,
+    newton_quartic_by_masks,
     ppf_by_masks,
     uniform_cdf,
     weibull_cdf,
@@ -117,6 +118,23 @@ def test_compile_rejects_a_non_finite_cumulative_hazard(make, monkeypatch):
     # every panel would fail its fit and halve, down to the last level
     monkeypatch.setattr(hazard, "_FIT_MAX_DEPTH", 4)
     with pytest.raises(DistributionError, match="not finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rb.from_cumulative_hazard(lambda x: np.where(np.asarray(x) > 5, np.nan, x)),
+        lambda: rb.intensity_from_cdf(rb.CallableCdf(
+            lambda x: -np.expm1(-np.asarray(x)),
+            sf=lambda x: np.where(np.asarray(x) > 5, np.nan, np.exp(-np.asarray(x))))),
+    ],
+    ids=["cumhaz", "sf"],
+)
+def test_compile_rejects_a_survival_that_turns_nan_in_the_tail(make):
+    # the fit nodes below x = 5 are finite; the tail search must not read
+    # the NaN beyond as a survival below 1e-12 and close the law at 5
+    with pytest.raises(DistributionError, match="NaN at x = 8"):
         make()
 
 
@@ -747,7 +765,7 @@ def _row_increment(F, rows, tau):
     ],
     ids=["uniform", "weibull1.5", "cumhaz"],
 )
-def test_quartic_rows_give_the_smallest_qualifying_double(phi):
+def test_quartic_rows_give_a_double_whose_predecessor_fails(phi):
     F = rb.cdf_from_intensity(phi)
     quartic = np.nonzero((F._row_deg > 2) & np.isfinite(F._row_width))[0]
     assert quartic.size > 0
@@ -769,6 +787,58 @@ def test_quartic_rows_give_the_smallest_qualifying_double(phi):
     assert np.all(_row_increment(F, rows, out) >= tp)
     below = np.nextafter(out, -math.inf)
     assert np.all(_row_increment(F, rows, below) < tp)
+
+
+_KERNEL_LAWS = {
+    "uniform": rb.uniform(0.0, 1.0),
+    "uniform2-5": rb.uniform(2.0, 5.0),
+    "weibull1.5": rb.weibull(1.5),
+    "weibull2.5x3": rb.weibull(2.5, 3.0),
+    "weibull3.5x2": rb.weibull(3.5, 2.0),
+    "cumhaz": rb.from_cumulative_hazard(lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
+}
+
+
+@pytest.mark.parametrize("phi", list(_KERNEL_LAWS.values()), ids=list(_KERNEL_LAWS))
+def test_quartic_kernel_is_bit_equal_to_the_masked_kernel(phi):
+    F = rb.cdf_from_intensity(phi)
+    rng = np.random.default_rng(23)
+    ends = -np.expm1(-F._row_lam_hi[np.isfinite(F._row_lam_hi)])
+    u = np.concatenate([rng.random(10**6), 1e-9 * rng.random(10**4),
+                        1.0 - 1e-9 * rng.random(10**4),
+                        ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    u = u[u < 1.0]
+    T = -np.log1p(-u)
+    rows = np.searchsorted(F._row_lam_hi, T, side="left")
+    keep = (F._row_deg[rows] > 2) & (T > F._row_lam_lo[rows])
+    rows, tp = rows[keep], (T - F._row_lam_lo[rows])[keep]
+    quartic = np.flatnonzero(F._row_deg > 2)
+    assert quartic.size > 10 and np.array_equal(np.unique(rows), quartic)
+    assert np.all(np.isfinite(F._row_width[quartic]))
+    differ = 0
+    for s in range(0, tp.size, 1 << 16):  # elementwise: slices bound the memory
+        r = rows[s : s + (1 << 16)]
+        args = [F._row_RT[k][r] for k in (1, 2, 3, 4)] + [F._row_width[r], tp[s : s + (1 << 16)]]
+        got, want = hazard._newton_quartic(*args), newton_quartic_by_masks(*args)
+        differ += np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert differ == 0, f"{differ} of {tp.size} solves differ"
+
+
+def test_quartic_kernel_result_is_not_the_smallest_qualifying_double():
+    # the Horner increment is not monotone at the ulp scale: here the result
+    # qualifies and its predecessor does not, but the double two ulps lower
+    # qualifies again; the walk from Newton's end point stops at the first
+    F = rb.cdf_from_intensity(rb.weibull(1.5))
+    row = np.array([84])
+    tp = np.array([2.92119253236924])
+    tau = hazard._newton_quartic(*(F._row_RT[k][row] for k in (1, 2, 3, 4)),
+                                 F._row_width[row], tp)
+    assert tau[0] == 0.724984149771789
+    one_down = np.nextafter(tau, 0.0)
+    two_down = np.nextafter(one_down, 0.0)
+    assert _row_increment(F, row, tau)[0] - tp[0] == 8.881784197001252e-16
+    assert _row_increment(F, row, one_down)[0] - tp[0] == -4.440892098500626e-16
+    assert _row_increment(F, row, two_down)[0] - tp[0] == 0.0
 
 
 _cubic = st.tuples(
@@ -845,6 +915,38 @@ def test_ppf_reaches_u_at_every_row_end(phi):
     total = F.total_mass()
     assert np.all(np.isfinite(x[u <= total])) and np.all(np.isinf(x[u > total]))
     assert np.all(F.cdf(x[u <= total]) >= u[u <= total])
+
+
+_SEARCH_LAWS = {
+    **_GUARD_LAWS,  # uniform's 170 rows; Weibull(1.5): 16 rows end in bucket 0
+    "deterministic2": rb.deterministic(2.0),
+    "deterministic0": rb.deterministic(0.0),  # a full atom and no row
+    "exp+atom1.5": rb.from_segments([(0.0, [1.0])], atoms=[(1.5, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("phi", list(_SEARCH_LAWS.values()), ids=list(_SEARCH_LAWS))
+def test_guide_search_equals_searchsorted(phi):
+    F = rb.cdf_from_intensity(phi)
+    lam_hi = F._row_lam_hi
+    # T at every row end and its ulp neighbours, 0 and the total hazard,
+    # each with its own u (T capped as ppf caps it)
+    T = np.concatenate([lam_hi, np.nextafter(lam_hi, -math.inf),
+                        np.nextafter(lam_hi, math.inf), [0.0, F._total_lam]])
+    T = np.minimum(np.maximum(T, 0.0), F._total_lam)
+    u_of_T = np.minimum(-np.expm1(-T), np.nextafter(1.0, 0.0))
+    # u at every bucket edge and its ulp neighbours, random u in the first
+    # bucket and over [0, 1), each with the T ppf gives it
+    edges = np.arange(hazard._GUIDE_BUCKETS + 1) / hazard._GUIDE_BUCKETS
+    rng = np.random.default_rng(29)
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                        rng.random(10**4) / hazard._GUIDE_BUCKETS, rng.random(10**5)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    u_all = np.concatenate([u_of_T, u])
+    T_all = np.concatenate([T, np.minimum(-np.log1p(-u), F._total_lam)])
+    got = F._search(u_all, T_all)
+    want = np.searchsorted(lam_hi, T_all, side="left")
+    assert np.array_equal(got, want)
 
 
 def test_ppf_is_chunk_invariant(monkeypatch):
