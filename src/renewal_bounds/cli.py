@@ -406,14 +406,11 @@ class ReportBundle:
         return path
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # one %-template per row: the text of f"{float(v):.17g}" for every value
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(template % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

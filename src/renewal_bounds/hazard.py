@@ -848,8 +848,9 @@ class IntensityCdf(MixedCdf):
         A final guard steps ``x`` up until ``F(x) >= u`` holds exactly.  For
         a solved draw it evaluates ``F(x)`` on the row just solved, with
         ``cdf``'s formula and so ``cdf``'s bits (``_cdf_on_rows``), without
-        a second search; a placed draw, a solved ``x`` that reached the next
-        row's start and each ulp re-check go through ``cdf``.  A chunk with
+        a second search, and so does each ulp re-check of a solved draw; a
+        placed draw, its re-checks and a solved ``x`` that reached the next
+        row's start go through ``cdf``.  A chunk with
         every draw above the total mass (a zero intensity's draws, but for
         ``u = 0``) is ``+inf`` at once.  A law of one row and no full atom
         skips the search, since every ``T`` lies in that row, and uses the
@@ -891,7 +892,7 @@ class IntensityCdf(MixedCdf):
             if not np.any(T <= lam_lo):
                 # no draw beyond F or in an atom's jump: solve all in place
                 x = self._row_lo[idx] + self._solve_rows(idx, T - lam_lo)
-                return self._step_up(x, u, self._cdf_on_rows(x, idx))
+                return self._step_up(x, u, self._cdf_on_rows(x, idx), idx)
 
         # place a draw beyond F at the full atom (improper: at +inf) and one
         # in an atom's jump at its row start; solve the others as above
@@ -934,13 +935,14 @@ class IntensityCdf(MixedCdf):
             idx[miss] = np.searchsorted(self._row_lam_hi, T[miss], side="left")
         return idx
 
-    def _step_up(self, x, u, F):
+    def _step_up(self, x, u, F, rows=None):
         """Enforce ``F(x) >= u`` exactly (a guard against terminal rounding).
 
         ``F`` is the first pass, evaluated on the rows just solved or, for
         a placed draw, by ``cdf``; only the finite offending entries move
-        up, re-checked through ``cdf``: one ulp at a time for four steps,
-        then by steps that double.  Where
+        up, re-checked on ``rows`` (one per draw, or one for all) where
+        those are given, by ``_cdf_on_rows``, and through ``cdf`` otherwise:
+        one ulp at a time for four steps, then by steps that double.  Where
         ``f(x) ulp(x)`` is far below ``ulp(F)``, F is flat over many ulps of
         ``x``: just after an atom at the origin, up to thousands.  A draw
         that passes after a step of ``w > 1`` ulps is bisected back over
@@ -950,6 +952,13 @@ class IntensityCdf(MixedCdf):
         """
         sub = np.flatnonzero(F < u)
         sub = sub[np.isfinite(x[sub])]
+
+        def F_at(i):
+            if rows is None:
+                return np.asarray(self.cdf(x[i]), dtype=float)
+            # x only moves up, so it stays at or after its row's start
+            return self._cdf_on_rows(x[i], rows if np.ndim(rows) == 0 else rows[i])
+
         # x >= 0, so its bits order as its values and bits + k is k ulps up
         bits = x.view(np.int64)
         steps = 0
@@ -957,12 +966,12 @@ class IntensityCdf(MixedCdf):
             w = 1 if steps < 4 else 2 ** (steps - 4)
             steps += 1
             bits[sub] += w
-            ok = np.asarray(self.cdf(x[sub]), dtype=float) >= u[sub]
+            ok = F_at(sub) >= u[sub]
             done = sub[ok]
             while w > 1:  # x[done] passes and x[done] - w ulps fails
                 w //= 2
                 bits[done] -= w
-                back = np.asarray(self.cdf(x[done]), dtype=float) < u[done]
+                back = F_at(done) < u[done]
                 bits[done[back]] += w
             sub = sub[~ok]
         return x

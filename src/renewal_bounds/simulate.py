@@ -56,16 +56,26 @@ streams in waves: each still-active stream draws ``2 * block`` uniforms
 beyond the largest query time.  The schedule is fixed: ``block`` starts at
 ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one wave draws at
 most ``_WAVE_INTERVALS`` intervals over all its rows, so wave memory does not
-grow with the horizon.  A wave's uniforms come from one call to the slab's
-streams: limbs while the wave ends at or below ``_LIMB_DRAWS`` stream
-positions, per-row ``Generator``s from the first wave that would pass it.
-A wave adds the previous wave's last
-jump to its first interval and then takes the cumulative sum along the row,
-which is sequential, so every jump time equals the running sum of the whole
-path whatever the wave sizes.  Once per wave it yields the rows that were
-active and their jump times.  ``estimate`` reduces a slab of replications
-to backward/forward times as the waves pass; ``simulate_path`` is the
-one-stream case, which keeps the jumps.
+grow with the horizon.
+
+A wave lives in one float64 buffer of shape ``(2, block, rows)``, filled by
+one call to the slab's streams (limbs while the wave ends at or below
+``_LIMB_DRAWS`` stream positions, per-row ``Generator``s from the first wave
+that would pass it).  Half 0 holds the zeta uniforms (stream positions
+``2(j-1)``) and half 1 the theta uniforms (``2(j-1)+1``), each
+interval-major: one contiguous row per interval, one column per path.
+Everything after the draw happens in that buffer.  ``ppf`` is elementwise,
+so each half is overwritten with its inverse-CDF values chunk by chunk;
+theta maps all its rows with one law when the block's intervals share one
+mu index, else each index maps its own rows.  The interval minimum is
+written over half 0, the previous wave's last jump is added to its first
+row, and ``cumsum`` runs down the rows in place.  That sum is sequential per
+path, so every jump time equals the running sum of the whole path whatever
+the wave sizes.  Once per wave the loop yields the rows that were active
+and their jump times (half 0, a view of the buffer), and it frees the
+buffer before it draws the next wave.  ``estimate`` reduces a slab of
+replications to backward/forward times as the waves pass; ``simulate_path``
+is the one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -83,7 +93,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
 from .gridcalc import BoundReport, DominanceVerdict, generalized_bound, lorden_classical_bound
-from .hazard import moment
+from .hazard import _PPF_CHUNK, moment
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -207,15 +217,20 @@ class _SlabStreams:
 
     Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))``, which is
     ``path_stream`` of its replication.  ``random`` draws the next doubles of
-    a set of rows; all of them stand at the same stream position.
+    a set of rows, all of them at the same stream position, into one wave
+    buffer ``(2, count // 2, rows)``: position ``k`` of the call goes to
+    ``buf[k % 2, k // 2]``, so half 0 holds a wave's zeta uniforms and half 1
+    its theta uniforms, one contiguous row per interval.
 
     * While a call ends at or below stream position ``_LIMB_DRAWS``, every
       row's 128-bit state and increment are ``uint64`` limbs, and a call steps
-      all its rows at once, one stream position at a time.
+      all its rows at once, one stream position at a time, each position
+      writing its doubles straight into its buffer row.
     * The first call that would pass that position builds a ``Generator`` for
       each of its rows only, seeded from the row's words and moved to the
       position with ``bit_generator.advance``.  That call and every later one
-      fill each row from its ``Generator``.
+      fill each row's ``count`` doubles from its ``Generator`` and split them
+      between the two halves.
 
     A call is either all limbs or all ``Generator``s, and both give the bits
     of ``Generator.random``.  A row left out of a call never draws again.
@@ -242,29 +257,37 @@ class _SlabStreams:
         return self.words.shape[0]
 
     def random(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` doubles of each stream in ``rows``, one row each."""
+        """The next ``count`` doubles (an even count) of each stream in ``rows``,
+        as one wave buffer ``buf`` of shape ``(2, count // 2, rows.size)``.
+
+        The call's ``k``-th double of row ``i`` is ``buf[k % 2, k // 2, i]``:
+        half 0 holds the even positions (the zeta uniforms) and half 1 the odd
+        ones (theta), and each half is interval-major, one contiguous row per
+        pair of positions.
+        """
+        block = count // 2
+        buf = np.empty((2, block, rows.size))
         if self._gens is None and self.position + count <= _LIMB_DRAWS:
-            u = self._limb_doubles(rows, count)
+            self._limb_doubles(rows, buf)
         else:
             if self._gens is None:
                 self._hand_over(rows)
-            u = np.empty((rows.size, count))
+            draws = np.empty(count)
             for i, row in enumerate(rows.tolist()):
-                self._gens[row].random(out=u[i])
+                self._gens[row].random(out=draws)
+                buf[:, :, i] = draws.reshape(block, 2).T
         self.position += count
-        return u
+        return buf
 
-    def _limb_doubles(self, rows: np.ndarray, count: int) -> np.ndarray:
+    def _limb_doubles(self, rows: np.ndarray, buf: np.ndarray) -> None:
         hi, lo = self._hi[rows], self._lo[rows]
         inc_hi, inc_lo = self._inc_hi[rows], self._inc_lo[rows]
         tmp = np.empty((4, rows.size), dtype=np.uint64)
         carry = np.empty(rows.size, dtype=bool)
-        cols = np.empty((count, rows.size))  # contiguous columns, transposed once
-        for col in cols:
+        for k in range(2 * buf.shape[1]):  # one contiguous buffer row per stream position
             _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry)
-            _xsl_rr_doubles(hi, lo, tmp, col)
+            _xsl_rr_doubles(hi, lo, tmp, buf[k % 2, k // 2])
         self._hi[rows], self._lo[rows] = hi, lo
-        return cols.T
 
     def _hand_over(self, rows: np.ndarray) -> None:
         self._gens = [None] * len(self)
@@ -368,35 +391,56 @@ class RenewalPath:
         return int(self.jump_times.size)
 
 
-def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
-    """Map theta uniforms (waves x block) through the per-index mu inverses.
+def _ppf_in_place(cdf, half: np.ndarray, rows=None) -> None:
+    """Overwrite interval rows of a wave half (all of them, or the listed
+    ``rows``) with their ``cdf.ppf`` values, about ``_PPF_CHUNK`` draws per call.
 
-    Each distinct mu index in the block maps its columns with one ``ppf``
-    call, which itself gives ``+inf`` above that mu's total mass.
+    ``ppf`` is elementwise, so a value does not depend on the draws it is
+    called with, and each chunk is written back over its own uniforms.
     """
-    block = u.shape[1]
-    out = np.empty_like(u)
-    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(block)))
-    for d in np.flatnonzero(np.bincount(midx)):  # np.unique, without numpy.ma
-        cols = midx == d
-        # compress is C-ordered, so ppf ravels it without a copy
-        out[:, cols] = scenario.mu_cdfs[d].ppf(u.compress(cols, axis=1))
-    return out
+    step = max(1, _PPF_CHUNK // half.shape[1])
+    for s in range(0, half.shape[0] if rows is None else rows.size, step):
+        chunk = slice(s, s + step) if rows is None else rows[s : s + step]
+        half[chunk] = cdf.ppf(half[chunk])  # a slice is read in place, listed rows are copied
+
+
+def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
+    """Map the theta uniforms of intervals ``j0, j0 + 1, ...`` (one row each,
+    interval-major) in place through the per-index mu inverses, and return them.
+
+    A block whose intervals share one mu index maps all its rows at once;
+    otherwise each index maps its own rows.  ``ppf`` itself gives ``+inf``
+    above that mu's total mass.
+    """
+    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(u.shape[0])))
+    members = np.flatnonzero(np.bincount(midx))  # np.unique, without numpy.ma
+    if members.size == 1:
+        _ppf_in_place(scenario.mu_cdfs[members[0]], u)
+    else:
+        for d in members:
+            _ppf_in_place(scenario.mu_cdfs[d], u, np.flatnonzero(midx == d))
+    return u
 
 
 def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
     """Draw intervals from a slab's ``streams`` in waves until every path passes ``t_max``.
 
     Yields ``(active, times)`` once per wave: the rows of ``streams`` still
-    short of ``t_max``, and their jump times in this wave
-    (``active.size x block``).  Rows whose last jump lies beyond ``t_max``
-    leave before the next wave and never draw again.  The block starts at
-    ``_FIRST_BLOCK``, doubles from wave to wave, and is cut so that one wave
-    draws at most ``_WAVE_INTERVALS`` intervals (one per row at least).  A
-    wave's ``2 * block`` uniforms per row are one ``streams.random`` call,
-    in limbs or from per-row ``Generator``s (see ``_SlabStreams``).  Jump
-    times are one running sum per row, carried from wave to wave, so they do
-    not depend on the block sizes.
+    short of ``t_max``, and their jump times in this wave, interval-major
+    (``block x active.size``: column ``i`` is row ``active[i]``'s path).
+    Rows whose last jump lies beyond ``t_max`` leave before the next wave
+    and never draw again.  The block starts at ``_FIRST_BLOCK``, doubles from
+    wave to wave, and is cut so that one wave draws at most
+    ``_WAVE_INTERVALS`` intervals (one per row at least).
+
+    A wave lives in one buffer, ``streams.random(active, 2 * block)``: half 0
+    holds the zeta uniforms and half 1 the theta uniforms (see
+    ``_SlabStreams``).  Both halves are mapped through their inverses in
+    place, the interval minimum overwrites half 0, and so does the running
+    sum: the previous wave's last jump is added to the first interval row
+    and ``cumsum`` runs down the intervals, sequentially per path, so jump
+    times do not depend on the block sizes.  ``times`` is that half, a view
+    of the wave's buffer.
     """
     active = np.arange(len(streams))
     base = np.zeros(len(streams))
@@ -407,16 +451,17 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
             raise EventCapExceeded(
                 f"some path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
             )
-        n_act = active.size
-        block = max(1, min(block, _WAVE_INTERVALS // n_act))
-        u = streams.random(active, 2 * block)
-        zeta = np.asarray(scenario.eta_cdf.ppf(u[:, 0::2].ravel())).reshape(n_act, block)
-        xi = np.minimum(zeta, _theta_from_uniforms(scenario, u[:, 1::2], j0))
-        xi[:, 0] += base[active]
-        times = np.cumsum(xi, axis=1)  # sequential: the running sum of the whole path
+        block = max(1, min(block, _WAVE_INTERVALS // active.size))
+        buf = streams.random(active, 2 * block)
+        _ppf_in_place(scenario.eta_cdf, buf[0])
+        _theta_from_uniforms(scenario, buf[1], j0)
+        times = np.minimum(buf[0], buf[1], out=buf[0])  # the intervals xi
+        times[0] += base[active]
+        np.cumsum(times, axis=0, out=times)  # sequential: the running sum of the whole path
         yield active, times
-        base[active] = times[:, -1]
-        active = active[~(times[:, -1] > t_max)]
+        base[active] = times[-1]
+        active = active[~(times[-1] > t_max)]
+        del buf, times  # free this wave's buffer before the next one is drawn
         j0 += block
         block *= 2
 
@@ -426,7 +471,7 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
     queries = np.asarray(scenario.t_queries)
     t_max = float(queries[-1])
     streams = _slab_streams(scenario.seed, replication, replication + 1)
-    jumps = np.concatenate([times[0] for _, times in _waves(scenario, streams, t_max)])
+    jumps = np.concatenate([times[:, 0] for _, times in _waves(scenario, streams, t_max)])
     jumps = jumps[: int(np.argmax(jumps > t_max)) + 1]
 
     n_t = np.searchsorted(jumps, queries, side="right")
@@ -445,17 +490,18 @@ def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray,
 
     streams = _slab_streams(scenario.seed, r0, r1)
     for active, times in _waves(scenario, streams, float(queries[-1])):
-        block = times.shape[1]
+        block = times.shape[0]
         for qi, t in enumerate(queries):
-            cnt = np.sum(times <= t, axis=1)
+            cnt = np.sum(times <= t, axis=0)
             has = cnt > 0
             if np.any(has):
-                rows = np.nonzero(has)[0]
-                last_le[active[rows], qi] = times[rows, cnt[rows] - 1]
+                cols = np.nonzero(has)[0]
+                last_le[active[cols], qi] = times[cnt[cols] - 1, cols]
             open_q = np.isnan(next_gt[active, qi]) & (cnt < block)
             if np.any(open_q):
-                rows = np.nonzero(open_q)[0]
-                next_gt[active[rows], qi] = times[rows, cnt[rows]]
+                cols = np.nonzero(open_q)[0]
+                next_gt[active[cols], qi] = times[cnt[cols], cols]
+        del times  # let the wave's buffer go before the next wave is drawn
     return queries - last_le, next_gt - queries
 
 

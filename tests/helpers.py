@@ -15,7 +15,8 @@ the inversion that compresses every draw through the ``beyond``, ``inside``,
 ``at_atom`` and ``solve`` masks and gathers each draw's row coefficients,
 which ``IntensityCdf.ppf`` must reproduce bit for bit, and
 ``newton_quartic_by_masks`` is its quartic solver, which
-``hazard._newton_quartic`` must reproduce bit for bit.
+``hazard._newton_quartic`` must reproduce bit for bit.  ``KERNEL_LAWS``
+are the laws whose rows take that solver.
 """
 
 from __future__ import annotations
@@ -24,11 +25,28 @@ import math
 
 import numpy as np
 
-from renewal_bounds import CallableCdf, IntensityCdf, convolve
+from renewal_bounds import (
+    CallableCdf,
+    IntensityCdf,
+    convolve,
+    from_cumulative_hazard,
+    uniform,
+    weibull,
+)
 from renewal_bounds.errors import DivergentMomentError
 from renewal_bounds import hazard
 from renewal_bounds.hazard import _poly_exp_int, _quartic
 from renewal_bounds.poly import pderiv, pinteg, prows, pvalue
+
+# laws with quartic rows, which the quartic ppf solver inverts
+KERNEL_LAWS = {
+    "uniform": uniform(0.0, 1.0),
+    "uniform2-5": uniform(2.0, 5.0),
+    "weibull1.5": weibull(1.5),
+    "weibull2.5x3": weibull(2.5, 3.0),
+    "weibull3.5x2": weibull(3.5, 2.0),
+    "cumhaz": from_cumulative_hazard(lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
+}
 
 
 def exp_cdf(rate: float = 1.0) -> CallableCdf:

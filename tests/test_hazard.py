@@ -12,6 +12,7 @@ from renewal_bounds import IntensityError, DistributionError, DivergentMomentErr
 from renewal_bounds import hazard
 
 from helpers import (
+    KERNEL_LAWS,
     brute_ppf,
     deterministic_cdf,
     erlang_cdf,
@@ -789,17 +790,7 @@ def test_quartic_rows_give_a_double_whose_predecessor_fails(phi):
     assert np.all(_row_increment(F, rows, below) < tp)
 
 
-_KERNEL_LAWS = {
-    "uniform": rb.uniform(0.0, 1.0),
-    "uniform2-5": rb.uniform(2.0, 5.0),
-    "weibull1.5": rb.weibull(1.5),
-    "weibull2.5x3": rb.weibull(2.5, 3.0),
-    "weibull3.5x2": rb.weibull(3.5, 2.0),
-    "cumhaz": rb.from_cumulative_hazard(lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
-}
-
-
-@pytest.mark.parametrize("phi", list(_KERNEL_LAWS.values()), ids=list(_KERNEL_LAWS))
+@pytest.mark.parametrize("phi", list(KERNEL_LAWS.values()), ids=list(KERNEL_LAWS))
 def test_quartic_kernel_is_bit_equal_to_the_masked_kernel(phi):
     F = rb.cdf_from_intensity(phi)
     rng = np.random.default_rng(23)

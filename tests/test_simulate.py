@@ -8,7 +8,7 @@ import pytest
 import renewal_bounds as rb
 from renewal_bounds import AssumptionFailure
 
-from helpers import ks_distance
+from helpers import KERNEL_LAWS, ks_distance
 
 
 def iid_scenario(phi, reps=100, seed=12345, t_queries=(1.0, 5.0, 10.0), **kw):
@@ -101,6 +101,78 @@ def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
     assert batch[0] == 0.0
 
 
+_IN_PLACE_LAWS = {
+    **KERNEL_LAWS,
+    "exp1": rb.exponential(1.0),
+    "exp1-atom0": rb.from_segments([(0.0, [1.0])], atoms=[(0.0, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("phi", list(_IN_PLACE_LAWS.values()), ids=list(_IN_PLACE_LAWS))
+def test_ppf_in_place_matches_a_contiguous_copy(phi):
+    # a wave buffer (2, block, rows) mapped half by half over its own
+    # uniforms, and a strided 2-D view of it, give ppf's bits on a copy;
+    # the buffer spans several ppf chunks and holds the mass edges
+    from renewal_bounds.simulate import _ppf_in_place
+
+    F = rb.cdf_from_intensity(phi)
+    buf = np.random.default_rng(41).random((2, 24, 2000))
+    ends = -np.expm1(-F._row_lam_hi[np.isfinite(F._row_lam_hi)])
+    edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], ends, np.nextafter(ends, 0.0),
+                            np.nextafter(ends, 1.0)])
+    edges = edges[edges < 1.0]
+    buf[0, 3, : edges.size] = buf[1, 5, -edges.size :] = edges
+    want = F.ppf(buf.copy())
+
+    halves = buf.copy()
+    for half in halves:
+        _ppf_in_place(F, half)
+    assert halves.tobytes() == want.tobytes()
+
+    strided = buf.copy()
+    for half in strided.transpose(0, 2, 1):  # (rows, block): columns are not contiguous
+        _ppf_in_place(F, half)
+    assert strided.tobytes() == want.tobytes()
+
+    listed = buf.copy()
+    _ppf_in_place(F, listed[1], np.arange(1, 24, 3))
+    expected = buf.copy()
+    expected[1, 1::3] = want[1, 1::3]
+    assert listed.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0))), rb.ConstantRate(2.0)],
+    ids=["cycle-with-zero", "constant-rate"],
+)
+def test_theta_in_place_on_a_generator_wave(rule):
+    # past the limb waves (positions 0-223), a Generator-stage wave's theta
+    # half is mapped in place, row by interval, as each interval's mu ppf
+    # maps a contiguous copy
+    from renewal_bounds.simulate import _slab_streams, _theta_from_uniforms
+
+    sc = rb.ScenarioConfig(
+        phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=rule,
+        t_queries=(5.0,), reps=300, seed=17,
+    )
+    streams = _slab_streams(sc.seed, 0, sc.reps)
+    rows = np.arange(sc.reps)
+    for count in (32, 64, 128):
+        streams.random(rows, count)
+    buf = streams.random(rows, 2 * 128)
+    assert streams._gens is not None
+    j0 = 1 + 224 // 2
+    want = np.stack([
+        sc.mu_cdfs[int(rule.index_for(j0 + j))].ppf(buf[1, j].copy()) for j in range(128)
+    ])
+    theta = _theta_from_uniforms(sc, buf[1], j0)
+    assert np.shares_memory(theta, buf)
+    assert buf[1].tobytes() == want.tobytes()
+    if isinstance(rule, rb.CycledIntensities):  # the zero member: +inf but at u = 0
+        assert np.all(np.isinf(buf[1, 2::3]))
+
+
 # ---------------------------------------------------------------------------
 # slab seeding
 # ---------------------------------------------------------------------------
@@ -115,6 +187,11 @@ def _rows_of(seed, replications):
     from renewal_bounds.simulate import _SlabStreams, _slab_streams
 
     return _SlabStreams(np.concatenate([_slab_streams(seed, r, r + 1).words for r in replications]))
+
+
+def _row_doubles(u, i):
+    # row i of a wave buffer (2, count // 2, rows) in stream order: position k is u[k % 2, k // 2, i]
+    return u[:, :, i].T.ravel()
 
 
 def _handed_over(streams):
@@ -140,7 +217,7 @@ def test_slab_streams_draw_like_path_stream(seed):
     assert len(streams) == 10
     u = streams.random(np.arange(10), 50)
     for i, r in enumerate(range(16380, 16390)):
-        assert u[i].tobytes() == rb.path_stream(seed, r).random(50).tobytes()
+        assert _row_doubles(u, i).tobytes() == rb.path_stream(seed, r).random(50).tobytes()
 
 
 @pytest.mark.parametrize("seed", SLAB_SEEDS)
@@ -150,11 +227,12 @@ def test_limb_doubles_match_generator_random(seed):
 
     streams = _rows_of(seed, SLAB_REPLICATIONS)
     rows = np.arange(len(SLAB_REPLICATIONS))
-    u = np.hstack([streams.random(rows, count) for count in (32, 64, 128)])
+    waves = [streams.random(rows, count) for count in (32, 64, 128)]
     assert streams.position == _LIMB_DRAWS == 224
     assert _handed_over(streams) == []
     for i, r in enumerate(SLAB_REPLICATIONS):
-        assert u[i].tobytes() == rb.path_stream(seed, r).random(224).tobytes(), (seed, r)
+        u = np.concatenate([_row_doubles(w, i) for w in waves])
+        assert u.tobytes() == rb.path_stream(seed, r).random(224).tobytes(), (seed, r)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +255,7 @@ def test_handed_over_rows_continue_bit_equal(counts, handover, seed):
             rows = rows[survivors]  # the other rows leave as the limbs end
         u = streams.random(rows, count)
         for i, row in enumerate(rows.tolist()):
-            drawn[row].append(u[i])
+            drawn[row].append(_row_doubles(u, i))
     assert _handed_over(streams) == survivors
     for i, r in enumerate(SLAB_REPLICATIONS):
         u = np.concatenate(drawn[i])
@@ -320,6 +398,31 @@ def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
         assert times.size <= max(sim._WAVE_INTERVALS, active.size)
         drawn += times.size
     assert drawn >= 10 * budget
+
+
+def test_slab_memory_is_one_wave_buffer():
+    # one full slab of the verify-uniform-t50 scenario: 16,384 rows at t = 50,
+    # waves of up to _WAVE_INTERVALS intervals.  A wave lives in one buffer
+    # of 2 * _WAVE_INTERVALS doubles (16 MiB); on top of it come ppf's
+    # temporaries for one chunk (about 29 doubles per draw, 7.2 MiB) and
+    # the slab's own arrays (about 2 MiB).  Keeping a second wave-sized array
+    # alive, such as the previous wave's buffer, breaks the bound.
+    import tracemalloc
+
+    import renewal_bounds.simulate as sim
+    from renewal_bounds.hazard import _PPF_CHUNK
+
+    uni = rb.uniform(0.0, 1.0)
+    sc = iid_scenario(uni, reps=16_384, t_queries=(50.0,), seed=4242)
+    sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
+    bound = 2 * sim._WAVE_INTERVALS * 8 + 48 * 8 * _PPF_CHUNK + 2 * 2**20
+    tracemalloc.start()
+    try:
+        sim._slab_stats(sc, 0, sc.reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"slab peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 def test_estimate_exponential_backward_mean():
