@@ -504,8 +504,8 @@ def run(
         bundle.exit_code = 0 if report.all_pass else 1
 
     elif command == "tail":
-        bundle_payload = _tail_command(scenario, directory, bundle, workers, force, want_csv)
-        payload.update(bundle_payload)
+        payload.update(_tail_command(scenario, directory, bundle, workers, force, want_csv))
+        bundle.exit_code = 0 if all(entry["dominates"] for entry in payload["tail"]) else 1
 
     elif command == "renewal":
         H, payload["renewal"] = _renewal(scenario)

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import DistributionError, GridError
-from .hazard import MixedCdf, moment
+from .hazard import IntensityCdf, moment
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assumptions import AssumptionReport
@@ -114,7 +114,7 @@ class GridDistribution:
 
 
 def discretize(
-    F: MixedCdf,
+    F,
     h: float,
     s_max: float,
     *,
@@ -122,6 +122,8 @@ def discretize(
 ) -> GridDistribution:
     """Sample a mixed CDF on the lattice, snapping atoms to nearest nodes.
 
+    ``F`` is any object with ``cdf`` and ``sf`` evaluators and a ``jumps``
+    list of ``(location, mass)`` pairs, such as an ``IntensityCdf``.
     Rejects horizons that truncate more than ``1e-6`` of the mass unless
     ``allow_truncation`` is set; the truncated mass ``F.sf(N h)`` is kept
     in ``truncation_residual``.  Node values are exact pointwise
@@ -318,7 +320,7 @@ def ordering_check(
     return OrderingResult(v, v <= ORDERING_TOL)
 
 
-def lorden_classical_bound(F: MixedCdf) -> float:
+def lorden_classical_bound(F: IntensityCdf) -> float:
     """Classical overshoot bound ``E xi^2 / E xi`` for i.i.d. renewals."""
     m1 = moment(F, 1)
     if m1 <= 0:
@@ -326,12 +328,19 @@ def lorden_classical_bound(F: MixedCdf) -> float:
     return moment(F, 2) / m1
 
 
-def generalized_bound(Phi: MixedCdf, G: MixedCdf) -> float:
+def generalized_bound(Phi: IntensityCdf, G: IntensityCdf) -> float:
     """Envelope overshoot bound ``E eta + E eta^2 / (2 E zeta)``.
 
     ``eta ~ Phi`` is the slow envelope (hazard phi) and ``zeta ~ G`` the
-    fast one (hazard Q); the same value bounds both the backward and the
-    forward renewal time of the generalized process, uniformly in t.
+    fast one (hazard Q).  The value is meant to bound both the backward and
+    the forward renewal time of the generalized process, uniformly in t, but
+    that is not proven for every law that passes the assumption checks, and
+    it fails on some.  In the i.i.d. case it reads ``E xi + E xi^2 / (2 E
+    xi)``, below Lorden's ``E xi^2 / E xi`` exactly when the squared
+    coefficient of variation of ``xi`` exceeds 1.  A two-point i.i.d. law
+    (mass 0.99 at 1, the rest at 100) passes every check and gets a bound
+    of 26.30, while Monte Carlo gives E W_50 = 28.05 and E B_99.999 = 35.22
+    (ROADMAP open item 1).
     """
     e_zeta = moment(G, 1)
     if e_zeta <= 0:
@@ -339,13 +348,15 @@ def generalized_bound(Phi: MixedCdf, G: MixedCdf) -> float:
     return moment(Phi, 1) + moment(Phi, 2) / (2.0 * e_zeta)
 
 
-def backward_tail_bound(Phi: MixedCdf, H: RenewalFunction, t: float, x) -> np.ndarray | float:
+def backward_tail_bound(Phi, H: RenewalFunction, t: float, x) -> np.ndarray | float:
     """Upper bound on ``P(B_t > x)``: ``(1 - Phi(t)) + int_0^{t-x} (1 - Phi(t-s)) dH(s)``.
 
-    The Stieltjes sum evaluates the (increasing) integrand at the right edge
-    of each cell, so the value dominates the exact integral; atoms of H are
-    taken at their exact node locations.  Returns 0 for x > t (the backward
-    time never exceeds t) and clips at 1.
+    ``Phi`` is any mixed CDF object with ``cdf``, ``sf`` and ``jumps``, such
+    as an ``IntensityCdf``; only its ``sf`` is read.  The Stieltjes sum
+    evaluates the (increasing) integrand at the right edge of each cell, so
+    the value dominates the exact integral; atoms of H are taken at their
+    exact node locations.  Returns 0 for x > t (the backward time never
+    exceeds t) and clips at 1.
     """
     if t < 0 or t > H.horizon + 1e-9 * max(1.0, H.horizon):
         raise GridError("query time outside the renewal-function horizon")

@@ -8,10 +8,12 @@ so the survival function drops by the factor ``exp(-delta)``.  A full atom
 deterministic distributions exactly representable.
 
 The module provides construction of named families compiled into that
-representation, conversion between intensities and mixed CDFs in both
-directions, intensity addition (the hazard of a minimum of independent
-variables is the sum of hazards), moments, and exact generalized-inverse
-sampling.
+representation, its one CDF class (``IntensityCdf``, made by
+``cdf_from_intensity``), conversion from any mixed CDF -- an object with
+``cdf`` and ``sf`` evaluators and a ``jumps`` list -- by
+``intensity_from_cdf``, intensity addition (the hazard of a minimum of
+independent variables is the sum of hazards), moments, and exact
+generalized-inverse sampling.
 
 Atom weight convention: ``delta = -log(S(a+0)/S(a-0))``, the survival-ratio
 form, which makes ``F = 1 - exp(-cumhaz)`` an exact reconstruction identity
@@ -56,9 +58,7 @@ from .poly import (
 __all__ = [
     "ATOM_INF",
     "GeneralizedIntensity",
-    "MixedCdf",
     "IntensityCdf",
-    "CallableCdf",
     "cdf_from_intensity",
     "intensity_from_cdf",
     "add_intensities",
@@ -476,43 +476,6 @@ def from_cumulative_hazard(cumhaz: Callable) -> GeneralizedIntensity:
 # ---------------------------------------------------------------------------
 
 
-class MixedCdf:
-    """Right-continuous CDF on [0, inf) with an explicit jump list.
-
-    Subclasses implement ``cdf``; ``sf``/``cdf_left`` have generic fallbacks.
-    ``ppf`` inverts ``F``: its result ``x`` satisfies ``F(x) >= u`` exactly, in
-    floating point, and atoms receive exactly their mass.  It stands in for
-    the generalized inverse ``inf{x : F(x) >= u}`` up to F's floating-point
-    plateau: where F is flat to the last bit, a smaller double may also
-    satisfy ``F >= u``.  The gap grows to about ``ulp(u) / f(x)``.
-    """
-
-    jumps: tuple[tuple[float, float], ...] = ()
-
-    def cdf(self, x):
-        raise NotImplementedError
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def cdf_left(self, x):
-        """Left limit F(x-0)."""
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self.cdf(x), dtype=float).copy()
-        for loc, mass in self.jumps:
-            out = np.where(x == loc, out - mass, out)
-        return out
-
-    def total_mass(self) -> float:
-        return 1.0
-
-    def ppf(self, u):
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.cdf(x)
-
-
 def _check_u(u):
     # ppf tolerates u == 0 (maps to the left end of the support) so that raw
     # generator output, which includes 0.0 with tiny probability, is safe.
@@ -654,8 +617,10 @@ def _newton_quartic(c1, c2, c3, c4, width, tp):
     return tau_end
 
 
-class IntensityCdf(MixedCdf):
-    """Mixed CDF backed by a :class:`GeneralizedIntensity`.
+class IntensityCdf:
+    """Right-continuous mixed CDF on [0, inf) backed by a
+    :class:`GeneralizedIntensity`, with its atoms listed in ``jumps`` as
+    ``(location, mass)`` pairs.
 
     Construction precomputes a row table: one row per maximal interval free
     of breakpoints and atoms, carrying the cumulative hazard at the row start
@@ -822,6 +787,12 @@ class IntensityCdf(MixedCdf):
     def ppf(self, u):
         """Invert F elementwise; scalar in, float out, any array shape kept.
         A ``u`` outside [0, 1), NaN included, raises ``ValueError``.
+
+        The result ``x`` satisfies ``F(x) >= u`` exactly, in floating point,
+        and atoms receive exactly their mass.  It stands in for the
+        generalized inverse ``inf{x : F(x) >= u}`` up to F's floating-point
+        plateau: where F is flat to the last bit, a smaller double may also
+        satisfy ``F >= u``.  The gap grows to about ``ulp(u) / f(x)``.
 
         With ``T = -log1p(-u)``, capped at the total hazard, the row whose
         cumulative-hazard range holds ``T`` is found by a guide table
@@ -1026,64 +997,6 @@ class IntensityCdf(MixedCdf):
         return _newton_quartic(c1, c2, c3, c4, hi, tp)
 
 
-class CallableCdf(MixedCdf):
-    """Mixed CDF given by evaluation callables plus an explicit jump list.
-
-    Used to wrap exact closed-form CDFs (tests, conversion inputs).  ``sf``
-    may be supplied for precision deep in the tail; the default is ``1 - F``.
-    """
-
-    def __init__(
-        self,
-        cdf: Callable,
-        jumps: Sequence[tuple[float, float]] = (),
-        sf: Callable | None = None,
-    ):
-        self._cdf = cdf
-        self._sf = sf
-        self.jumps = tuple((float(a), float(p)) for a, p in jumps)
-        locs = [a for a, _ in self.jumps]
-        if sorted(locs) != locs or len(set(locs)) != len(locs):
-            raise DistributionError("jump locations must be strictly increasing")
-
-    def cdf(self, x):
-        return np.asarray(self._cdf(np.asarray(x, dtype=float)), dtype=float)
-
-    def sf(self, x):
-        if self._sf is not None:
-            return np.asarray(self._sf(np.asarray(x, dtype=float)), dtype=float)
-        return 1.0 - self.cdf(x)
-
-    def ppf(self, u):
-        scalar = np.isscalar(u) or np.ndim(u) == 0
-        u = np.atleast_1d(_check_u(u))
-        out = np.array([self._ppf_scalar(float(v)) for v in u])
-        return float(out[0]) if scalar else out
-
-    def _ppf_scalar(self, u: float) -> float:
-        for loc, mass in self.jumps:
-            fl = float(self.cdf(loc))
-            if fl - mass < u <= fl:
-                return loc
-        if float(self.cdf(0.0)) >= u:
-            return 0.0
-        hi = 1.0
-        for _ in range(200):
-            if float(self.cdf(hi)) >= u:
-                break
-            hi *= 2.0
-        else:
-            return math.inf
-        lo = 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            if float(self.cdf(mid)) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-
 # ---------------------------------------------------------------------------
 # Conversions
 # ---------------------------------------------------------------------------
@@ -1094,8 +1007,10 @@ def cdf_from_intensity(phi: GeneralizedIntensity) -> IntensityCdf:
     return IntensityCdf(phi)
 
 
-def intensity_from_cdf(F: MixedCdf) -> GeneralizedIntensity:
-    """Recover a generalized intensity from an evaluable mixed CDF.
+def intensity_from_cdf(F) -> GeneralizedIntensity:
+    """Recover a generalized intensity from an evaluable mixed CDF: any object
+    with ``cdf`` and ``sf`` evaluators and a ``jumps`` list of ``(location,
+    mass)`` pairs.
 
     Atom weights come from survival ratios across each listed jump; the
     continuous part is fitted adaptively between jumps so that the round trip
@@ -1232,10 +1147,9 @@ def _gl_adaptive(f, rows, a, b, tol=None, whole=None, depth=0):
     return out
 
 
-def _gl_one(f, a, b, tol=None, row=0) -> float:
+def _gl_one(f, row, a, b) -> float:
     """``_gl_adaptive`` on the single interval ``[a, b]`` of ``row``."""
-    return float(_gl_adaptive(f, np.array([row]), np.array([a]), np.array([b]),
-                              None if tol is None else np.array([tol]))[0])
+    return float(_gl_adaptive(f, np.array([row]), np.array([a]), np.array([b]))[0])
 
 
 def _gammainc_int(a: int, x: float) -> float:
@@ -1319,7 +1233,7 @@ def _moment_intensity(F: IntensityCdf, k: int) -> float:
             acc = 0.0
             hazard = pderiv(R[r])
             for _ in range(200):
-                acc += _gl_one(f, x, x + win, row=r)
+                acc += _gl_one(f, r, x, x + win)
                 x += win
                 win *= 2.0
                 s_here = float(s0[r]) * math.exp(-float(pvalue(R[r], x)))
@@ -1333,39 +1247,10 @@ def _moment_intensity(F: IntensityCdf, k: int) -> float:
     return total
 
 
-def _moment_generic(F: MixedCdf, k: int) -> float:
-    def integrand(_, x):
-        sf = np.asarray(F.sf(x.ravel()), float).reshape(x.shape)
-        return k * x ** (k - 1) * np.clip(sf, 0.0, 1.0)
-
-    pts = [0.0] + [a for a, _ in F.jumps]
-    x0 = max(1.0, 2.0 * pts[-1])
-    total = 0.0
-    edges = sorted(set(pts + [x0]))
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            total += _gl_one(integrand, a, b)
-    # doubling tail windows; the integrand may still be growing toward its
-    # peak at first, so divergence is signalled only after several
-    # consecutive windows without contraction
-    prev = math.inf
-    stalled = 0
-    x = x0
-    for _ in range(64):
-        piece = _gl_one(integrand, x, 2.0 * x, 1e-13 * max(total, 1.0))
-        total += piece
-        if piece <= max(1e-13 * total, 1e-300):
-            return total
-        stalled = stalled + 1 if piece >= 0.9 * prev else 0
-        if stalled >= 8:
-            raise DivergentMomentError("tail remainder did not contract")
-        prev = piece
-        x *= 2.0
-    raise DivergentMomentError("tail remainder did not contract")
-
-
-def moment(F: MixedCdf, k: int) -> float:
-    """k-th raw moment ``E X^k = integral k x^(k-1) (1 - F(x)) dx``.
+def moment(F: IntensityCdf, k: int) -> float:
+    """k-th raw moment ``E X^k = integral k x^(k-1) (1 - F(x)) dx`` of an
+    :class:`IntensityCdf`; any other CDF goes through
+    ``cdf_from_intensity(intensity_from_cdf(F))`` first.
 
     Constant-hazard stretches integrate in closed form through the
     regularized incomplete gamma of integer shape, a truncated series or a
@@ -1374,24 +1259,24 @@ def moment(F: MixedCdf, k: int) -> float:
     atoms=[(0.5, 0.3)])`` agree with an mpmath quadrature of its survival to
     1.5e-16 relative.  Polynomial-hazard stretches use 32-node
     Gauss-Legendre with interval halving (``_gl_adaptive``): all finite
-    rows of an :class:`IntensityCdf` are refined together, one integrand
-    call per halving level, and each row's sum is rebuilt in the order of a
-    row-by-row recursion, so batching moves no bit.  Raises
+    rows are refined together, one integrand call per halving level, and
+    each row's sum is rebuilt in the order of a row-by-row recursion, so
+    batching moves no bit.  Raises
     :class:`DivergentMomentError` when the tail does not contract.
     """
     if k < 1 or int(k) != k:
         raise ValueError("moment order k must be a positive integer")
     k = int(k)
-    if isinstance(F, IntensityCdf):
-        return float(_moment_intensity(F, k))
-    return float(_moment_generic(F, k))
+    return float(_moment_intensity(F, k))
 
 
-def sample(F: MixedCdf, u):
-    """``F.ppf(u)`` for u in (0, 1): ``F(x) >= u`` exactly (see :class:`MixedCdf`).
+def sample(F: IntensityCdf, u):
+    """``F.ppf(u)`` for u in (0, 1): ``F(x) >= u`` exactly (see
+    :meth:`IntensityCdf.ppf`).
 
     Monotone in ``u``; atoms receive exactly their probability mass.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  ``F`` is an :class:`IntensityCdf`; any other
+    CDF goes through ``cdf_from_intensity(intensity_from_cdf(F))`` first.
     """
     u = np.asarray(u, dtype=float)
     if not (np.all(u > 0.0) and np.all(u < 1.0)):  # NaN fails both

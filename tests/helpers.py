@@ -1,6 +1,8 @@
 """Shared test oracles, independent of the implementation under test.
 
-Reference CDFs are exact closed forms wrapped in CallableCdf; ``brute_ppf``
+Reference CDFs are exact closed forms wrapped in ``CallableCdf``, the
+package's mixed-CDF duck type (``cdf``, ``sf``, ``cdf_left``, ``jumps``),
+which lives here because only tests build one; ``brute_ppf``
 inverts a CDF by plain bisection on its evaluator; ``ks_distance`` compares
 the ECDF's left and right limits at each distinct sample value with the
 CDF's, so ties on an atom are handled; ``renewal_by_powers`` sums lattice
@@ -26,7 +28,6 @@ import math
 import numpy as np
 
 from renewal_bounds import (
-    CallableCdf,
     IntensityCdf,
     convolve,
     from_cumulative_hazard,
@@ -47,6 +48,33 @@ KERNEL_LAWS = {
     "weibull3.5x2": weibull(3.5, 2.0),
     "cumhaz": from_cumulative_hazard(lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
 }
+
+
+class CallableCdf:
+    """Mixed CDF given by evaluation callables plus an explicit jump list of
+    ``(location, mass)`` pairs.  ``sf`` may be supplied for precision deep in
+    the tail; the default is ``1 - F``."""
+
+    def __init__(self, cdf, jumps=(), sf=None):
+        self._cdf = cdf
+        self._sf = sf
+        self.jumps = tuple((float(a), float(p)) for a, p in jumps)
+
+    def cdf(self, x):
+        return np.asarray(self._cdf(np.asarray(x, dtype=float)), dtype=float)
+
+    def sf(self, x):
+        if self._sf is not None:
+            return np.asarray(self._sf(np.asarray(x, dtype=float)), dtype=float)
+        return 1.0 - self.cdf(x)
+
+    def cdf_left(self, x):
+        """Left limit F(x-0)."""
+        x = np.asarray(x, dtype=float)
+        out = self.cdf(x)
+        for loc, mass in self.jumps:
+            out = np.where(x == loc, out - mass, out)
+        return out
 
 
 def exp_cdf(rate: float = 1.0) -> CallableCdf:
@@ -193,11 +221,9 @@ def gl_recursive(f, a, b, tol=None, depth=0, max_depth=30):
 
 
 
-def moment_by_recursion(F, k: int) -> float:
-    """``E X^k`` row by row (an IntensityCdf) or over the survival (any CDF),
-    integrating each polynomial stretch with ``gl_recursive``."""
-    if not isinstance(F, IntensityCdf):
-        return _generic_moment_by_recursion(F, k)
+def moment_by_recursion(F: IntensityCdf, k: int) -> float:
+    """``E X^k`` row by row, integrating each polynomial stretch with
+    ``gl_recursive``."""
     total = 0.0
     for r in range(F._row_lo.size):
         s0 = math.exp(-F._row_lam_lo[r])
@@ -227,29 +253,6 @@ def moment_by_recursion(F, k: int) -> float:
                 raise DivergentMomentError("tail remainder did not contract")
             total += acc
     return total
-
-
-def _generic_moment_by_recursion(F, k: int) -> float:
-    f = lambda x: k * x ** (k - 1) * np.clip(np.asarray(F.sf(x), float), 0.0, 1.0)
-    pts = [0.0] + [a for a, _ in F.jumps]
-    x = max(1.0, 2.0 * pts[-1])
-    edges = sorted(set(pts + [x]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            total += gl_recursive(f, a, b)
-    prev, stalled = math.inf, 0
-    for _ in range(64):
-        piece = gl_recursive(f, x, 2.0 * x, 1e-13 * max(total, 1.0))
-        total += piece
-        if piece <= max(1e-13 * total, 1e-300):
-            return total
-        stalled = stalled + 1 if piece >= 0.9 * prev else 0
-        if stalled >= 8:
-            raise DivergentMomentError("tail remainder did not contract")
-        prev = piece
-        x *= 2.0
-    raise DivergentMomentError("tail remainder did not contract")
 
 
 def _real_roots(coeffs):

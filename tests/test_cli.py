@@ -300,6 +300,16 @@ def test_tail_command(tmp_path):
     assert numerics["equation_residual"] <= 1e-10
 
 
+def test_tail_exits_1_when_a_curve_does_not_dominate(tmp_path, monkeypatch):
+    # a zero bound lies below the empirical tail at every t with P(B_t > 0) > 0
+    monkeypatch.setattr("renewal_bounds.cli.backward_tail_bound",
+                        lambda Phi, H, t, xs: np.zeros(len(xs)))
+    path = write(tmp_path, GENERALIZED)
+    bundle = run("tail", path, out_dir=tmp_path / "out", reps=800)
+    assert not all(entry["dominates"] for entry in bundle.report["tail"])
+    assert bundle.exit_code == 1
+
+
 def test_flag_precedence_over_file(tmp_path):
     path = write(tmp_path, MINIMAL_IID)
     bundle = run("simulate", path, out_dir=tmp_path / "out", seed=7, reps=123)

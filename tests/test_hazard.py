@@ -13,6 +13,7 @@ from renewal_bounds import hazard
 
 from helpers import (
     KERNEL_LAWS,
+    CallableCdf,
     brute_ppf,
     deterministic_cdf,
     erlang_cdf,
@@ -110,7 +111,7 @@ def test_families_reject_non_finite_parameters(make, match, monkeypatch):
     [
         lambda: rb.from_cumulative_hazard(lambda x: np.asarray(x) * np.nan),
         lambda: rb.intensity_from_cdf(
-            rb.CallableCdf(lambda x: np.asarray(x) * np.nan, sf=lambda x: np.asarray(x) * np.nan)
+            CallableCdf(lambda x: np.asarray(x) * np.nan, sf=lambda x: np.asarray(x) * np.nan)
         ),
     ],
     ids=["cumhaz", "sf"],
@@ -126,7 +127,7 @@ def test_compile_rejects_a_non_finite_cumulative_hazard(make, monkeypatch):
     "make",
     [
         lambda: rb.from_cumulative_hazard(lambda x: np.where(np.asarray(x) > 5, np.nan, x)),
-        lambda: rb.intensity_from_cdf(rb.CallableCdf(
+        lambda: rb.intensity_from_cdf(CallableCdf(
             lambda x: -np.expm1(-np.asarray(x)),
             sf=lambda x: np.where(np.asarray(x) > 5, np.nan, np.exp(-np.asarray(x))))),
     ],
@@ -205,7 +206,7 @@ def test_round_trip_atom_case():
 
 
 def test_rejects_mass_after_certain_point():
-    bad = rb.CallableCdf(
+    bad = CallableCdf(
         lambda x: np.where(np.asarray(x) >= 1.0, 1.0, 0.0),
         jumps=[(1.0, 1.0), (2.0, 0.2)],
         sf=lambda x: np.where(np.asarray(x) >= 1.0, 0.0, 1.0),
@@ -254,9 +255,9 @@ def _compiled_laws():
         "uniform25": lambda: rb.uniform(2.0, 5.0),
         "weibull1.5": lambda: rb.weibull(1.5),
         "weibull2.5x3": lambda: rb.weibull(2.5, 3.0),
-        "erlang2": lambda: rb.intensity_from_cdf(rb.CallableCdf(erlang_cdf(2))),
+        "erlang2": lambda: rb.intensity_from_cdf(CallableCdf(erlang_cdf(2))),
         "exp+atom": lambda: rb.intensity_from_cdf(exp_with_atom_cdf()),  # a jump
-        "one-d": lambda: rb.intensity_from_cdf(rb.CallableCdf(_one_d_erlang)),
+        "one-d": lambda: rb.intensity_from_cdf(CallableCdf(_one_d_erlang)),
         "generalized": lambda: _scenario_laws(GENERALIZED),
         "minimal": lambda: _scenario_laws(MINIMAL_IID),
     }
@@ -491,11 +492,11 @@ def test_divergent_moment_signalled():
         rb.moment(rb.cdf_from_intensity(improper), 1)
 
 
-def test_moment_generic_path_matches_intensity_path():
-    F_exact = exp_cdf(1.0)
-    F_fast = rb.cdf_from_intensity(rb.exponential(1.0))
-    for k in (1, 2, 3):
-        assert rb.moment(F_exact, k) == pytest.approx(rb.moment(F_fast, k), rel=1e-8)
+def test_moment_of_the_unit_exponential_is_k_factorial():
+    F = rb.cdf_from_intensity(rb.exponential(1.0))
+    # a constant-hazard row integrates in closed form (_poly_exp_int)
+    for k in (1, 2, 3, 4):
+        assert rb.moment(F, k) == pytest.approx(math.factorial(k), rel=1e-15)
 
 
 def test_moment_positive_mean_and_variance():
@@ -515,6 +516,10 @@ def test_moment_positive_mean_and_variance():
 _DEEP_ROW = rb.from_segments([(0, [0, 0, 0, 4.0]), (100, [4e6])])
 
 
+def _fitted(F):
+    return rb.cdf_from_intensity(rb.intensity_from_cdf(F))
+
+
 def _oracle_laws():
     from test_cli import GENERALIZED, MINIMAL_IID
 
@@ -532,10 +537,11 @@ def _oracle_laws():
         # one finite polynomial row, then a linear tail
         "one-interval": rb.cdf_from_intensity(rb.from_segments([(0, [0.0, 1.0]), (2, [2.0])])),
         "deep": rb.cdf_from_intensity(_DEEP_ROW),
-        "exp-generic": exp_cdf(1.5),
-        "uniform-generic": uniform_cdf(1.0, 3.0),
-        "weibull-generic": weibull_cdf(1.5, 2.0),
-        "atom-generic": exp_with_atom_cdf(),
+        # closed forms fitted by intensity_from_cdf
+        "exp-generic": _fitted(exp_cdf(1.5)),
+        "uniform-generic": _fitted(uniform_cdf(1.0, 3.0)),
+        "weibull-generic": _fitted(weibull_cdf(1.5, 2.0)),
+        "atom-generic": _fitted(exp_with_atom_cdf()),
     }
     for name, text in (("generalized", GENERALIZED), ("minimal", MINIMAL_IID)):
         sc = _parse_scenario_text(text)
@@ -671,11 +677,10 @@ def test_sample_rejects_out_of_range():
 
 
 @pytest.mark.parametrize("u", [math.nan, np.array([0.2, math.nan, 0.7])], ids=["scalar", "array"])
-@pytest.mark.parametrize("entry", ["ppf", "sample", "callable-ppf"])
+@pytest.mark.parametrize("entry", ["ppf", "sample"])
 def test_nan_u_is_rejected(entry, u):
     F = rb.cdf_from_intensity(rb.exponential(1.0))
-    call = {"ppf": lambda: F.ppf(u), "sample": lambda: rb.sample(F, u),
-            "callable-ppf": lambda: exp_cdf(1.0).ppf(u)}[entry]
+    call = {"ppf": lambda: F.ppf(u), "sample": lambda: rb.sample(F, u)}[entry]
     with pytest.raises(ValueError):
         call()
 
