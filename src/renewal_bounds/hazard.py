@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -479,36 +480,134 @@ def from_cumulative_hazard(cumhaz: Callable) -> GeneralizedIntensity:
 def _check_u(u):
     # ppf tolerates u == 0 (maps to the left end of the support) so that raw
     # generator output, which includes 0.0 with tiny probability, is safe.
+    # min and max make no array of u's size; NaN fails both tests
     u = np.asarray(u, dtype=float)
-    if not (np.all(u >= 0.0) and np.all(u < 1.0)):  # NaN fails both
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
         raise ValueError("u must lie in [0, 1)")
     return u
 
 
-_PPF_CHUNK = 1 << 15  # draws per ppf pass: keeps the solver's temporaries in cache
+# draws per ppf chunk, the unit ppf's scratch is sized by, and the size of a
+# wave tile in ``simulate``: a slab's working set scales with it
+_PPF_CHUNK = 1 << 15
 _NEWTON_ITERS = 60  # safeguarded-Newton cap, the step count of a full bisection
 _FINISH_STEPS = 64  # cap on the ulp walk that ends a quartic solve
 _ULP = 2.0**-52
 _GUIDE_BUCKETS = 1024  # equal-probability buckets of u in a row search's guide table
 
 
-def _quartic(c1, c2, c3, c4, tau):
-    """Row increment ``R(tau)`` by Horner: the one evaluation order that ``cdf``
-    and the quartic solver share."""
-    return (((c4 * tau + c3) * tau + c2) * tau + c1) * tau
+class _Scratch(threading.local):
+    """The scratch memory of ``ppf``: one byte buffer used as a stack, kept
+    across chunks, calls and laws.  Each thread has its own, so ``ppf`` may
+    run in several threads at once, as it could before it had one.
+
+    ``with _SCRATCH as take:`` opens a frame, and ``take(n, dtype)`` hands
+    out the next ``n`` elements of the buffer; leaving the frame gives back
+    everything taken in it.  A frame opened inside another takes from above
+    it, so a nested ``_ppf_chunk`` (the placed-draw path solves its other
+    draws that way) never writes over its caller's arrays.  A function
+    returns nothing taken in its own frame: results go into arrays its
+    caller passes.  A take past the end of the buffer gets a new array, and
+    when the outermost frame closes, the buffer grows to an eighth more than
+    the most that was taken at once.  ``_ppf_into`` opens that frame around
+    its chunks, so the buffer grows when no chunk holds a temporary any
+    more.  After its first call of the largest chunk, ``ppf`` makes no array
+    of a chunk's size but its output and the index lists of the draws that
+    move on, and the buffer holds its temporaries packed end to end.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0, dtype=np.uint8)
+        self._views: dict = {}  # the buffer as each dtype taken, with its item size
+        self._marks: list[int] = []  # the top of the stack when each open frame began
+        self._top = 0  # bytes taken
+        self._need = 0  # the most bytes taken at once
+
+    def __enter__(self):
+        self._marks.append(self._top)
+        return self.take
+
+    def __exit__(self, *exc) -> None:
+        self._top = self._marks.pop()
+        if not self._marks and self._need > self._buf.size:
+            self._views = {}
+            self._buf = np.empty(0, dtype=np.uint8)  # freed before its successor is made
+            # an eighth more, in whole cache lines: what Newton gathers varies
+            # a little from chunk to chunk
+            self._buf = np.empty((self._need + self._need // 8) // 64 * 64, dtype=np.uint8)
+
+    def take(self, n: int, dtype=np.float64) -> np.ndarray:
+        view = self._views.get(dtype)
+        if view is None:
+            view = self._views[dtype] = self._buf.view(dtype), np.dtype(dtype).itemsize
+        buf, size = view
+        start = self._top
+        self._top = end = start + -(-n * size // 64) * 64  # whole cache lines
+        if end > self._need:
+            self._need = end
+        if end > self._buf.size:
+            return np.empty(n, dtype=dtype)
+        start //= size
+        return buf[start : start + n]
 
 
-def _newton_quartic(c1, c2, c3, c4, width, tp):
-    """A double ``tau`` in (0, width] where the Horner value ``R(tau)`` reaches ``tp``.
+_SCRATCH = _Scratch()
+
+
+def _gather(table, idx, out):
+    """``table[idx]`` into ``out``.  ``mode="clip"`` (the indices are in
+    range): under the default ``"raise"``, numpy fills a copy of ``out``
+    first."""
+    return table.take(idx, out=out, mode="clip")
+
+
+def _quartic(c1, c2, c3, c4, tau, out=None):
+    """Row increment ``R(tau)`` by Horner, ``(((c4 tau + c3) tau + c2) tau +
+    c1) tau``: the one evaluation order that ``cdf`` and the quartic solver
+    share.  ``out`` receives it, in place of a new array."""
+    r = np.multiply(c4, tau, out=out)
+    r += c3
+    r *= tau
+    r += c2
+    r *= tau
+    r += c1
+    r *= tau
+    return r
+
+
+def _row_lam(lam_lo, c1, c2, c3, c4, tau, out=None):
+    """Cumulative hazard ``lam_lo + R(tau)`` at offset ``tau`` into a row:
+    the one formula that ``cdf`` and the ``ppf`` guard share.
+
+    ``c2`` is ``None`` for rows of degree <= 1, and this is then ``lam_lo +
+    c1 * tau``: for finite ``tau``, Horner's ``((0 tau + 0) tau + 0) tau +
+    c1`` is exactly ``c1``, so the bits are Horner's.
+    """
+    if c2 is None:
+        r = np.multiply(c1, tau, out=out)
+    else:
+        r = _quartic(c1, c2, c3, c4, tau, out)
+    r += lam_lo
+    return r
+
+
+def _newton_quartic(c1, c2, c3, c4, width, tp, out):
+    """A double ``tau`` in (0, width] where the Horner value ``R(tau)`` reaches
+    ``tp``, for each draw, written to ``out``.
 
     ``R(tau) = c1 tau + c2 tau^2 + c3 tau^3 + c4 tau^4`` is a row's
     cumulative-hazard increment; its derivative is the row's hazard.
     Safeguarded Newton ("rtsafe", Press et al., Numerical Recipes 9.4) keeps
     a bracket ``[lo, hi]`` with ``R(lo) < tp`` and takes the midpoint when a
-    step leaves it or the hazard is not positive.  Only unconverged draws
-    iterate, in buffers reused from step to step; the masked divide and the
-    midpoint are computed only in a step where some draw needs them.  A
-    draw stops once its step or its bracket is down to an ulp.
+    step leaves it or the hazard is not positive.  A draw stops once its
+    step or its bracket is down to an ulp, and its answer is kept.  The
+    steps run in ``_SCRATCH`` arrays reused from step to step.  Stopped
+    draws ride along, their steps unused, until at most half of the arrays'
+    draws go on; those are then gathered into one of two sets of arrays,
+    used in turn, so a gather never reads the array it writes, and each set
+    is at most half the size of the arrays before it.  The masked divide
+    and the midpoint are computed only in a step where some draw needs
+    them.
 
     The finish evaluates ``R`` at Newton's end point and at the double
     before it, once for the whole array.  Where the end point qualifies
@@ -523,98 +622,159 @@ def _newton_quartic(c1, c2, c3, c4, width, tp):
     short of the target.
     """
     n = tp.size
-    tau_end = np.empty(n)
-    ids = np.arange(n)
-    k1, k2, k3, k4, t = c1, c2, c3, c4, tp  # the unconverged draws' rows
-    lo = np.zeros(n)
-    hi = width.copy()
-    # chord through the origin: exact on a linear row, left of the root on
-    # a convex one
-    tau = hi * (tp / np.maximum(_quartic(c1, c2, c3, c4, hi), tp))
-    bufs = np.empty((6, n))
-    flags = np.empty((3, n), dtype=bool)
-    for it in range(_NEWTON_ITERS):
-        m = tau.size
-        p, dp, f, a = bufs[:4, :m]
-        new = bufs[4 + it % 2, :m]  # never the buffer that holds tau
-        ge, done, tmp = flags[:, :m]
-        # R and R' by one Horner pass
-        np.multiply(k4, tau, out=a)
-        np.add(a, k3, out=p)
-        np.add(a, p, out=dp)
-        p *= tau
-        p += k2
-        dp *= tau
-        dp += p
-        p *= tau
-        p += k1
-        np.multiply(p, tau, out=f)
-        f -= t
-        dp *= tau
-        dp += p  # R'
-        np.greater_equal(f, 0.0, out=ge)
-        np.copyto(hi, tau, where=ge)
-        np.logical_not(ge, out=ge)
-        np.copyto(lo, tau, where=ge)
-        pos = np.greater(dp, 0.0, out=done)
-        if pos.all():
-            np.divide(f, dp, out=f)
-        else:
-            np.divide(f, np.where(pos, dp, 1.0), out=f)
-        np.subtract(tau, f, out=new)
-        inside = np.greater(new, lo, out=ge)
-        inside &= np.less_equal(new, hi, out=tmp)
-        inside &= pos
-        if not inside.all():
-            mid = np.add(lo, hi, out=f)
-            mid *= 0.5
-            np.copyto(new, mid, where=np.logical_not(inside, out=tmp))
-        np.subtract(new, tau, out=a)
-        np.abs(a, out=a)
-        np.multiply(new, _ULP, out=f)
-        np.less_equal(a, f, out=done)
-        np.subtract(hi, lo, out=a)
-        np.multiply(hi, _ULP, out=f)
-        done |= np.less_equal(a, f, out=tmp)
-        tau = new
-        if done.all():
-            break
-        if done.any():
+    with _SCRATCH as take:
+        ids = None  # the positions of the draws in the arrays, once gathered
+        k1, k2, k3, k4, t = c1, c2, c3, c4, tp  # the arrays' rows
+        lo = take(n)
+        lo.fill(0.0)
+        hi = take(n)
+        np.copyto(hi, width)
+        bufs = take(7 * n).reshape(7, n)
+        flags = take(4 * n, bool).reshape(4, n)
+        sets = [None, None]  # the arrays the unconverged draws are gathered into
+        frozen = False  # whether some draws in the arrays have stopped
+        # chord through the origin: exact on a linear row, left of the root on
+        # a convex one
+        tau = bufs[5]
+        r = _quartic(c1, c2, c3, c4, hi, bufs[0])
+        np.maximum(r, tp, out=r)
+        np.divide(tp, r, out=r)
+        np.multiply(hi, r, out=tau)
+        for it in range(_NEWTON_ITERS):
+            m = tau.size
+            p, dp, f, a = bufs[:4, :m]
+            new = bufs[4 + it % 2, :m]  # never the buffer that holds tau
+            res = bufs[6, :m]  # the answers of the draws that stopped
+            ge, done, tmp, live = flags[:, :m]
+            # R and R' by one Horner pass
+            np.multiply(k4, tau, out=a)
+            np.add(a, k3, out=p)
+            np.add(a, p, out=dp)
+            p *= tau
+            p += k2
+            dp *= tau
+            dp += p
+            p *= tau
+            p += k1
+            np.multiply(p, tau, out=f)
+            f -= t
+            dp *= tau
+            dp += p  # R'
+            np.greater_equal(f, 0.0, out=ge)
+            np.copyto(hi, tau, where=ge)
+            np.logical_not(ge, out=ge)
+            np.copyto(lo, tau, where=ge)
+            pos = np.greater(dp, 0.0, out=done)
+            if pos.all():
+                np.divide(f, dp, out=f)
+            else:
+                np.divide(f, np.where(pos, dp, 1.0), out=f)
+            np.subtract(tau, f, out=new)
+            inside = np.greater(new, lo, out=ge)
+            inside &= np.less_equal(new, hi, out=tmp)
+            inside &= pos
+            if not inside.all():
+                mid = np.add(lo, hi, out=f)
+                mid *= 0.5
+                np.copyto(new, mid, where=np.logical_not(inside, out=tmp))
+            np.subtract(new, tau, out=a)
+            np.abs(a, out=a)
+            np.multiply(new, _ULP, out=f)
+            np.less_equal(a, f, out=done)
+            np.subtract(hi, lo, out=a)
+            np.multiply(hi, _ULP, out=f)
+            done |= np.less_equal(a, f, out=tmp)
+            tau = new
+            if frozen:
+                done &= live  # the draws that stop now
+            if not done.any():
+                continue
+            np.copyto(res, tau, where=done)
+            if frozen:
+                live ^= done
+            else:
+                np.logical_not(done, out=live)
+                frozen = True
+            left = np.count_nonzero(live)
+            if left == 0:
+                break
+            if 2 * left > m:
+                continue  # most draws go on: the stopped ones ride along
+            # every draw's answer so far, final for those that stopped
+            if ids is None:
+                out[:] = res
+            else:
+                out[ids] = res
             # index gathers: a boolean index branches on every element
-            stop = np.flatnonzero(done)
-            tau_end[ids[stop]] = tau[stop]
-            keep = np.flatnonzero(np.logical_not(done, out=tmp))
-            ids, tau, lo, hi, t = ids[keep], tau[keep], lo[keep], hi[keep], t[keep]
-            k1, k2, k3, k4 = k1[keep], k2[keep], k3[keep], k4[keep]
-    tau_end[ids] = tau
+            keep = np.flatnonzero(live)
+            ids = keep if ids is None else ids[keep]
+            if sets[0] is None:  # the counts only fall: the first size fits
+                sets[0] = take(8 * keep.size).reshape(8, keep.size)
+            dst = sets[0][:, : keep.size]
+            tau, lo, hi, t, k1, k2, k3, k4 = (
+                _gather(v, keep, d) for v, d in zip((tau, lo, hi, t, k1, k2, k3, k4), dst)
+            )
+            sets.reverse()  # the next gather goes into the other set
+            frozen = False
+        if frozen:  # the stopped draws' answers, and the last step of the others
+            np.copyto(res, tau, where=live)
+            tau = res
+        if ids is None:
+            out[:] = tau
+        else:
+            out[ids] = tau
 
-    # a qualifying tau is > 0 (R(0) = 0 < tp), so its bits less one are the
-    # double below it; elsewhere ``below`` is not used
-    below = (tau_end.view(np.int64) - 1).view(np.float64)
-    qualified = _quartic(c1, c2, c3, c4, tau_end) >= tp
-    prev_ok = _quartic(c1, c2, c3, c4, below) >= tp
-    # walk up to the first qualifying double, the row end at the latest ...
-    walk = np.flatnonzero(~qualified)
-    for _ in range(_FINISH_STEPS):
-        if walk.size == 0:
-            break
-        up = np.minimum(np.nextafter(tau_end[walk], math.inf), width[walk])
-        tau_end[walk] = up
-        walk = walk[(up < width[walk])
-                    & (_quartic(c1[walk], c2[walk], c3[walk], c4[walk], up) < tp[walk])]
-    tau_end[walk] = width[walk]
-    # ... and, from a qualifying start, down while the previous double
-    # still qualifies: the first step is the one evaluated above
-    walk = np.flatnonzero(qualified & prev_ok)
-    tau_end[walk] = below[walk]
-    for _ in range(_FINISH_STEPS - 1):
-        if walk.size == 0:
-            break
-        down = np.nextafter(tau_end[walk], -math.inf)
-        ok = _quartic(c1[walk], c2[walk], c3[walk], c4[walk], down) >= tp[walk]
-        walk = walk[ok]
-        tau_end[walk] = down[ok]
-    return tau_end
+        # a qualifying tau is > 0 (R(0) = 0 < tp), so its bits less one are the
+        # double below it; elsewhere ``below`` is not used
+        below = bufs[0]
+        np.subtract(out.view(np.int64), 1, out=below.view(np.int64))
+        qualified, prev_ok, tmp = flags[:3]
+        np.greater_equal(_quartic(c1, c2, c3, c4, out, bufs[1]), tp, out=qualified)
+        np.greater_equal(_quartic(c1, c2, c3, c4, below, bufs[1]), tp, out=prev_ok)
+        # walk up to the first qualifying double, the row end at the latest ...
+        walk = np.flatnonzero(np.logical_not(qualified, out=tmp))
+        for _ in range(_FINISH_STEPS):
+            if walk.size == 0:
+                break
+            up = np.minimum(np.nextafter(out[walk], math.inf), width[walk])
+            out[walk] = up
+            walk = walk[(up < width[walk])
+                        & (_quartic(c1[walk], c2[walk], c3[walk], c4[walk], up) < tp[walk])]
+        out[walk] = width[walk]
+        # ... and, from a qualifying start, down while the previous double
+        # still qualifies: the first step is the one evaluated above
+        walk = np.flatnonzero(np.logical_and(qualified, prev_ok, out=tmp))
+        out[walk] = below[walk]
+        for _ in range(_FINISH_STEPS - 1):
+            if walk.size == 0:
+                break
+            down = np.nextafter(out[walk], -math.inf)
+            ok = _quartic(c1[walk], c2[walk], c3[walk], c4[walk], down) >= tp[walk]
+            walk = walk[ok]
+            out[walk] = down[ok]
+    return out
+
+
+class _Rows(NamedTuple):
+    """The row operands of a chunk's draws, gathered once for the solve and
+    the guard: per draw, or one row's scalars for every draw."""
+
+    idx: np.ndarray | int  # the row
+    lo: np.ndarray | float  # its start
+    width: np.ndarray | float
+    lam_lo: np.ndarray | float  # the cumulative hazard at its start
+    c1: np.ndarray | float  # the coefficients of its increment R
+    c2: np.ndarray | None  # c2 to c4 are None when every row has degree <= 1
+    c3: np.ndarray | None
+    c4: np.ndarray | None
+    cls: np.ndarray | int  # the degree class (<= 1, 2, higher) all share, else each one's
+
+    def at(self, i, take) -> _Rows:
+        """The operands of draws ``i``, gathered into arrays from ``take``."""
+        return _Rows(*(
+            v if v is None or np.ndim(v) == 0 else _gather(v, i, take(i.size, v.dtype))
+            for v in self
+        ))
 
 
 class IntensityCdf:
@@ -695,7 +855,7 @@ class IntensityCdf:
         for p in range(1, 5):
             deg[row_R[:, p] != 0.0] = p
         self._row_deg = deg
-        self._row_cls = np.clip(deg - 1, 0, 2)  # _solve_rows' degree class
+        self._row_cls = np.clip(deg - 1, 0, 2).astype(np.int8)  # _solve_rows' degree class
         self._full_loc = full_loc
         self._total_lam = cur
         self._atom_locs = np.asarray(a_locs)
@@ -717,34 +877,31 @@ class IntensityCdf:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _row_lam(self, rows, tau) -> np.ndarray:
-        """Cumulative hazard at offset ``tau`` into each of ``rows``: the one
-        formula that ``cdf`` and the ``ppf`` guard share.
-
-        ``rows`` may be one row for every ``tau``.  If that row has degree
-        <= 1 this is ``lam_lo + c1 * tau``: for finite ``tau`` Horner's
-        ``((0 tau + 0) tau + 0) tau + c1`` is exactly ``c1``.
-        """
-        if np.ndim(rows) == 0 and self._row_deg[rows] <= 1:
-            return self._row_lam_lo[rows] + self._row_R[rows, 1] * tau
-        c1, c2, c3, c4 = (self._row_RT[k][rows] for k in (1, 2, 3, 4))
-        return self._row_lam_lo[rows] + _quartic(c1, c2, c3, c4, tau)
-
-    def _cdf_on_rows(self, x, rows) -> np.ndarray:
-        """``cdf(x)`` for finite ``x`` known to lie at or after the start of
-        row ``rows`` (one row per ``x``, or one for all), without searching
-        for the row.
+    def _cdf_on_rows(self, x, rows: _Rows, out) -> np.ndarray:
+        """``cdf(x)`` into ``out``, for finite ``x`` known to lie at or after
+        the start of each draw's row, on the operands ``rows`` gathered for
+        the solve: no search for the row, and no second gather.
 
         Row starts are strictly increasing, so on ``[row_lo, next row
-        start)`` the search in ``cdf`` lands on ``rows`` and this is the same
+        start)`` the search in ``cdf`` lands on that row and this is the same
         formula on the same operands: equal bit for bit.  An ``x`` that
         reached the next row's start (or the full atom) gets ``cdf(x)``.
         """
-        tau = np.minimum(x - self._row_lo[rows], self._row_width[rows])
-        F = -np.expm1(-self._row_lam(rows, tau))
-        past = x >= self._row_hi[rows]
-        if np.any(past):
-            F[past] = self.cdf(x[past])
+        n = x.size
+        with _SCRATCH as take:
+            tau = np.subtract(x, rows.lo, out=take(n))
+            np.minimum(tau, rows.width, out=tau)
+            F = _row_lam(rows.lam_lo, rows.c1, rows.c2, rows.c3, rows.c4, tau, out)
+            np.negative(F, out=F)
+            np.expm1(F, out=F)
+            np.negative(F, out=F)
+            if np.ndim(rows.idx) == 0:
+                hi = self._row_hi[rows.idx]
+            else:
+                hi = _gather(self._row_hi, rows.idx, take(n))
+            past = np.greater_equal(x, hi, out=take(n, bool))
+            if past.any():
+                F[past] = self.cdf(x[past])
         return F
 
     def _lam(self, x, left: bool) -> np.ndarray:
@@ -759,7 +916,9 @@ class IntensityCdf:
             tau = np.minimum(x - self._row_lo[idx], self._row_width[idx])
             inf_x = np.isinf(x)
             tau = np.where(inf_x, 0.0, tau)
-            lam = self._row_lam(idx, tau)
+            RT = self._row_RT
+            c1, c2, c3, c4 = (RT[k][idx] for k in (1, 2, 3, 4))
+            lam = _row_lam(self._row_lam_lo[idx], c1, c2, c3, c4, tau)
             if np.any(inf_x):
                 lam[inf_x] = self._row_lam_hi[idx[inf_x]]
         else:
@@ -806,77 +965,112 @@ class IntensityCdf:
         exactly their mass.  Every other draw is solved for ``tau`` on
         whole arrays, split by masks only where a chunk mixes rows of
         degree <= 1, 2 and higher, and ``x`` is the row start plus ``tau``.
-        Linear and quadratic increments are solved in closed form.  On a row
-        of higher degree, safeguarded Newton runs in reused buffers, and a
-        one-pass finish evaluates the increment (by Horner) at Newton's end
-        point and at the double before it for the whole chunk: ``tau`` is a
-        double whose increment reaches ``T`` minus the row's starting hazard
-        where the double before it does not, and only the draws those two
-        values do not settle walk by ulps (``_newton_quartic``).  A draw
-        equal to the total mass gets a finite ``x``, even where ``T`` rounds
-        above the total hazard: the cap keeps it in the last row.
+        Each draw's row operands (start, width, starting hazard and the
+        increment's coefficients) are gathered once (``_operands``); a chunk
+        whose rows all have degree <= 1 gathers only ``c1``.  Linear and
+        quadratic increments are solved in closed form.  On a row of higher
+        degree, safeguarded Newton runs in reused buffers, and a one-pass
+        finish evaluates the increment (by Horner) at Newton's end point and
+        at the double before it for the whole chunk: ``tau`` is a double
+        whose increment reaches ``T`` minus the row's starting hazard where
+        the double before it does not, and only the draws those two values
+        do not settle walk by ulps (``_newton_quartic``).  A draw equal to
+        the total mass gets a finite ``x``, even where ``T`` rounds above the
+        total hazard: the cap keeps it in the last row.
 
         A final guard steps ``x`` up until ``F(x) >= u`` holds exactly.  For
-        a solved draw it evaluates ``F(x)`` on the row just solved, with
-        ``cdf``'s formula and so ``cdf``'s bits (``_cdf_on_rows``), without
-        a second search, and so does each ulp re-check of a solved draw; a
-        placed draw, its re-checks and a solved ``x`` that reached the next
-        row's start go through ``cdf``.  A chunk with
-        every draw above the total mass (a zero intensity's draws, but for
-        ``u = 0``) is ``+inf`` at once.  A law of one row and no full atom
-        skips the search, since every ``T`` lies in that row, and uses the
-        row's scalar coefficients; on a row of degree <= 1 the solve is
-        ``T' / c1`` and the guard's cumulative hazard ``lam_lo + c1 tau``:
-        the per-draw formulas on the same operands, so the bits are the same.
+        a solved draw it evaluates ``F(x)`` on the operands the solve
+        gathered, with ``cdf``'s formula and so ``cdf``'s bits
+        (``_cdf_on_rows``), with no second search or gather, and so does
+        each ulp re-check of a solved draw; on rows of degree <= 1 the
+        formula is ``lam_lo + c1 tau``, Horner's value without its zero
+        terms.  A placed draw, its re-checks and a solved ``x`` that reached
+        the next row's start go through ``cdf``.  A chunk with every draw
+        above the total mass (a zero intensity's draws, but for ``u = 0``)
+        is ``+inf`` at once.  A law of one row and no full atom skips the
+        search, since every ``T`` lies in that row, and, on a row of degree
+        <= 1, uses the row's scalars: the solve is ``T' / c1``.
 
         ``x`` need not be the smallest double with ``F(x) >= u``: the
         previous double also qualifies for about 9 % of uniform(0, 1) draws,
         23 % of Weibull(1.5) and 38 % of Exp(1) draws.  Near ``u -> 1`` the
         gap is about ``ulp(u) / f(x)``: for Exp(1), a median of about 100 ulps
-        at ``u > 0.999`` and of tens of thousands at ``u > 1 - 1e-6``.  Draws
-        are processed in chunks of ``_PPF_CHUNK``.
+        at ``u > 0.999`` and of tens of thousands at ``u > 1 - 1e-6``.
+
+        Draws are processed in chunks of ``_PPF_CHUNK``, and every temporary
+        of a chunk lives in ``_SCRATCH``, one workspace reused across chunks,
+        calls and laws; once it has grown, a call allocates its output and
+        small index lists only.
         """
         scalar = np.isscalar(u) or np.ndim(u) == 0
-        u = _check_u(u)
-        flat = u.ravel()
-        x = np.empty(flat.size)
-        # elementwise, so the chunk size cannot change a result
-        for s in range(0, flat.size, _PPF_CHUNK):
-            x[s : s + _PPF_CHUNK] = self._ppf_chunk(flat[s : s + _PPF_CHUNK])
-        return float(x[0]) if scalar else x.reshape(u.shape)
+        u = np.asarray(u, dtype=float)
+        x = np.empty(u.shape)
+        self._ppf_into(u, x)
+        return float(x) if scalar else x
 
-    def _ppf_chunk(self, u):
-        beyond = u > self.total_mass()  # above the total mass, which F never reaches
-        if beyond.all():  # e.g. a zero intensity's draws: all but u = 0
-            return np.full_like(u, math.inf)
-        # an improper F's total mass can round to a T above its total hazard
-        T = np.minimum(-np.log1p(-u), self._total_lam)
-        if self._full_loc is None and self._row_lo.size == 1:
-            # T is capped at the one row's end hazard, so the search would
-            # give every draw row 0: its scalars serve all of them
-            idx = 0
-        else:
-            idx = self._search(u, T)
-            beyond |= idx >= self._row_lo.size  # past the last row
-        if not beyond.any():
-            lam_lo = self._row_lam_lo[idx]
-            if not np.any(T <= lam_lo):
-                # no draw beyond F or in an atom's jump: solve all in place
-                x = self._row_lo[idx] + self._solve_rows(idx, T - lam_lo)
-                return self._step_up(x, u, self._cdf_on_rows(x, idx), idx)
+    def _ppf_into(self, u, x) -> None:
+        """Write ``ppf(u)`` into ``x``, a C-contiguous float array of ``u``'s
+        shape that may be ``u`` itself, ``_PPF_CHUNK`` draws at a time.
+        ``ppf`` is elementwise, so the chunk size cannot change a result."""
+        _check_u(u)
+        u, x = u.reshape(-1), x.reshape(-1)  # x: a view, as it is contiguous
+        with _SCRATCH:  # the outermost frame: the buffer grows between chunks' frames
+            for s in range(0, u.size, _PPF_CHUNK):
+                self._ppf_chunk(u[s : s + _PPF_CHUNK], x[s : s + _PPF_CHUNK])
 
-        # place a draw beyond F at the full atom (improper: at +inf) and one
-        # in an atom's jump at its row start; solve the others as above
-        idx = np.broadcast_to(idx, T.shape)
-        x = np.full_like(T, math.inf if self._full_loc is None else self._full_loc)
-        at_atom = np.zeros_like(beyond)
-        at_atom[~beyond] = T[~beyond] <= self._row_lam_lo[idx[~beyond]]
-        x[at_atom] = self._row_lo[idx[at_atom]]
-        solve = ~(beyond | at_atom)
-        x[solve] = self._ppf_chunk(u[solve])
-        F = np.ones_like(x)  # a solved draw has been stepped up already
-        F[~solve] = self.cdf(x[~solve])
-        return self._step_up(x, u, F)
+    def _ppf_chunk(self, u, x) -> None:
+        """``ppf`` of one chunk of draws ``u``, written to ``x`` (which may
+        share ``u``'s memory); every temporary comes from ``_SCRATCH``."""
+        n = u.size
+        with _SCRATCH as take:
+            if np.may_share_memory(u, x):
+                u = _copy(u, take(n))
+            # above the total mass, which F never reaches
+            beyond = np.greater(u, self.total_mass(), out=take(n, bool))
+            if beyond.all():  # e.g. a zero intensity's draws: all but u = 0
+                x.fill(math.inf)
+                return
+            # an improper F's total mass can round to a T above its total hazard
+            T = np.negative(u, out=take(n))
+            np.log1p(T, out=T)
+            np.negative(T, out=T)
+            np.minimum(T, self._total_lam, out=T)
+            if self._full_loc is None and self._row_lo.size == 1:
+                # T is capped at the one row's end hazard, so the search would
+                # give every draw row 0
+                idx = 0
+            else:
+                idx = self._search(u, T, take(n, np.intp))
+                # past the last row
+                beyond |= np.greater_equal(idx, self._row_lo.size, out=take(n, bool))
+            in_jump = take(n, bool)
+            if not beyond.any():
+                rows = self._operands(idx, n, take)
+                if not np.less_equal(T, rows.lam_lo, out=in_jump).any():
+                    # no draw beyond F or in an atom's jump: solve all in place
+                    tp = np.subtract(T, rows.lam_lo, out=T)
+                    self._solve_rows(rows, tp, x)
+                    x += rows.lo
+                    self._step_up(x, u, self._cdf_on_rows(x, rows, take(n)), rows)
+                    return
+
+            # place a draw beyond F at the full atom (improper: at +inf) and one
+            # in an atom's jump at its row start; solve the others as above
+            idx = np.broadcast_to(idx, T.shape)
+            x.fill(math.inf if self._full_loc is None else self._full_loc)
+            inside = np.logical_not(beyond, out=take(n, bool))
+            in_jump.fill(False)
+            in_jump[inside] = T[inside] <= self._row_lam_lo[idx[inside]]
+            x[in_jump] = self._row_lo[idx[in_jump]]
+            solve = np.logical_not(np.logical_or(beyond, in_jump, out=inside), out=inside)
+            xs = take(np.count_nonzero(solve))
+            self._ppf_chunk(u[solve], xs)  # a frame above this one
+            x[solve] = xs
+            F = take(n)
+            F.fill(1.0)  # a solved draw has been stepped up already
+            placed = np.logical_not(solve, out=beyond)
+            F[placed] = self.cdf(x[placed])
+            self._step_up(x, u, F)
 
     def _guide(self):
         """Guide table of the row search (Chen & Asau 1974; Devroye 1986,
@@ -890,45 +1084,79 @@ class IntensityCdf:
         edges = np.concatenate(([-math.inf], self._row_lam_hi, [math.inf]))
         return rows, edges[rows], edges[rows + 1]
 
-    def _search(self, u, T):
+    def _search(self, u, T, out):
         """``np.searchsorted(self._row_lam_hi, T, side="left")`` for draws
-        ``u`` in [0, 1) with hazards ``T``, by guide table.
+        ``u`` in [0, 1) with hazards ``T``, by guide table, into ``out``.
 
         A draw keeps its bucket's row ``g`` where ``lam_hi[g - 1] < T <=
         lam_hi[g]``; since ``lam_hi`` is nondecreasing, that is the left
         search's answer.  Only a draw past its bucket's first row, in a
         bucket that spans a row end, is searched.
         """
-        k = (u * _GUIDE_BUCKETS).astype(np.intp)  # exact: a power-of-two scale
-        idx = self._guide_row[k]
-        miss = np.flatnonzero((self._guide_lo[k] >= T) | (T > self._guide_hi[k]))
+        n = u.size
+        with _SCRATCH as take:
+            k = take(n, np.intp)
+            # exact: a power-of-two scale; the cast truncates, as astype does
+            np.copyto(k, np.multiply(u, _GUIDE_BUCKETS, out=take(n)), casting="unsafe")
+            _gather(self._guide_row, k, out)
+            bound = _gather(self._guide_lo, k, take(n))
+            miss = np.greater_equal(bound, T, out=take(n, bool))
+            miss |= np.greater(T, _gather(self._guide_hi, k, bound), out=take(n, bool))
+            miss = np.flatnonzero(miss)
         if miss.size:
-            idx[miss] = np.searchsorted(self._row_lam_hi, T[miss], side="left")
-        return idx
+            out[miss] = np.searchsorted(self._row_lam_hi, T[miss], side="left")
+        return out
 
-    def _step_up(self, x, u, F, rows=None):
+    def _operands(self, idx, n: int, take) -> _Rows:
+        """The row operands of ``n`` draws in rows ``idx``, gathered once into
+        arrays from ``take`` for the solve and the guard.  For one row of
+        degree <= 1 for all (``idx`` a scalar), they are that row's scalars;
+        a chunk whose rows all have degree <= 1 gets no ``c2`` to ``c4``."""
+        if np.ndim(idx) == 0:
+            if self._row_cls[idx] == 0:
+                return _Rows(idx, self._row_lo[idx], self._row_width[idx],
+                             self._row_lam_lo[idx], self._row_R[idx, 1], None, None, None, 0)
+            one, idx = idx, take(n, np.intp)
+            idx.fill(one)
+        cls = _gather(self._row_cls, idx, take(n, np.int8))
+        first = int(cls[0])
+        if not np.not_equal(cls, first, out=take(n, bool)).any():
+            cls = first
+        RT = self._row_RT
+        lo, width, lam_lo, c1 = (
+            _gather(v, idx, take(n))
+            for v in (self._row_lo, self._row_width, self._row_lam_lo, RT[1])
+        )
+        c2 = c3 = c4 = None
+        if not (np.ndim(cls) == 0 and cls == 0):
+            c2, c3, c4 = (_gather(RT[k], idx, take(n)) for k in (2, 3, 4))
+        return _Rows(idx, lo, width, lam_lo, c1, c2, c3, c4, cls)
+
+    def _step_up(self, x, u, F, rows: _Rows | None = None):
         """Enforce ``F(x) >= u`` exactly (a guard against terminal rounding).
 
         ``F`` is the first pass, evaluated on the rows just solved or, for
         a placed draw, by ``cdf``; only the finite offending entries move
-        up, re-checked on ``rows`` (one per draw, or one for all) where
-        those are given, by ``_cdf_on_rows``, and through ``cdf`` otherwise:
-        one ulp at a time for four steps, then by steps that double.  Where
-        ``f(x) ulp(x)`` is far below ``ulp(F)``, F is flat over many ulps of
-        ``x``: just after an atom at the origin, up to thousands.  A draw
-        that passes after a step of ``w > 1`` ulps is bisected back over
-        those ``w`` ulps, so every moved ``x`` is the smallest double at or
-        above the solved one with ``F(x) >= u``, as a walk of single ulps
-        would give, and ``ppf`` stays monotone in ``u``.
+        up, re-checked on the operands ``rows`` where those are given, by
+        ``_cdf_on_rows``, and through ``cdf`` otherwise: one ulp at a time
+        for four steps, then by steps that double.  Where ``f(x) ulp(x)`` is
+        far below ``ulp(F)``, F is flat over many ulps of ``x``: just after
+        an atom at the origin, up to thousands.  A draw that passes after a
+        step of ``w > 1`` ulps is bisected back over those ``w`` ulps, so
+        every moved ``x`` is the smallest double at or above the solved one
+        with ``F(x) >= u``, as a walk of single ulps would give, and ``ppf``
+        stays monotone in ``u``.
         """
-        sub = np.flatnonzero(F < u)
+        with _SCRATCH as take:
+            sub = np.flatnonzero(np.less(F, u, out=take(u.size, bool)))
         sub = sub[np.isfinite(x[sub])]
 
-        def F_at(i):
+        def reaches(i):  # F(x[i]) >= u[i]
             if rows is None:
-                return np.asarray(self.cdf(x[i]), dtype=float)
+                return np.asarray(self.cdf(x[i]), dtype=float) >= u[i]
             # x only moves up, so it stays at or after its row's start
-            return self._cdf_on_rows(x[i], rows if np.ndim(rows) == 0 else rows[i])
+            with _SCRATCH as take:
+                return self._cdf_on_rows(x[i], rows.at(i, take), take(i.size)) >= u[i]
 
         # x >= 0, so its bits order as its values and bits + k is k ulps up
         bits = x.view(np.int64)
@@ -937,64 +1165,74 @@ class IntensityCdf:
             w = 1 if steps < 4 else 2 ** (steps - 4)
             steps += 1
             bits[sub] += w
-            ok = F_at(sub) >= u[sub]
+            ok = reaches(sub)
             done = sub[ok]
             while w > 1:  # x[done] passes and x[done] - w ulps fails
                 w //= 2
                 bits[done] -= w
-                back = F_at(done) < u[done]
+                back = ~reaches(done)
                 bits[done[back]] += w
             sub = sub[~ok]
         return x
 
-    def _solve_rows(self, rows, tprime):
-        """Solve R_row(tau) = tprime for tau within each row (vectorized).
+    def _solve_rows(self, rows: _Rows, tprime, out):
+        """Solve ``R_row(tau) = tprime`` for ``tau`` within each draw's row,
+        into ``out``.
 
         Every ``tprime`` is positive, so no row has zero hazard: its
-        cumulative hazard would end where it starts.  ``rows`` may be one row
-        for every draw: a row of degree <= 1 is then solved with its scalar
-        coefficient, with no per-draw gather.  Rows fall in three classes by
-        degree (<= 1, 2, higher); a chunk whose rows share one class is
-        solved on whole arrays, and only a mixed chunk is split by masks.
+        cumulative hazard would end where it starts.  Rows fall in three
+        classes by degree (<= 1, 2, higher); a chunk whose rows share one
+        class is solved on whole arrays, and only a mixed chunk is split,
+        each class's draws gathered into scratch arrays.
         """
-        if np.ndim(rows) == 0:
-            if self._row_deg[rows] <= 1:
-                return tprime / self._row_R[rows, 1]
-            rows = np.full(tprime.shape, rows)
-        cls = self._row_cls[rows]
-        first = cls[0]
-        if not np.any(cls != first):
-            return self._solve_class(first, rows, tprime)
-        out = np.empty_like(tprime)
-        for c in range(3):
-            m = cls == c
-            if np.any(m):
-                out[m] = self._solve_class(c, rows[m], tprime[m])
+        if np.ndim(rows.cls) == 0:
+            return self._solve_class(rows.cls, rows, tprime, out)
+        with _SCRATCH as take:
+            in_class = take(tprime.size, bool)
+            for c in range(3):
+                i = np.flatnonzero(np.equal(rows.cls, c, out=in_class))
+                if i.size:
+                    with _SCRATCH as take_c:
+                        tp = _gather(tprime, i, take_c(i.size))
+                        out[i] = self._solve_class(c, rows.at(i, take_c), tp, take_c(i.size))
         return out
 
-    def _solve_class(self, cls, rows, tp):
+    def _solve_class(self, cls, rows: _Rows, tp, out):
         """``_solve_rows`` on rows of one degree class: ``tp / c1`` for degree
         <= 1, the stable quadratic formula for degree 2, and safeguarded
         Newton (``_newton_quartic``) above."""
-        c1 = self._row_RT[1][rows]
         if cls == 0:
-            return tp / c1
-        c2 = self._row_RT[2][rows]
-        if cls == 1:
-            disc = np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * tp, 0.0))
-            return 2.0 * tp / (c1 + disc)
-        c3, c4 = self._row_RT[3][rows], self._row_RT[4][rows]
-        hi = self._row_width[rows]
-        unb = ~np.isfinite(hi)
-        if np.any(unb):
-            guess = np.maximum(1.0, tp[unb])
-            for _ in range(200):
-                need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
-                if not np.any(need):
-                    break
-                guess = np.where(need, guess * 2.0, guess)
-            hi[unb] = guess
-        return _newton_quartic(c1, c2, c3, c4, hi, tp)
+            return np.divide(tp, rows.c1, out=out)
+        with _SCRATCH as take:
+            if cls == 1:
+                # 2 tp / (c1 + sqrt(max(c1 c1 + 4 c2 tp, 0))), operation by operation
+                d = np.multiply(rows.c1, rows.c1, out=take(tp.size))
+                e = np.multiply(4.0, rows.c2, out=out)
+                e *= tp
+                d += e
+                np.maximum(d, 0.0, out=d)
+                np.sqrt(d, out=d)
+                d += rows.c1
+                np.multiply(2.0, tp, out=out)
+                out /= d
+                return out
+            c1, c2, c3, c4, hi = rows.c1, rows.c2, rows.c3, rows.c4, rows.width
+            unb = np.flatnonzero(~np.isfinite(hi))
+            if unb.size:  # bracket an unbounded row's root by doubling
+                hi = _copy(hi, take(hi.size))
+                guess = np.maximum(1.0, tp[unb])
+                for _ in range(200):
+                    need = _quartic(c1[unb], c2[unb], c3[unb], c4[unb], guess) < tp[unb]
+                    if not np.any(need):
+                        break
+                    guess = np.where(need, guess * 2.0, guess)
+                hi[unb] = guess
+            return _newton_quartic(c1, c2, c3, c4, hi, tp, out)
+
+
+def _copy(a, out):
+    np.copyto(out, a)
+    return out
 
 
 # ---------------------------------------------------------------------------

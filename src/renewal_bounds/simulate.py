@@ -55,27 +55,33 @@ streams in waves: each still-active stream draws ``2 * block`` uniforms
 (``block`` intervals), and a stream leaves the set once its last jump lies
 beyond the largest query time.  The schedule is fixed: ``block`` starts at
 ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one wave draws at
-most ``_WAVE_INTERVALS`` intervals over all its rows, so wave memory does not
-grow with the horizon.
+most ``_WAVE_INTERVALS`` intervals over all its rows.  The schedule decides
+when a stream moves to its ``Generator`` and when finished rows leave; it
+does not bound memory.
 
-A wave lives in one float64 buffer of shape ``(2, block, rows)``, filled by
-one call to the slab's streams (limbs while the wave ends at or below
-``_LIMB_DRAWS`` stream positions, per-row ``Generator``s from the first wave
-that would pass it).  Half 0 holds the zeta uniforms (stream positions
-``2(j-1)``) and half 1 the theta uniforms (``2(j-1)+1``), each
-interval-major: one contiguous row per interval, one column per path.
-Everything after the draw happens in that buffer.  ``ppf`` is elementwise,
-so each half is overwritten with its inverse-CDF values chunk by chunk;
-theta maps all its rows with one law when the block's intervals share one
-mu index, else each index maps its own rows.  The interval minimum is
-written over half 0, the previous wave's last jump is added to its first
-row, and ``cumsum`` runs down the rows in place.  That sum is sequential per
-path, so every jump time equals the running sum of the whole path whatever
-the wave sizes.  Once per wave the loop yields the rows that were active
-and their jump times (half 0, a view of the buffer), and it frees the
-buffer before it draws the next wave.  ``estimate`` reduces a slab of
-replications to backward/forward times as the waves pass; ``simulate_path``
-is the one-stream case, which keeps the jumps.
+A wave is drawn, mapped and summed one tile at a time, and no array of a
+wave's size exists.  A tile holds about ``hazard._PPF_CHUNK`` intervals in
+one float64 buffer of shape ``(2, n, columns)`` that every tile of the slab
+reuses: half 0 the zeta uniforms (stream positions ``2(j-1)``) and half 1
+the theta uniforms (``2(j-1)+1``), each interval-major, one contiguous row
+per interval and one column per path.  In the limb stage (the first
+``_LIMB_DRAWS`` stream positions) a tile is a strip of interval rows over
+all the wave's rows; in the ``Generator`` stage it is a group of rows over
+the wave's intervals, and a row whose wave is longer than a tile draws it
+in tile-sized pieces.  Everything after the draw happens in the tile.
+``ppf`` is elementwise and runs in a reused workspace, so each half is
+overwritten with its inverse-CDF values where it lies; theta maps all its
+rows with one law when the tile's intervals share one mu index, else each
+law maps its own rows, by the wave's mu indices, computed once per wave.
+The interval minimum is written over half 0, each row's last jump so far is
+added to its first row, and the running sum runs down the rows in place.
+That sum is sequential per path, so every jump time equals the running sum
+of the whole path whatever the wave and tile sizes.  The loop yields each
+tile's rows and jump times (half 0, a view of the buffer) before it draws
+the next tile.  ``estimate`` reduces a slab of replications to
+backward/forward times tile by tile, settling each (row, query time) pair in
+the tile that holds the row's first jump beyond it; ``simulate_path`` is the
+one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -93,7 +99,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
 from .gridcalc import BoundReport, DominanceVerdict, generalized_bound, lorden_classical_bound
-from .hazard import _PPF_CHUNK, moment
+from . import hazard
+from .hazard import moment
 from .scenario import ScenarioConfig
 
 __all__ = [
@@ -213,33 +220,45 @@ def _xsl_rr_doubles(hi, lo, tmp, out) -> None:
 
 
 class _SlabStreams:
-    """The streams of one slab's replications, drawn in two stages.
+    """The streams of one slab's replications, drawn in two stages, one tile
+    at a time.
 
     Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))``, which is
-    ``path_stream`` of its replication.  ``random`` draws the next doubles of
-    a set of rows, all of them at the same stream position, into one wave
-    buffer ``(2, count // 2, rows)``: position ``k`` of the call goes to
-    ``buf[k % 2, k // 2]``, so half 0 holds a wave's zeta uniforms and half 1
-    its theta uniforms, one contiguous row per interval.
+    ``path_stream`` of its replication.  ``tiles(rows, block)`` draws the
+    next ``2 * block`` doubles of a set of rows, all at the same stream
+    position: one wave.  It yields the wave in tiles of about
+    ``_PPF_CHUNK`` intervals, ``(cols, a, tile)``: ``tile`` has shape
+    ``(2, n, len(cols))`` and holds intervals ``a .. a + n - 1`` of the
+    wave for the rows ``rows[cols]``.  Position ``2 (a + j)`` of a row's
+    wave goes to ``tile[0, j]`` and position ``2 (a + j) + 1`` to ``tile[1,
+    j]``: half 0 holds the zeta uniforms and half 1 the theta uniforms, one
+    contiguous row per interval.  A tile is a view of one buffer that every
+    tile reuses, so it is valid until the next one is drawn.
 
-    * While a call ends at or below stream position ``_LIMB_DRAWS``, every
-      row's 128-bit state and increment are ``uint64`` limbs, and a call steps
-      all its rows at once, one stream position at a time, each position
-      writing its doubles straight into its buffer row.
-    * The first call that would pass that position builds a ``Generator`` for
-      each of its rows only, seeded from the row's words and moved to the
-      position with ``bit_generator.advance``.  That call and every later one
-      fill each row's ``count`` doubles from its ``Generator`` and split them
-      between the two halves.
+    * While a wave ends at or below stream position ``_LIMB_DRAWS``, every
+      row's 128-bit state and increment are ``uint64`` limbs, stepped in
+      place for all the wave's rows at once, one stream position at a time,
+      each position writing its doubles straight into its tile row.  A tile
+      is a strip of interval rows over all the rows.  The limbs of rows that
+      left are dropped when the next wave starts.
+    * The first wave that would pass that position builds a ``Generator``
+      for each of its rows only, seeded from the row's words and moved to
+      the position with ``bit_generator.advance``.  That wave and every
+      later one fill a tile from a group of rows over all the wave's
+      intervals, each row's doubles from its ``Generator`` split between
+      the two halves; a row whose wave is longer than a tile draws it in
+      tile-sized pieces.
 
-    A call is either all limbs or all ``Generator``s, and both give the bits
-    of ``Generator.random``.  A row left out of a call never draws again.
+    A wave is either all limbs or all ``Generator``s, and both give the bits
+    of ``Generator.random``.  A row left out of a wave never draws again.
     """
 
     def __init__(self, words: np.ndarray):
         self.words = words  # (rows, 4) uint64: generate_state(4, np.uint64) per row
         self.position = 0  # doubles drawn so far by every row still drawing
         self._gens: list[np.random.Generator | None] | None = None
+        self._buf = np.empty(0)  # the tiles' buffer
+        self._rows = np.arange(words.shape[0])  # the rows whose limbs are held, in order
         w0, w1, w2, w3 = (np.ascontiguousarray(w) for w in words.T)
         # PCG64's seeding: inc = (w2:w3) << 1 | 1, state = inc + (w0:w1), one step
         self._inc_hi = (w2 << _U1) | (w3 >> _U63)
@@ -256,38 +275,56 @@ class _SlabStreams:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def random(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """The next ``count`` doubles (an even count) of each stream in ``rows``,
-        as one wave buffer ``buf`` of shape ``(2, count // 2, rows.size)``.
-
-        The call's ``k``-th double of row ``i`` is ``buf[k % 2, k // 2, i]``:
-        half 0 holds the even positions (the zeta uniforms) and half 1 the odd
-        ones (theta), and each half is interval-major, one contiguous row per
-        pair of positions.
-        """
-        block = count // 2
-        buf = np.empty((2, block, rows.size))
-        if self._gens is None and self.position + count <= _LIMB_DRAWS:
-            self._limb_doubles(rows, buf)
-        else:
-            if self._gens is None:
-                self._hand_over(rows)
-            draws = np.empty(count)
-            for i, row in enumerate(rows.tolist()):
-                self._gens[row].random(out=draws)
-                buf[:, :, i] = draws.reshape(block, 2).T
+    def tiles(self, rows: np.ndarray, block: int):
+        """Draw one wave, ``block`` intervals of each stream in ``rows``, and
+        yield it tile by tile as ``(cols, a, tile)`` (see the class)."""
+        count = 2 * block
+        limbs = self._gens is None and self.position + count <= _LIMB_DRAWS
+        if not limbs and self._gens is None:
+            self._hand_over(rows)
         self.position += count
-        return buf
+        chunk = hazard._PPF_CHUNK
+        if limbs:
+            yield from self._limb_tiles(rows, block, max(1, chunk // rows.size))
+        else:
+            yield from self._generator_tiles(rows, block, min(block, chunk),
+                                             max(1, chunk // block))
 
-    def _limb_doubles(self, rows: np.ndarray, buf: np.ndarray) -> None:
-        hi, lo = self._hi[rows], self._lo[rows]
-        inc_hi, inc_lo = self._inc_hi[rows], self._inc_lo[rows]
+    def _tile(self, shape) -> np.ndarray:
+        size = shape[0] * shape[1] * shape[2]
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size].reshape(shape)
+
+    def _limb_tiles(self, rows, block, strip):
+        if rows.size < self._rows.size:  # keep the limbs of the rows still drawing only
+            keep = np.searchsorted(self._rows, rows)
+            self._rows = rows
+            self._hi, self._lo, self._inc_hi, self._inc_lo = (
+                v[keep] for v in (self._hi, self._lo, self._inc_hi, self._inc_lo)
+            )
+        hi, lo, inc_hi, inc_lo = self._hi, self._lo, self._inc_hi, self._inc_lo
         tmp = np.empty((4, rows.size), dtype=np.uint64)
         carry = np.empty(rows.size, dtype=bool)
-        for k in range(2 * buf.shape[1]):  # one contiguous buffer row per stream position
-            _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry)
-            _xsl_rr_doubles(hi, lo, tmp, buf[k % 2, k // 2])
-        self._hi[rows], self._lo[rows] = hi, lo
+        for a in range(0, block, strip):
+            tile = self._tile((2, min(strip, block - a), rows.size))
+            for k in range(2 * tile.shape[1]):  # one contiguous tile row per stream position
+                _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry)
+                _xsl_rr_doubles(hi, lo, tmp, tile[k % 2, k // 2])
+            yield slice(None), a, tile
+
+    def _generator_tiles(self, rows, block, piece, group):
+        draws = np.empty(2 * piece)
+        rows = rows.tolist()
+        for c0 in range(0, len(rows), group):
+            cols = slice(c0, min(c0 + group, len(rows)))
+            for a in range(0, block, piece):
+                n = min(piece, block - a)
+                tile = self._tile((2, n, cols.stop - c0))
+                for i, row in enumerate(rows[cols]):
+                    self._gens[row].random(out=draws[: 2 * n])
+                    tile[:, :, i] = draws[: 2 * n].reshape(n, 2).T
+                yield cols, a, tile
 
     def _hand_over(self, rows: np.ndarray) -> None:
         self._gens = [None] * len(self)
@@ -295,7 +332,7 @@ class _SlabStreams:
             gen = np.random.Generator(np.random.PCG64(_SeedWords(self.words[row])))
             gen.bit_generator.advance(self.position)
             self._gens[row] = gen
-        self._hi = self._lo = self._inc_hi = self._inc_lo = None
+        self._hi = self._lo = self._inc_hi = self._inc_lo = self._rows = None
 
 
 def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
@@ -348,15 +385,18 @@ def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
                 pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
 
     # generate_state(4, np.uint64): eight uint32 words cycling the pool,
-    # paired little-endian into uint64
-    state = np.empty((r.size, 8), dtype=np.uint32)
+    # paired little-endian into uint64, one column at a time
+    seeds = np.empty((r.size, 4), dtype=np.uint64)
     hash_const = _INIT_B
     for i in range(8):
         value = pool[i % 4] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> 16)
-    seeds = state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << 32)
+        word = (value ^ (value >> 16)).astype(np.uint64)
+        if i % 2:
+            seeds[:, i // 2] |= word << _U32
+        else:
+            seeds[:, i // 2] = word
     return _SlabStreams(seeds)
 
 
@@ -392,55 +432,85 @@ class RenewalPath:
 
 
 def _ppf_in_place(cdf, half: np.ndarray, rows=None) -> None:
-    """Overwrite interval rows of a wave half (all of them, or the listed
-    ``rows``) with their ``cdf.ppf`` values, about ``_PPF_CHUNK`` draws per call.
+    """Overwrite interval rows of a tile half (all of them, or the listed
+    ``rows``) with their ``cdf.ppf`` values.
 
-    ``ppf`` is elementwise, so a value does not depend on the draws it is
-    called with, and each chunk is written back over its own uniforms.
+    ``ppf`` is elementwise and its chunk loop (``_ppf_into``) may write over
+    the uniforms it reads, so a C-contiguous half is mapped where it lies;
+    listed rows are gathered into one array, mapped there, and written back.
     """
-    step = max(1, _PPF_CHUNK // half.shape[1])
-    for s in range(0, half.shape[0] if rows is None else rows.size, step):
-        chunk = slice(s, s + step) if rows is None else rows[s : s + step]
-        half[chunk] = cdf.ppf(half[chunk])  # a slice is read in place, listed rows are copied
+    if rows is None:
+        cdf._ppf_into(half, half)
+    else:
+        picked = half[rows]
+        cdf._ppf_into(picked, picked)
+        half[rows] = picked
 
 
-def _theta_from_uniforms(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
-    """Map the theta uniforms of intervals ``j0, j0 + 1, ...`` (one row each,
-    interval-major) in place through the per-index mu inverses, and return them.
-
-    A block whose intervals share one mu index maps all its rows at once;
-    otherwise each index maps its own rows.  ``ppf`` itself gives ``+inf``
-    above that mu's total mass.
-    """
-    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(u.shape[0])))
+def _mu_plan(scenario: ScenarioConfig, j0: int, block: int) -> list:
+    """The mu laws of a wave's intervals ``j0 .. j0 + block - 1``, as
+    ``(cdf, offsets)`` pairs: the wave offsets of the intervals each law
+    maps, or ``None`` when one law maps them all.  Computed once per wave,
+    and read by every tile of it."""
+    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(block)))
     members = np.flatnonzero(np.bincount(midx))  # np.unique, without numpy.ma
     if members.size == 1:
-        _ppf_in_place(scenario.mu_cdfs[members[0]], u)
-    else:
-        for d in members:
-            _ppf_in_place(scenario.mu_cdfs[d], u, np.flatnonzero(midx == d))
+        return [(scenario.mu_cdfs[members[0]], None)]
+    return [(scenario.mu_cdfs[d], np.flatnonzero(midx == d)) for d in members]
+
+
+def _theta_from_uniforms(plan: list, u: np.ndarray, a: int) -> np.ndarray:
+    """Map the theta uniforms of a tile, wave intervals ``a, a + 1, ...``
+    (one row each, interval-major), in place through their mu inverses by
+    the wave's ``plan`` (``_mu_plan``), and return them.
+
+    A tile whose intervals share one mu law maps all its rows at once;
+    otherwise each law maps its own rows.  ``ppf`` itself gives ``+inf``
+    above that mu's total mass.
+    """
+    for cdf, offsets in plan:
+        if offsets is None:
+            _ppf_in_place(cdf, u)
+            continue
+        lo, hi = np.searchsorted(offsets, (a, a + u.shape[0]))
+        if hi > lo:
+            _ppf_in_place(cdf, u, offsets[lo:hi] - a)
     return u
 
 
+def _running_sum(times: np.ndarray) -> None:
+    """``np.cumsum(times, axis=0, out=times)``: sequential down each column,
+    so the same bits either way.  numpy accumulates column by column, one
+    inner loop per column; a tile with more columns than rows (a limb strip)
+    adds row after row instead."""
+    if times.shape[0] < times.shape[1]:
+        for j in range(1, times.shape[0]):
+            times[j] += times[j - 1]
+    else:
+        np.cumsum(times, axis=0, out=times)
+
+
 def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
-    """Draw intervals from a slab's ``streams`` in waves until every path passes ``t_max``.
+    """Draw intervals from a slab's ``streams`` in waves until every path
+    passes ``t_max``, and yield them a tile at a time.
 
-    Yields ``(active, times)`` once per wave: the rows of ``streams`` still
-    short of ``t_max``, and their jump times in this wave, interval-major
-    (``block x active.size``: column ``i`` is row ``active[i]``'s path).
-    Rows whose last jump lies beyond ``t_max`` leave before the next wave
-    and never draw again.  The block starts at ``_FIRST_BLOCK``, doubles from
-    wave to wave, and is cut so that one wave draws at most
-    ``_WAVE_INTERVALS`` intervals (one per row at least).
+    Yields ``(rows, times)`` once per tile: rows of ``streams`` short of
+    ``t_max`` when the wave began, and their jump times over a run of
+    consecutive intervals, interval-major (``n x rows.size``: column ``i``
+    is row ``rows[i]``'s path).  A row's tiles come in the order of its
+    intervals.  ``times`` is a view of the tiles' buffer, valid until the
+    next tile.  Rows whose last jump lies beyond ``t_max`` leave when the
+    wave ends and never draw again.  The wave schedule: the block starts at
+    ``_FIRST_BLOCK``, doubles from wave to wave, and is cut so that one wave
+    draws at most ``_WAVE_INTERVALS`` intervals (one per row at least).
 
-    A wave lives in one buffer, ``streams.random(active, 2 * block)``: half 0
-    holds the zeta uniforms and half 1 the theta uniforms (see
-    ``_SlabStreams``).  Both halves are mapped through their inverses in
-    place, the interval minimum overwrites half 0, and so does the running
-    sum: the previous wave's last jump is added to the first interval row
-    and ``cumsum`` runs down the intervals, sequentially per path, so jump
-    times do not depend on the block sizes.  ``times`` is that half, a view
-    of the wave's buffer.
+    A tile comes from ``streams.tiles``: half 0 holds the zeta uniforms and
+    half 1 the theta uniforms.  Both halves are mapped through their
+    inverses in place, the interval minimum overwrites half 0, and so does
+    the running sum: each row's last jump so far is added to the tile's
+    first interval row and ``_running_sum`` runs down the intervals,
+    sequentially per path, so jump times do not depend on the wave or tile
+    sizes.
     """
     active = np.arange(len(streams))
     base = np.zeros(len(streams))
@@ -452,16 +522,18 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
                 f"some path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
             )
         block = max(1, min(block, _WAVE_INTERVALS // active.size))
-        buf = streams.random(active, 2 * block)
-        _ppf_in_place(scenario.eta_cdf, buf[0])
-        _theta_from_uniforms(scenario, buf[1], j0)
-        times = np.minimum(buf[0], buf[1], out=buf[0])  # the intervals xi
-        times[0] += base[active]
-        np.cumsum(times, axis=0, out=times)  # sequential: the running sum of the whole path
-        yield active, times
-        base[active] = times[-1]
-        active = active[~(times[-1] > t_max)]
-        del buf, times  # free this wave's buffer before the next one is drawn
+        plan = _mu_plan(scenario, j0, block)
+        last = base[active]  # the wave's rows' last jumps, tile by tile
+        for cols, a, tile in streams.tiles(active, block):
+            _ppf_in_place(scenario.eta_cdf, tile[0])
+            _theta_from_uniforms(plan, tile[1], a)
+            times = np.minimum(tile[0], tile[1], out=tile[0])  # the intervals xi
+            times[0] += last[cols]
+            _running_sum(times)
+            yield active[cols], times
+            last[cols] = times[-1]
+        base[active] = last
+        active = active[~(last > t_max)]
         j0 += block
         block *= 2
 
@@ -471,7 +543,8 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
     queries = np.asarray(scenario.t_queries)
     t_max = float(queries[-1])
     streams = _slab_streams(scenario.seed, replication, replication + 1)
-    jumps = np.concatenate([times[:, 0] for _, times in _waves(scenario, streams, t_max)])
+    # copies: a tile's buffer is reused by the next tile
+    jumps = np.concatenate([times[:, 0].copy() for _, times in _waves(scenario, streams, t_max)])
     jumps = jumps[: int(np.argmax(jumps > t_max)) + 1]
 
     n_t = np.searchsorted(jumps, queries, side="right")
@@ -482,27 +555,40 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
 
 
 def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Backward/forward times for replications [r0, r1), vectorized in waves."""
+    """Backward/forward times for replications [r0, r1), vectorized in wave tiles.
+
+    Each (row, query) pair is settled once, in the tile that holds the
+    row's first jump beyond the query time ``t``: a row's tiles come in the
+    order of its jumps, so that is the tile whose last jump lies beyond
+    ``t`` while the row's last jump before it (0 before any) does not.
+    There the first jump beyond ``t`` is ``next_gt``, and the jump before
+    it, in the tile or the last one before it, is ``last_le``.  A tile
+    visits only the queries between its rows' earliest and latest jumps,
+    and gathers only the rows it settles, so its memory follows its own
+    size.
+    """
     queries = np.asarray(scenario.t_queries)
     count = r1 - r0
-    last_le = np.zeros((count, queries.size))
-    next_gt = np.full((count, queries.size), np.nan)
+    last_le = np.empty((count, queries.size))
+    next_gt = np.empty((count, queries.size))
+    prev = np.zeros(count)  # each row's last jump before the tile
 
     streams = _slab_streams(scenario.seed, r0, r1)
-    for active, times in _waves(scenario, streams, float(queries[-1])):
-        block = times.shape[0]
-        for qi, t in enumerate(queries):
-            cnt = np.sum(times <= t, axis=0)
-            has = cnt > 0
-            if np.any(has):
-                cols = np.nonzero(has)[0]
-                last_le[active[cols], qi] = times[cnt[cols] - 1, cols]
-            open_q = np.isnan(next_gt[active, qi]) & (cnt < block)
-            if np.any(open_q):
-                cols = np.nonzero(open_q)[0]
-                next_gt[active[cols], qi] = times[cnt[cols], cols]
-        del times  # let the wave's buffer go before the next wave is drawn
-    return queries - last_le, next_gt - queries
+    for rows, times in _waves(scenario, streams, float(queries[-1])):
+        before, last = prev[rows], times[-1]
+        q0, q1 = np.searchsorted(queries, (before.min(), last.max()), side="left")
+        for qi in range(q0, q1):
+            t = queries[qi]
+            cols = np.flatnonzero((before <= t) & (last > t))
+            if cols.size:
+                seg = times[:, cols]
+                cnt = np.count_nonzero(seg <= t, axis=0)  # jumps at or before t
+                i = np.arange(cols.size)
+                next_gt[rows[cols], qi] = seg[cnt, i]
+                last_le[rows[cols], qi] = np.where(cnt > 0, seg[cnt - 1, i], before[cols])
+        prev[rows] = last
+    # B and W in place: the same subtractions, and no second pair of arrays
+    return np.subtract(queries, last_le, out=last_le), np.subtract(next_gt, queries, out=next_gt)
 
 
 def _slab_worker(args) -> tuple[int, np.ndarray, np.ndarray]:

@@ -514,3 +514,26 @@ print("numpy.ma" in sys.modules)
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "workload, command",
+    [("verify-exp-cycle", "verify"), ("verify-uniform-t50", "verify"), ("tail-exp-cycle", "tail")],
+)
+def test_benchmark_scenarios_report_the_same_at_one_and_two_workers(
+    tmp_path, monkeypatch, workload, command
+):
+    # the benchmark's scenario files, read as they are, at 400 reps in slabs
+    # of 150: three slabs, so two workers split them
+    import renewal_bounds.simulate as sim
+
+    monkeypatch.setattr(sim, "_SLAB", 150)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / f"{workload}.ini"
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code = main([command, str(path), "--out", str(out), "--reps", "400",
+                     "--workers", str(workers)])
+        runs.append((code, (out / "report.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 1)

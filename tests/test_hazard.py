@@ -788,7 +788,8 @@ def test_quartic_rows_give_a_double_whose_predecessor_fails(phi):
     tp = np.where(tp > 0.0, tp, end)
     assert tp.size >= 10_000
 
-    out = F._solve_rows(rows, tp)
+    with hazard._SCRATCH as take:
+        out = F._solve_rows(F._operands(rows, rows.size, take), tp, np.empty(rows.size))
     assert np.all((out > 0.0) & (out <= width))
     assert np.all(_row_increment(F, rows, out) >= tp)
     below = np.nextafter(out, -math.inf)
@@ -815,7 +816,8 @@ def test_quartic_kernel_is_bit_equal_to_the_masked_kernel(phi):
     for s in range(0, tp.size, 1 << 16):  # elementwise: slices bound the memory
         r = rows[s : s + (1 << 16)]
         args = [F._row_RT[k][r] for k in (1, 2, 3, 4)] + [F._row_width[r], tp[s : s + (1 << 16)]]
-        got, want = hazard._newton_quartic(*args), newton_quartic_by_masks(*args)
+        got = hazard._newton_quartic(*args, np.empty(args[-1].size))
+        want = newton_quartic_by_masks(*args)
         differ += np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
     assert differ == 0, f"{differ} of {tp.size} solves differ"
 
@@ -828,7 +830,7 @@ def test_quartic_kernel_result_is_not_the_smallest_qualifying_double():
     row = np.array([84])
     tp = np.array([2.92119253236924])
     tau = hazard._newton_quartic(*(F._row_RT[k][row] for k in (1, 2, 3, 4)),
-                                 F._row_width[row], tp)
+                                 F._row_width[row], tp, np.empty(1))
     assert tau[0] == 0.724984149771789
     one_down = np.nextafter(tau, 0.0)
     two_down = np.nextafter(one_down, 0.0)
@@ -896,7 +898,8 @@ def test_guard_cdf_on_the_solved_row_is_cdf(phi):
     rows, xs = np.array(rows), np.array(xs)
     if F._full_loc is not None:
         assert np.any(xs == F._full_loc)
-    got = F._cdf_on_rows(xs, rows)
+    with hazard._SCRATCH as take:
+        got = F._cdf_on_rows(xs, F._operands(rows, rows.size, take), np.empty(xs.size))
     assert got.tobytes() == F.cdf(xs).tobytes()
 
 
@@ -940,7 +943,7 @@ def test_guide_search_equals_searchsorted(phi):
     u = u[(u >= 0.0) & (u < 1.0)]
     u_all = np.concatenate([u_of_T, u])
     T_all = np.concatenate([T, np.minimum(-np.log1p(-u), F._total_lam)])
-    got = F._search(u_all, T_all)
+    got = F._search(u_all, T_all, np.empty(u_all.size, dtype=np.intp))
     want = np.searchsorted(lam_hi, T_all, side="left")
     assert np.array_equal(got, want)
 
@@ -1031,3 +1034,103 @@ def _assert_like_the_masked_inversion(F, u, got):
     assert np.all(F.cdf(np.nextafter(got[short], 0.0)) < u[short])
     finite = np.isfinite(got)
     assert np.all(F.cdf(got[finite]) >= u[finite])
+
+
+# ---------------------------------------------------------------------------
+# ppf's workspace and the guard's operands
+# ---------------------------------------------------------------------------
+
+
+def test_ppf_workspace_is_shared_without_cross_talk(monkeypatch):
+    # every law and every call takes its scratch from one workspace; results
+    # interleaved across laws, shapes and the placed-draw path (an atom at 0,
+    # an improper law, a full atom) are those of a fresh law in a fresh
+    # workspace
+    laws = {
+        **KERNEL_LAWS,
+        "exp1-atom0": rb.from_segments([(0.0, [1.0])], atoms=[(0.0, 0.5)]),
+        "improper": rb.from_segments([(0, [0.25]), (1, [0])], require_proper=False),
+        "quartic+atoms": rb.from_segments([(0.0, [0.5, 0.2, 0.1]), (1.0, [1.0])],
+                                          atoms=[(0.5, 0.3), (2.5, rb.ATOM_INF)]),
+    }
+    rng = np.random.default_rng(31)
+    inputs = {
+        "scalar": 0.37,
+        "13x29": rng.random((13, 29)),
+        "chunk+3": rng.random((1 << 15) + 3),
+        "strided": rng.random((3, 6001))[:, ::2],
+    }
+    want = {}
+    for name, phi in laws.items():
+        for key, u in inputs.items():
+            with monkeypatch.context() as m:
+                m.setattr(hazard, "_SCRATCH", hazard._Scratch())
+                want[name, key] = np.asarray(rb.cdf_from_intensity(phi).ppf(u)).tobytes()
+    shared = {name: rb.cdf_from_intensity(phi) for name, phi in laws.items()}
+    for _ in range(2):
+        for key, u in inputs.items():
+            for name, F in shared.items():
+                got = F.ppf(u)
+                assert np.shape(got) == np.shape(u)
+                assert np.asarray(got).tobytes() == want[name, key], (name, key)
+
+
+def test_warm_ppf_allocates_little_more_than_its_output():
+    # once the workspace has grown to a chunk, a call's temporaries come from
+    # it: 28.8 doubles per draw were allocated per chunk before it existed
+    import tracemalloc
+
+    F = rb.cdf_from_intensity(rb.uniform(0.0, 1.0))
+    u = np.random.default_rng(37).random(1 << 15)
+    first = F.ppf(u)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        second = F.ppf(u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert second.tobytes() == first.tobytes()
+    assert peak <= 4 * 8 * u.size, f"{peak / 8 / u.size:.2f} doubles per draw"
+
+
+def test_guard_on_rows_of_degree_at_most_one_is_cdf():
+    # a piecewise-constant hazard of four rows with an interior atom: a
+    # chunk's operands carry c1 only, and the guard's lam_lo + c1 tau is
+    # cdf's Horner value bit for bit
+    phi = rb.from_segments([(0.0, [0.5]), (0.7, [2.0]), (1.5, [0.3])], atoms=[(1.0, 0.4)])
+    F = rb.cdf_from_intensity(phi)
+    assert F._row_lo.size == 4 and np.all(F._row_deg <= 1)
+    rng = np.random.default_rng(41)
+    rows = np.repeat(np.arange(4), 200)
+    span = np.where(np.isfinite(F._row_width), F._row_width, 5.0)[rows]
+    xs = F._row_lo[rows] + span * rng.random(rows.size)
+    xs[::200] = F._row_lo[::1]  # each row's start
+    with hazard._SCRATCH as take:
+        ops = F._operands(rows, rows.size, take)
+        assert ops.c2 is None and ops.cls == 0
+        got = F._cdf_on_rows(xs, ops, np.empty(xs.size))
+    assert got.tobytes() == F.cdf(xs).tobytes()
+    total = F.total_mass()
+    edges = np.array([0.0, 1.0 - 2.0**-53, math.nextafter(total, 0.0)])
+    u = np.concatenate([edges, -np.expm1(-F._row_lam_hi[:-1]), rng.random(10**5)])
+    _assert_like_the_masked_inversion(F, u, F.ppf(u))
+
+
+def test_ppf_in_threads_keeps_its_bits():
+    # each thread takes its scratch from a workspace of its own; a short
+    # switch interval interleaves the threads between numpy calls
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    laws = [rb.cdf_from_intensity(phi) for phi in KERNEL_LAWS.values()]
+    u = np.random.default_rng(43).random(3 * (1 << 15) + 5)
+    want = [F.ppf(u).tobytes() for F in laws]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda F: F.ppf(u).tobytes(), laws * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3

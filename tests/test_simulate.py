@@ -86,7 +86,7 @@ def test_interval_consumes_two_uniforms_in_order(sc_exp):
 def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
     # generate_interval's theta is mu_cdf.ppf(u); the batch must agree at
     # u = 0 and on both sides of the total mass
-    from renewal_bounds.simulate import _theta_from_uniforms
+    from renewal_bounds.simulate import _mu_plan, _theta_from_uniforms
 
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(4.0),
@@ -95,7 +95,7 @@ def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
     cdf = sc.mu_cdfs[0]
     total = cdf.total_mass()
     us = [u for u in (0.0, total, math.nextafter(total, 1.0), math.nextafter(1.0, 0.0)) if u < 1.0]
-    batch = _theta_from_uniforms(sc, np.array(us)[:, None], 1)[:, 0]
+    batch = _theta_from_uniforms(_mu_plan(sc, 1, len(us)), np.array(us)[:, None], 0)[:, 0]
     scalar = [float(cdf.ppf(u)) for u in us]
     assert batch.tolist() == scalar
     assert batch[0] == 0.0
@@ -110,9 +110,9 @@ _IN_PLACE_LAWS = {
 
 @pytest.mark.parametrize("phi", list(_IN_PLACE_LAWS.values()), ids=list(_IN_PLACE_LAWS))
 def test_ppf_in_place_matches_a_contiguous_copy(phi):
-    # a wave buffer (2, block, rows) mapped half by half over its own
-    # uniforms, and a strided 2-D view of it, give ppf's bits on a copy;
-    # the buffer spans several ppf chunks and holds the mass edges
+    # a tile (2, block, rows) mapped half by half over its own uniforms, and
+    # listed interval rows of a half, give ppf's bits on a copy; the tile
+    # spans several ppf chunks and holds the mass edges
     from renewal_bounds.simulate import _ppf_in_place
 
     F = rb.cdf_from_intensity(phi)
@@ -128,11 +128,6 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
     for half in halves:
         _ppf_in_place(F, half)
     assert halves.tobytes() == want.tobytes()
-
-    strided = buf.copy()
-    for half in strided.transpose(0, 2, 1):  # (rows, block): columns are not contiguous
-        _ppf_in_place(F, half)
-    assert strided.tobytes() == want.tobytes()
 
     listed = buf.copy()
     _ppf_in_place(F, listed[1], np.arange(1, 24, 3))
@@ -150,7 +145,7 @@ def test_theta_in_place_on_a_generator_wave(rule):
     # past the limb waves (positions 0-223), a Generator-stage wave's theta
     # half is mapped in place, row by interval, as each interval's mu ppf
     # maps a contiguous copy
-    from renewal_bounds.simulate import _slab_streams, _theta_from_uniforms
+    from renewal_bounds.simulate import _mu_plan, _slab_streams, _theta_from_uniforms
 
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=rule,
@@ -159,14 +154,14 @@ def test_theta_in_place_on_a_generator_wave(rule):
     streams = _slab_streams(sc.seed, 0, sc.reps)
     rows = np.arange(sc.reps)
     for count in (32, 64, 128):
-        streams.random(rows, count)
-    buf = streams.random(rows, 2 * 128)
+        _wave(streams, rows, count)
+    buf = _wave(streams, rows, 2 * 128)
     assert streams._gens is not None
     j0 = 1 + 224 // 2
     want = np.stack([
         sc.mu_cdfs[int(rule.index_for(j0 + j))].ppf(buf[1, j].copy()) for j in range(128)
     ])
-    theta = _theta_from_uniforms(sc, buf[1], j0)
+    theta = _theta_from_uniforms(_mu_plan(sc, j0, 128), buf[1], 0)
     assert np.shares_memory(theta, buf)
     assert buf[1].tobytes() == want.tobytes()
     if isinstance(rule, rb.CycledIntensities):  # the zero member: +inf but at u = 0
@@ -189,8 +184,17 @@ def _rows_of(seed, replications):
     return _SlabStreams(np.concatenate([_slab_streams(seed, r, r + 1).words for r in replications]))
 
 
+def _wave(streams, rows, count):
+    # the next count doubles of each row, assembled from one wave's tiles
+    # into (2, count // 2, rows): position k of row i is in [k % 2, k // 2, i]
+    u = np.full((2, count // 2, rows.size), np.nan)
+    for cols, a, tile in streams.tiles(rows, count // 2):
+        u[:, a : a + tile.shape[1], cols] = tile
+    return u
+
+
 def _row_doubles(u, i):
-    # row i of a wave buffer (2, count // 2, rows) in stream order: position k is u[k % 2, k // 2, i]
+    # row i of a wave (2, count // 2, rows) in stream order: position k is u[k % 2, k // 2, i]
     return u[:, :, i].T.ravel()
 
 
@@ -215,7 +219,7 @@ def test_slab_streams_draw_like_path_stream(seed):
 
     streams = _slab_streams(seed, 16380, 16390)
     assert len(streams) == 10
-    u = streams.random(np.arange(10), 50)
+    u = _wave(streams, np.arange(10), 50)
     for i, r in enumerate(range(16380, 16390)):
         assert _row_doubles(u, i).tobytes() == rb.path_stream(seed, r).random(50).tobytes()
 
@@ -227,7 +231,7 @@ def test_limb_doubles_match_generator_random(seed):
 
     streams = _rows_of(seed, SLAB_REPLICATIONS)
     rows = np.arange(len(SLAB_REPLICATIONS))
-    waves = [streams.random(rows, count) for count in (32, 64, 128)]
+    waves = [_wave(streams, rows, count) for count in (32, 64, 128)]
     assert streams.position == _LIMB_DRAWS == 224
     assert _handed_over(streams) == []
     for i, r in enumerate(SLAB_REPLICATIONS):
@@ -253,7 +257,7 @@ def test_handed_over_rows_continue_bit_equal(counts, handover, seed):
         if streams.position == handover:
             assert _handed_over(streams) == []
             rows = rows[survivors]  # the other rows leave as the limbs end
-        u = streams.random(rows, count)
+        u = _wave(streams, rows, count)
         for i, row in enumerate(rows.tolist()):
             drawn[row].append(_row_doubles(u, i))
     assert _handed_over(streams) == survivors
@@ -400,22 +404,24 @@ def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
     assert drawn >= 10 * budget
 
 
-def test_slab_memory_is_one_wave_buffer():
-    # one full slab of the verify-uniform-t50 scenario: 16,384 rows at t = 50,
-    # waves of up to _WAVE_INTERVALS intervals.  A wave lives in one buffer
-    # of 2 * _WAVE_INTERVALS doubles (16 MiB); on top of it come ppf's
-    # temporaries for one chunk (about 29 doubles per draw, 7.2 MiB) and
-    # the slab's own arrays (about 2 MiB).  Keeping a second wave-sized array
-    # alive, such as the previous wave's buffer, breaks the bound.
+@pytest.mark.parametrize("wave", [1 << 20, 1 << 22])
+def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, wave):
+    # one full slab of the verify-uniform-t50 scenario: 16,384 rows at t = 50.
+    # A wave is drawn, mapped and summed one tile of about _PPF_CHUNK
+    # intervals at a time, and ppf's temporaries live in one workspace,
+    # here a fresh one, so its growth is counted.  The peak does not follow
+    # the wave size: waves in one (2, block, rows) buffer peaked at 26 MiB.
     import tracemalloc
 
     import renewal_bounds.simulate as sim
-    from renewal_bounds.hazard import _PPF_CHUNK
+    from renewal_bounds import hazard
 
+    monkeypatch.setattr(sim, "_WAVE_INTERVALS", wave)
+    monkeypatch.setattr(hazard, "_SCRATCH", hazard._Scratch())
     uni = rb.uniform(0.0, 1.0)
     sc = iid_scenario(uni, reps=16_384, t_queries=(50.0,), seed=4242)
     sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
-    bound = 2 * sim._WAVE_INTERVALS * 8 + 48 * 8 * _PPF_CHUNK + 2 * 2**20
+    bound = 12 * 2**20
     tracemalloc.start()
     try:
         sim._slab_stats(sc, 0, sc.reps)
@@ -423,6 +429,45 @@ def test_slab_memory_is_one_wave_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"slab peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("case", ["cycle-with-zero", "uniform"])
+def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
+    # the tile size follows _PPF_CHUNK and the wave schedule _WAVE_INTERVALS;
+    # jump times are running sums per path, so neither changes a sample.
+    # Both scenarios run most paths past the limb stage (224 positions) into
+    # the Generator stage, where a 7-interval tile splits a row's wave in
+    # pieces; the cycle's zero member maps its uniforms to +inf
+    import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
+
+    if case == "uniform":
+        sc = iid_scenario(rb.uniform(0.0, 1.0), reps=30, t_queries=(0.5, 20.0, 70.0), seed=22)
+    else:
+        rule = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+        sc = rb.ScenarioConfig(
+            phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=rule,
+            t_queries=(0.5, 5.0, 100.0), reps=30, seed=21,
+        )
+    runs = {}
+    for chunk in (7, hazard._PPF_CHUNK):
+        for wave in (64, 1 << 20):
+            monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
+            monkeypatch.setattr(sim, "_WAVE_INTERVALS", wave)
+            table = rb.estimate(sc, keep_samples=True)
+            b, w = sim._slab_stats(sc, 0, sc.reps)
+            assert b.tobytes() == table.samples_backward.tobytes()
+            assert w.tobytes() == table.samples_forward.tobytes()
+            runs[chunk, wave] = b.tobytes() + w.tobytes()
+            monkeypatch.undo()
+    assert len(set(runs.values())) == 1, runs.keys()
+    events = []
+    for r in range(sc.reps):
+        p = rb.simulate_path(sc, r)
+        assert np.array_equal(b[r], p.b_t)
+        assert np.array_equal(w[r], p.w_t)
+        events.append(p.events)
+    assert sorted(events)[sc.reps // 2] > sim._LIMB_DRAWS // 2
 
 
 def test_estimate_exponential_backward_mean():
