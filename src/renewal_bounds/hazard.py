@@ -604,10 +604,12 @@ def _newton_quartic(c1, c2, c3, c4, width, tp, out):
     steps run in ``_SCRATCH`` arrays reused from step to step.  Stopped
     draws ride along, their steps unused, until at most half of the arrays'
     draws go on; those are then gathered into one of two sets of arrays,
-    used in turn, so a gather never reads the array it writes, and each set
-    is at most half the size of the arrays before it.  The masked divide
-    and the midpoint are computed only in a step where some draw needs
-    them.
+    used in turn, so a gather never reads the array it writes.  Each set is
+    at most half the size of the arrays before it, so the sets take at
+    most 6 doubles per draw; gathering at every step where a draw stops
+    takes up to 16, as most draws go on after the first stops.  The masked
+    divide and the midpoint are computed only in a step where some draw
+    needs them.
 
     The finish evaluates ``R`` at Newton's end point and at the double
     before it, once for the whole array.  Where the end point qualifies
@@ -630,9 +632,10 @@ def _newton_quartic(c1, c2, c3, c4, width, tp, out):
         hi = take(n)
         np.copyto(hi, width)
         bufs = take(7 * n).reshape(7, n)
+        res = bufs[6]  # each draw's answer, in the arrays' order, once it stops
         flags = take(4 * n, bool).reshape(4, n)
+        flags[3].fill(True)  # live: the draws in the arrays that go on
         sets = [None, None]  # the arrays the unconverged draws are gathered into
-        frozen = False  # whether some draws in the arrays have stopped
         # chord through the origin: exact on a linear row, left of the root on
         # a convex one
         tau = bufs[5]
@@ -644,7 +647,6 @@ def _newton_quartic(c1, c2, c3, c4, width, tp, out):
             m = tau.size
             p, dp, f, a = bufs[:4, :m]
             new = bufs[4 + it % 2, :m]  # never the buffer that holds tau
-            res = bufs[6, :m]  # the answers of the draws that stopped
             ge, done, tmp, live = flags[:, :m]
             # R and R' by one Horner pass
             np.multiply(k4, tau, out=a)
@@ -685,16 +687,11 @@ def _newton_quartic(c1, c2, c3, c4, width, tp, out):
             np.multiply(hi, _ULP, out=f)
             done |= np.less_equal(a, f, out=tmp)
             tau = new
-            if frozen:
-                done &= live  # the draws that stop now
+            done &= live  # the draws that stop now
             if not done.any():
                 continue
-            np.copyto(res, tau, where=done)
-            if frozen:
-                live ^= done
-            else:
-                np.logical_not(done, out=live)
-                frozen = True
+            np.copyto(res[:m], tau, where=done)
+            live ^= done
             left = np.count_nonzero(live)
             if left == 0:
                 break
@@ -704,25 +701,25 @@ def _newton_quartic(c1, c2, c3, c4, width, tp, out):
             if ids is None:
                 out[:] = res
             else:
-                out[ids] = res
+                out[ids] = res[:m]
             # index gathers: a boolean index branches on every element
             keep = np.flatnonzero(live)
             ids = keep if ids is None else ids[keep]
             if sets[0] is None:  # the counts only fall: the first size fits
-                sets[0] = take(8 * keep.size).reshape(8, keep.size)
-            dst = sets[0][:, : keep.size]
+                sets[0] = take(8 * left).reshape(8, left)
+            dst = sets[0][:, :left]
             tau, lo, hi, t, k1, k2, k3, k4 = (
                 _gather(v, keep, d) for v, d in zip((tau, lo, hi, t, k1, k2, k3, k4), dst)
             )
+            flags[3, :left].fill(True)
             sets.reverse()  # the next gather goes into the other set
-            frozen = False
-        if frozen:  # the stopped draws' answers, and the last step of the others
-            np.copyto(res, tau, where=live)
-            tau = res
+        # the last step of the draws that did not stop
+        m = tau.size
+        np.copyto(res[:m], tau, where=flags[3, :m])
         if ids is None:
-            out[:] = tau
+            out[:] = res
         else:
-            out[ids] = tau
+            out[ids] = res[:m]
 
         # a qualifying tau is > 0 (R(0) = 0 < tp), so its bits less one are the
         # double below it; elsewhere ``below`` is not used
@@ -1011,7 +1008,11 @@ class IntensityCdf:
     def _ppf_into(self, u, x) -> None:
         """Write ``ppf(u)`` into ``x``, a C-contiguous float array of ``u``'s
         shape that may be ``u`` itself, ``_PPF_CHUNK`` draws at a time.
-        ``ppf`` is elementwise, so the chunk size cannot change a result."""
+        ``ppf`` is elementwise, so the chunk size cannot change a result.
+        An ``x`` that is not C-contiguous raises ``ValueError``: its flat
+        view would be a copy, and the values would not reach ``x``."""
+        if not x.flags.c_contiguous:
+            raise ValueError("ppf output must be C-contiguous")
         _check_u(u)
         u, x = u.reshape(-1), x.reshape(-1)  # x: a view, as it is contiguous
         with _SCRATCH:  # the outermost frame: the buffer grows between chunks' frames

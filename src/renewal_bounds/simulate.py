@@ -437,14 +437,16 @@ def _ppf_in_place(cdf, half: np.ndarray, rows=None) -> None:
 
     ``ppf`` is elementwise and its chunk loop (``_ppf_into``) may write over
     the uniforms it reads, so a C-contiguous half is mapped where it lies;
-    listed rows are gathered into one array, mapped there, and written back.
+    listed rows, or a half that is not C-contiguous, are copied into one
+    array, mapped there, and written back.
     """
-    if rows is None:
+    if rows is None and half.flags.c_contiguous:
         cdf._ppf_into(half, half)
     else:
-        picked = half[rows]
+        pick = slice(None) if rows is None else rows
+        picked = np.ascontiguousarray(half[pick])  # a copy: listed rows are one already
         cdf._ppf_into(picked, picked)
-        half[rows] = picked
+        half[pick] = picked
 
 
 def _mu_plan(scenario: ScenarioConfig, j0: int, block: int) -> list:

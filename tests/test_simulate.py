@@ -110,9 +110,9 @@ _IN_PLACE_LAWS = {
 
 @pytest.mark.parametrize("phi", list(_IN_PLACE_LAWS.values()), ids=list(_IN_PLACE_LAWS))
 def test_ppf_in_place_matches_a_contiguous_copy(phi):
-    # a tile (2, block, rows) mapped half by half over its own uniforms, and
-    # listed interval rows of a half, give ppf's bits on a copy; the tile
-    # spans several ppf chunks and holds the mass edges
+    # a tile (2, block, rows) mapped half by half over its own uniforms, a
+    # strided 2-D view of it, and listed interval rows of a half, give ppf's
+    # bits on a copy; the tile spans several ppf chunks and holds the mass edges
     from renewal_bounds.simulate import _ppf_in_place
 
     F = rb.cdf_from_intensity(phi)
@@ -128,6 +128,13 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
     for half in halves:
         _ppf_in_place(F, half)
     assert halves.tobytes() == want.tobytes()
+
+    strided = buf.copy()
+    for half in strided.transpose(0, 2, 1):  # (rows, block): columns are not contiguous
+        _ppf_in_place(F, half)
+    assert strided.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):  # its flat view would be a copy
+        F._ppf_into(half, half)
 
     listed = buf.copy()
     _ppf_in_place(F, listed[1], np.arange(1, 24, 3))
