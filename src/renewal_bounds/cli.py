@@ -49,7 +49,6 @@ give condition 3's verdict on an improper phi.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -384,6 +383,8 @@ class ReportBundle:
     files: dict[str, Path] = field(default_factory=dict)
 
     def write_manifest(self, directory: Path, command: str) -> Path:
+        import hashlib  # lazy: it loads OpenSSL, about 3.5 MB, for the manifest alone
+
         entries = [{"name": "manifest.json"}]  # a file cannot hold its own hash
         for name, file in self.files.items():
             data = file.read_bytes()

@@ -1329,17 +1329,29 @@ def add_intensities(
 # Moments
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _GL_BATCH = 1 << 11  # intervals refined per integrand call: 2 * 2048 panels of 32 nodes
 _GL_MAX_DEPTH = 30  # halvings before an interval is accepted unconverged
+
+
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-node Gauss-Legendre nodes and weights, read-only, computed on
+    first use: ``numpy.polynomial`` is imported only by a run that needs
+    quadrature, not by every process that imports this module."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(32)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gl_panels(f, rows, a, b):
     """32-node Gauss-Legendre panels on ``[a, b]``, one per interval;
     ``f(rows, xs)`` evaluates interval ``rows[i]``'s integrand at ``xs[i]``."""
+    nodes, weights = _gl_rule()
     half = 0.5 * (b - a)
-    xs = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
-    return half * np.sum(_GL_WEIGHTS * f(rows, xs), axis=1)
+    xs = a[:, None] + half[:, None] * (nodes + 1.0)
+    return half * np.sum(weights * f(rows, xs), axis=1)
 
 
 def _gl_adaptive(f, rows, a, b, tol=None, whole=None, depth=0):

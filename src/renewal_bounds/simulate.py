@@ -51,13 +51,13 @@ over the assembled array.
 Wave loop
 ---------
 One generator, ``_waves``, draws every interval.  It advances a slab's
-streams in waves: each still-active stream draws ``2 * block`` uniforms
-(``block`` intervals), and a stream leaves the set once its last jump lies
-beyond the largest query time.  The schedule is fixed: ``block`` starts at
-``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one wave draws at
-most ``_WAVE_INTERVALS`` intervals over all its rows.  The schedule decides
-when a stream moves to its ``Generator`` and when finished rows leave; it
-does not bound memory.
+streams in waves: each still-active stream draws up to ``2 * block``
+uniforms (``block`` intervals), and a stream stops drawing once its last
+jump lies beyond the largest query time.  The schedule is fixed: ``block``
+starts at ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one
+wave draws at most ``_WAVE_INTERVALS`` intervals over all its rows.  The
+schedule decides when a stream moves to its ``Generator`` and bounds what a
+row draws in one wave; it does not bound memory.
 
 A wave is drawn, mapped and summed one tile at a time, and no array of a
 wave's size exists.  A tile holds about ``hazard._PPF_CHUNK`` intervals in
@@ -66,9 +66,13 @@ reuses: half 0 the zeta uniforms (stream positions ``2(j-1)``) and half 1
 the theta uniforms (``2(j-1)+1``), each interval-major, one contiguous row
 per interval and one column per path.  In the limb stage (the first
 ``_LIMB_DRAWS`` stream positions) a tile is a strip of interval rows over
-all the wave's rows; in the ``Generator`` stage it is a group of rows over
-the wave's intervals, and a row whose wave is longer than a tile draws it
-in tile-sized pieces.  Everything after the draw happens in the tile.
+the rows still drawing: a row whose last jump passed the largest query time
+leaves the wave after that strip, and each strip's height is the chunk
+over the rows that remain, cut at the wave's end, so finished rows draw at
+most one strip past their end.  In the ``Generator`` stage a tile is a
+group of rows over the wave's intervals, a row whose wave is longer than a
+tile draws it in tile-sized pieces, and finished rows leave when the wave
+ends.  Everything after the draw happens in the tile.
 ``ppf`` is elementwise and runs in a reused workspace, so each half is
 overwritten with its inverse-CDF values where it lies; theta maps all its
 rows with one law when the tile's intervals share one mu index, else each
@@ -90,11 +94,11 @@ a scenario come from one place, ``_bounds``.
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+import numpy as np  # numpy.random is imported on first use: see _seed_words_type
 
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
@@ -126,9 +130,9 @@ def path_stream(seed: int, replication: int) -> np.random.Generator:
     This is the scalar definition of a stream.  The simulator draws the same
     bits through ``_slab_streams``, and the tests hold it to this one.
     """
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), int(replication)]))
-    )
+    from numpy.random import PCG64, Generator, SeedSequence  # lazy: see _seed_words_type
+
+    return Generator(PCG64(SeedSequence([int(seed), int(replication)])))
 
 
 # SeedSequence's hash constants (O'Neill's seed_seq as NumPy implements it)
@@ -138,16 +142,30 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-class _SeedWords(ISeedSequence):
-    """Hands ``PCG64`` the four seed words computed for one replication."""
+@functools.cache
+def _seed_words_type() -> type:
+    """``_SeedWords``, the class that hands ``PCG64`` one replication's four
+    seed words, built on first use.
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    ``PCG64`` takes its seed from an ``ISeedSequence`` only, so the class
+    must subclass it, and ``numpy.random`` is imported here, where a
+    ``Generator`` is first built, not with this module: with the ``secrets``
+    -> ``hashlib`` -> OpenSSL chain it loads, it costs a process about 6 MB
+    and 14 ms, and a run whose paths all end within the limb stage never
+    builds one.
+    """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("only PCG64's request, generate_state(4, np.uint64), is served")
-        return self._words
+    class _SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's request, generate_state(4, np.uint64), is served")
+            return self._words
+
+    return _SeedWords
 
 
 # PCG64's LCG multiplier (O'Neill 2014), split into the uint64 halves and the
@@ -162,7 +180,9 @@ _MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32 = np.uint64(_MASK32)
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _DOUBLE_UNIT = 2.0**-53
-_LIMB_DRAWS = 224  # stream positions drawn in limbs: waves 1-3 (blocks 16, 32, 64) by default
+# stream positions drawn in limbs: waves 1-3 (blocks 16, 32, 64) by default,
+# from which finished rows leave strip by strip
+_LIMB_DRAWS = 224
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry) -> None:
@@ -223,34 +243,42 @@ class _SlabStreams:
     """The streams of one slab's replications, drawn in two stages, one tile
     at a time.
 
-    Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))``, which is
-    ``path_stream`` of its replication.  ``tiles(rows, block)`` draws the
-    next ``2 * block`` doubles of a set of rows, all at the same stream
-    position: one wave.  It yields the wave in tiles of about
-    ``_PPF_CHUNK`` intervals, ``(cols, a, tile)``: ``tile`` has shape
-    ``(2, n, len(cols))`` and holds intervals ``a .. a + n - 1`` of the
-    wave for the rows ``rows[cols]``.  Position ``2 (a + j)`` of a row's
-    wave goes to ``tile[0, j]`` and position ``2 (a + j) + 1`` to ``tile[1,
-    j]``: half 0 holds the zeta uniforms and half 1 the theta uniforms, one
-    contiguous row per interval.  A tile is a view of one buffer that every
-    tile reuses, so it is valid until the next one is drawn.
+    Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))`` (see
+    ``_seed_words_type``), which is ``path_stream`` of its replication.
+    ``tiles(rows, block, keep)`` draws the next ``2 * block`` doubles of a
+    set of rows, all at the same stream position: one wave.  It yields the
+    wave in tiles of about ``_PPF_CHUNK`` intervals, ``(cols, a, tile)``:
+    ``tile`` has shape ``(2, n, len(rows[cols]))`` and holds intervals
+    ``a .. a + n - 1`` of the wave for the rows ``rows[cols]``.  Position
+    ``2 (a + j)`` of a row's wave goes to ``tile[0, j]`` and position ``2 (a
+    + j) + 1`` to ``tile[1, j]``: half 0 holds the zeta uniforms and half 1
+    the theta uniforms, one contiguous row per interval.  A tile is a view
+    of one buffer that every tile reuses, so it is valid until the next one
+    is drawn.
 
     * While a wave ends at or below stream position ``_LIMB_DRAWS``, every
       row's 128-bit state and increment are ``uint64`` limbs, stepped in
-      place for all the wave's rows at once, one stream position at a time,
-      each position writing its doubles straight into its tile row.  A tile
-      is a strip of interval rows over all the rows.  The limbs of rows that
-      left are dropped when the next wave starts.
+      place for all the rows still drawing at once, one stream position at
+      a time, each position writing its doubles straight into its tile row.
+      A tile is a strip of interval rows over the rows still drawing, and
+      ``cols`` is an index array.  After each strip ``keep(cols)`` (a
+      boolean per column) says which of them draw on: the others leave the
+      wave there, and their limbs are dropped.  A strip is ``_PPF_CHUNK``
+      intervals over the rows still drawing, at least one interval row and
+      at most what remains of the wave, so it never exceeds the wave.  A
+      limb wave's ``rows`` are the rows the previous one kept.
     * The first wave that would pass that position builds a ``Generator``
       for each of its rows only, seeded from the row's words and moved to
       the position with ``bit_generator.advance``.  That wave and every
       later one fill a tile from a group of rows over all the wave's
       intervals, each row's doubles from its ``Generator`` split between
       the two halves; a row whose wave is longer than a tile draws it in
-      tile-sized pieces.
+      tile-sized pieces.  ``cols`` is a slice, and every row draws the
+      whole wave: ``keep`` is not read.
 
     A wave is either all limbs or all ``Generator``s, and both give the bits
-    of ``Generator.random``.  A row left out of a wave never draws again.
+    of ``Generator.random``.  A row left out of a wave, or out of a strip,
+    never draws again.
     """
 
     def __init__(self, words: np.ndarray):
@@ -258,7 +286,6 @@ class _SlabStreams:
         self.position = 0  # doubles drawn so far by every row still drawing
         self._gens: list[np.random.Generator | None] | None = None
         self._buf = np.empty(0)  # the tiles' buffer
-        self._rows = np.arange(words.shape[0])  # the rows whose limbs are held, in order
         w0, w1, w2, w3 = (np.ascontiguousarray(w) for w in words.T)
         # PCG64's seeding: inc = (w2:w3) << 1 | 1, state = inc + (w0:w1), one step
         self._inc_hi = (w2 << _U1) | (w3 >> _U63)
@@ -275,18 +302,20 @@ class _SlabStreams:
     def __len__(self) -> int:
         return self.words.shape[0]
 
-    def tiles(self, rows: np.ndarray, block: int):
+    def tiles(self, rows: np.ndarray, block: int, keep=None):
         """Draw one wave, ``block`` intervals of each stream in ``rows``, and
-        yield it tile by tile as ``(cols, a, tile)`` (see the class)."""
+        yield it tile by tile as ``(cols, a, tile)`` (see the class).  In the
+        limb stage, ``keep(cols)`` is read after each tile; without it every
+        row draws the whole wave."""
         count = 2 * block
         limbs = self._gens is None and self.position + count <= _LIMB_DRAWS
         if not limbs and self._gens is None:
             self._hand_over(rows)
         self.position += count
-        chunk = hazard._PPF_CHUNK
         if limbs:
-            yield from self._limb_tiles(rows, block, max(1, chunk // rows.size))
+            yield from self._limb_tiles(rows, block, keep)
         else:
+            chunk = hazard._PPF_CHUNK
             yield from self._generator_tiles(rows, block, min(block, chunk),
                                              max(1, chunk // block))
 
@@ -296,22 +325,27 @@ class _SlabStreams:
             self._buf = np.empty(size)
         return self._buf[:size].reshape(shape)
 
-    def _limb_tiles(self, rows, block, strip):
-        if rows.size < self._rows.size:  # keep the limbs of the rows still drawing only
-            keep = np.searchsorted(self._rows, rows)
-            self._rows = rows
-            self._hi, self._lo, self._inc_hi, self._inc_lo = (
-                v[keep] for v in (self._hi, self._lo, self._inc_hi, self._inc_lo)
-            )
-        hi, lo, inc_hi, inc_lo = self._hi, self._lo, self._inc_hi, self._inc_lo
+    def _limb_tiles(self, rows, block, keep):
+        if rows.size != self._hi.size:
+            raise ValueError("a limb wave draws the rows that the previous limb wave kept")
+        cols = np.arange(rows.size)  # the rows still drawing, as indices into rows
         tmp = np.empty((4, rows.size), dtype=np.uint64)
         carry = np.empty(rows.size, dtype=bool)
-        for a in range(0, block, strip):
-            tile = self._tile((2, min(strip, block - a), rows.size))
-            for k in range(2 * tile.shape[1]):  # one contiguous tile row per stream position
-                _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry)
-                _xsl_rr_doubles(hi, lo, tmp, tile[k % 2, k // 2])
-            yield slice(None), a, tile
+        a = 0
+        while a < block and cols.size:
+            n = min(max(1, hazard._PPF_CHUNK // cols.size), block - a)
+            tile = self._tile((2, n, cols.size))
+            for k in range(2 * n):  # one contiguous tile row per stream position
+                _lcg_step(self._hi, self._lo, self._inc_hi, self._inc_lo, tmp, carry)
+                _xsl_rr_doubles(self._hi, self._lo, tmp, tile[k % 2, k // 2])
+            yield cols, a, tile
+            a += n
+            if keep is not None and not (go := keep(cols)).all():  # compact to the rows drawing on
+                cols = cols[go]
+                self._hi, self._lo, self._inc_hi, self._inc_lo = (
+                    v[go] for v in (self._hi, self._lo, self._inc_hi, self._inc_lo)
+                )
+                tmp, carry = tmp[:, : cols.size], carry[: cols.size]
 
     def _generator_tiles(self, rows, block, piece, group):
         draws = np.empty(2 * piece)
@@ -327,12 +361,15 @@ class _SlabStreams:
                 yield cols, a, tile
 
     def _hand_over(self, rows: np.ndarray) -> None:
+        from numpy.random import PCG64, Generator  # lazy: see _seed_words_type
+
+        seed_words = _seed_words_type()
         self._gens = [None] * len(self)
         for row in rows.tolist():
-            gen = np.random.Generator(np.random.PCG64(_SeedWords(self.words[row])))
+            gen = Generator(PCG64(seed_words(self.words[row])))
             gen.bit_generator.advance(self.position)
             self._gens[row] = gen
-        self._hi = self._lo = self._inc_hi = self._inc_lo = self._rows = None
+        self._hi = self._lo = self._inc_hi = self._inc_lo = None
 
 
 def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
@@ -496,13 +533,15 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
     """Draw intervals from a slab's ``streams`` in waves until every path
     passes ``t_max``, and yield them a tile at a time.
 
-    Yields ``(rows, times)`` once per tile: rows of ``streams`` short of
-    ``t_max`` when the wave began, and their jump times over a run of
+    Yields ``(rows, times)`` once per tile: rows of ``streams`` still
+    drawing (see below), and their jump times over a run of
     consecutive intervals, interval-major (``n x rows.size``: column ``i``
     is row ``rows[i]``'s path).  A row's tiles come in the order of its
     intervals.  ``times`` is a view of the tiles' buffer, valid until the
-    next tile.  Rows whose last jump lies beyond ``t_max`` leave when the
-    wave ends and never draw again.  The wave schedule: the block starts at
+    next tile.  A row whose last jump lies beyond ``t_max`` draws no more:
+    in the limb stage it leaves after the tile (a strip) in which it passed
+    ``t_max``, and in the ``Generator`` stage when the wave ends.  The wave
+    schedule bounds what a row draws in one wave: the block starts at
     ``_FIRST_BLOCK``, doubles from wave to wave, and is cut so that one wave
     draws at most ``_WAVE_INTERVALS`` intervals (one per row at least).
 
@@ -511,8 +550,8 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
     inverses in place, the interval minimum overwrites half 0, and so does
     the running sum: each row's last jump so far is added to the tile's
     first interval row and ``_running_sum`` runs down the intervals,
-    sequentially per path, so jump times do not depend on the wave or tile
-    sizes.
+    sequentially per path, so jump times do not depend on the wave, strip
+    or tile sizes.
     """
     active = np.arange(len(streams))
     base = np.zeros(len(streams))
@@ -526,7 +565,11 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
         block = max(1, min(block, _WAVE_INTERVALS // active.size))
         plan = _mu_plan(scenario, j0, block)
         last = base[active]  # the wave's rows' last jumps, tile by tile
-        for cols, a, tile in streams.tiles(active, block):
+
+        def keep(cols):  # which of the wave's rows[cols] are still short of t_max
+            return ~(last[cols] > t_max)
+
+        for cols, a, tile in streams.tiles(active, block, keep):
             _ppf_in_place(scenario.eta_cdf, tile[0])
             _theta_from_uniforms(plan, tile[1], a)
             times = np.minimum(tile[0], tile[1], out=tile[0])  # the intervals xi
@@ -535,7 +578,7 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
             yield active[cols], times
             last[cols] = times[-1]
         base[active] = last
-        active = active[~(last > t_max)]
+        active = active[keep(slice(None))]
         j0 += block
         block *= 2
 

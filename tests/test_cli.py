@@ -516,6 +516,39 @@ print("numpy.ma" in sys.modules)
     assert done.stdout.strip() == "False"
 
 
+def test_imports_load_random_openssl_and_polynomial_on_first_use(tmp_path):
+    # numpy.random (with secrets -> hashlib -> OpenSSL), hashlib and
+    # numpy.polynomial cost a process about 9 MB; importing the CLI loads
+    # none of them, and verify on an exponential scenario, whose paths all
+    # end within the limb stage, builds no Generator
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "verify-exp-cycle.ini"
+    script = """
+import json, sys
+LAZY = ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial")
+import renewal_bounds.cli
+print(json.dumps([m for m in LAZY if m in sys.modules]))
+assert renewal_bounds.cli.main(["verify", sys.argv[1], "--out", sys.argv[2], "--reps", "2000"]) == 0
+print(json.dumps([m for m in LAZY if m in sys.modules]))
+"""
+    src = str(Path(rb.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(out)],
+        env={"PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    at_import, after_verify = (json.loads(line) for line in done.stdout.splitlines())
+    assert at_import == []
+    assert "numpy.random" not in after_verify
+    import hashlib
+
+    entries = json.loads((out / "manifest.json").read_text())["files"]
+    hashed = {e["name"]: e["sha256"] for e in entries if "sha256" in e}
+    assert set(hashed) == {"report.json", "estimates.csv"}
+    for name, digest in hashed.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "workload, command",
     [("verify-exp-cycle", "verify"), ("verify-uniform-t50", "verify"), ("tail-exp-cycle", "tail")],

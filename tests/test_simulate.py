@@ -1,6 +1,7 @@
 """Simulator: interval law, path geometry, estimator determinism, bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +410,72 @@ def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
         assert times.size <= max(sim._WAVE_INTERVALS, active.size)
         drawn += times.size
     assert drawn >= 10 * budget
+
+
+def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
+    # a 2,048-interval chunk over 400 rows makes limb strips of 5 intervals.
+    # A row whose last jump passed t_max is in no later tile, every row short
+    # of it is in the next tile, and each strip is the chunk over the rows
+    # still drawing, cut at the end of its wave: blocks 16, 32 and 64
+    import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
+
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", 2048)
+    sc = iid_scenario(rb.exponential(1.0), reps=400, t_queries=(100.0,), seed=6)
+    streams = sim._slab_streams(sc.seed, 0, sc.reps)
+    passed, waiting, heights = set(), list(range(sc.reps)), []
+    position = left = 0
+    for rows, times in sim._waves(sc, streams, 100.0):
+        if streams._gens is not None:
+            break
+        assert rows.tolist() == waiting
+        if left == 0:  # a new wave
+            left, position = (streams.position - position) // 2, streams.position
+        n = times.shape[0]
+        assert n == min(max(1, hazard._PPF_CHUNK // rows.size), left)
+        left -= n
+        heights.append(n)
+        done = times[-1] > 100.0
+        assert passed.isdisjoint(rows.tolist())
+        passed.update(rows[done].tolist())
+        waiting = rows[~done].tolist()
+    assert position == sim._LIMB_DRAWS and left == 0
+    assert heights[:4] == [5, 5, 5, 1] and max(heights) > 5
+    assert len(passed) > sc.reps // 2 and waiting
+
+
+def test_a_small_slab_draws_one_strip_per_limb_wave():
+    # 200 rows fit a limb wave in one strip, so rows leave as the wave ends,
+    # and the tiles are the whole waves of blocks 16, 32 and 64
+    import renewal_bounds.simulate as sim
+
+    sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(45.0,), seed=9)
+    streams = sim._slab_streams(sc.seed, 0, sc.reps)
+    tiles, short = [], np.arange(sc.reps)
+    for rows, times in sim._waves(sc, streams, 45.0):
+        if streams._gens is not None:
+            break
+        assert rows.tolist() == short.tolist()
+        tiles.append(times.shape)
+        short = rows[~(times[-1] > 45.0)]
+    assert [n for n, _ in tiles] == [16, 32, 64]
+    assert tiles[0][1] == tiles[1][1] == 200 > tiles[2][1] > 0
+    with pytest.raises(ValueError, match="kept"):  # rows leave a limb wave through keep only
+        next(sim._slab_streams(sc.seed, 0, 3).tiles(np.arange(2), 16))
+
+
+def test_exp_cycle_slab_draws_at_most_38_intervals_per_rep():
+    # the verify-exp-cycle workload's scenario on one full slab: rows leave
+    # their limb wave strip by strip, not at the wave's end (48.7 per rep)
+    import renewal_bounds.simulate as sim
+    from renewal_bounds.cli import load_scenario
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "verify-exp-cycle.ini"
+    sc = load_scenario(path)[0]
+    rows = sim._SLAB
+    streams = sim._slab_streams(sc.seed, 0, rows)
+    drawn = sum(times.size for _, times in sim._waves(sc, streams, float(sc.t_queries[-1])))
+    assert drawn <= 38 * rows, drawn / rows
 
 
 @pytest.mark.parametrize("wave", [1 << 20, 1 << 22])
