@@ -5,26 +5,17 @@ Stream contract
 Replication ``r`` owns the generator ``PCG64(SeedSequence([seed, r]))`` --
 a pure function of ``(seed, r)``.  ``path_stream`` is the scalar definition
 of that stream and the oracle the tests compare against.  The simulator
-builds no ``SeedSequence``: ``_slab_streams`` computes the ``SeedSequence``
-words of a whole slab of replications in one vectorized pass and holds the
-slab's streams in one object, which draws them in two stages.
-
-* The first ``_LIMB_DRAWS`` doubles of every stream (waves 1-3 at the
-  default schedule) are PCG64 itself in numpy ``uint64`` limbs: each row's
-  128-bit state and increment, stepped for all rows at once, one stream
-  position at a time, with the XSL-RR output turned into a double as
-  ``Generator.random`` does (O'Neill 2014, "PCG: a family of simple fast
-  space-efficient statistically good algorithms for random number
-  generation").
-* A row that is still drawing when a wave would pass that position gets a
-  numpy ``Generator`` seeded from its words and moved to its position with
-  ``bit_generator.advance`` (LCG jump-ahead; Brown 1994, "Random number
-  generation with arbitrary strides").  Most rows end before then and never
-  build one.
-
-Both stages give the bits of ``path_stream``; no option selects between
-them, and ``simulate_path`` draws through the same object, as a one-row
-slab.
+builds neither a ``SeedSequence`` nor a ``Generator``: ``_seed_words``
+computes the ``SeedSequence`` words of a whole slab of replications in one
+vectorized pass, and ``_SlabStreams`` draws the slab's streams as PCG64
+itself in numpy ``uint64`` limbs: each row's 128-bit state and increment,
+with the XSL-RR output turned into a double as ``Generator.random`` does
+(O'Neill 2014, "PCG: a family of simple fast space-efficient statistically
+good algorithms for random number generation").  A block of a row's
+positions is filled by one ordinary LCG step and a jump-ahead ladder
+(Brown 1994, "Random number generation with arbitrary strides"), so ``k``
+positions cost O(log k) numpy passes over the rows drawing.
+``simulate_path`` draws through the same object, as a one-row slab.
 
 Each interval ``j = 1, 2, ...`` consumes
 exactly two uniforms from that stream, in order: first the draw for
@@ -56,23 +47,20 @@ uniforms (``block`` intervals), and a stream stops drawing once its last
 jump lies beyond the largest query time.  The schedule is fixed: ``block``
 starts at ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one
 wave draws at most ``_WAVE_INTERVALS`` intervals over all its rows.  The
-schedule decides when a stream moves to its ``Generator`` and bounds what a
-row draws in one wave; it does not bound memory.
+schedule bounds what a row draws in one wave, and so how far the last rows
+of a slab overshoot; it does not bound memory.
 
 A wave is drawn, mapped and summed one tile at a time, and no array of a
 wave's size exists.  A tile holds about ``hazard._PPF_CHUNK`` intervals in
 one float64 buffer of shape ``(2, n, columns)`` that every tile of the slab
 reuses: half 0 the zeta uniforms (stream positions ``2(j-1)``) and half 1
 the theta uniforms (``2(j-1)+1``), each interval-major, one contiguous row
-per interval and one column per path.  In the limb stage (the first
-``_LIMB_DRAWS`` stream positions) a tile is a strip of interval rows over
-the rows still drawing: a row whose last jump passed the largest query time
-leaves the wave after that strip, and each strip's height is the chunk
+per interval and one column per path.  A tile is a strip of interval rows
+over the rows still drawing: a row whose last jump passed the largest query
+time leaves the wave after that strip, and each strip's height is the chunk
 over the rows that remain, cut at the wave's end, so finished rows draw at
-most one strip past their end.  In the ``Generator`` stage a tile is a
-group of rows over the wave's intervals, a row whose wave is longer than a
-tile draws it in tile-sized pieces, and finished rows leave when the wave
-ends.  Everything after the draw happens in the tile.
+most one strip past their end.  Everything after the draw happens in the
+tile.
 ``ppf`` is elementwise and runs in a reused workspace, so each half is
 overwritten with its inverse-CDF values where it lies; theta maps all its
 rows with one law when the tile's intervals share one mu index, else each
@@ -94,11 +82,10 @@ a scenario come from one place, ``_bounds``.
 
 from __future__ import annotations
 
-import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-import numpy as np  # numpy.random is imported on first use: see _seed_words_type
+import numpy as np
 
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
@@ -129,8 +116,10 @@ def path_stream(seed: int, replication: int) -> np.random.Generator:
 
     This is the scalar definition of a stream.  The simulator draws the same
     bits through ``_slab_streams``, and the tests hold it to this one.
+    ``numpy.random`` is imported here only: with the ``secrets`` -> ``hashlib``
+    -> OpenSSL chain it loads, it costs a process about 6 MB and 14 ms.
     """
-    from numpy.random import PCG64, Generator, SeedSequence  # lazy: see _seed_words_type
+    from numpy.random import PCG64, Generator, SeedSequence
 
     return Generator(PCG64(SeedSequence([int(seed), int(replication)])))
 
@@ -141,183 +130,156 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
-
-@functools.cache
-def _seed_words_type() -> type:
-    """``_SeedWords``, the class that hands ``PCG64`` one replication's four
-    seed words, built on first use.
-
-    ``PCG64`` takes its seed from an ``ISeedSequence`` only, so the class
-    must subclass it, and ``numpy.random`` is imported here, where a
-    ``Generator`` is first built, not with this module: with the ``secrets``
-    -> ``hashlib`` -> OpenSSL chain it loads, it costs a process about 6 MB
-    and 14 ms, and a run whose paths all end within the limb stage never
-    builds one.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class _SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("only PCG64's request, generate_state(4, np.uint64), is served")
-            return self._words
-
-    return _SeedWords
-
-
-# PCG64's LCG multiplier (O'Neill 2014), split into the uint64 halves and the
-# uint32 quarters that the limb arithmetic multiplies by
+# PCG64's LCG multiplier M (O'Neill 2014)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI = np.uint64(_PCG_MULT >> 64)
-_MULT_LO = np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
-_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
-_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
+# stream positions one ladder block holds over all its rows (one interval per
+# row at least): a ladder costs O(log block) numpy passes over the block
+_LADDER = 32768
 # limb operands stay numpy uint64: under numpy < 2's promotion rules a Python
 # int operand would turn a uint64 array into float64
 _LOW32 = np.uint64(_MASK32)
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _DOUBLE_UNIT = 2.0**-53
-# stream positions drawn in limbs: waves 1-3 (blocks 16, 32, 64) by default,
-# from which finished rows leave strip by strip
-_LIMB_DRAWS = 224
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo, tmp, carry) -> None:
-    """Advance 128-bit LCG states by one step in place: ``state * M + inc mod 2**128``.
+def _limbs(k: int) -> tuple:
+    """A 128-bit constant as ``_mul_add`` multiplies by it: its high and low
+    ``uint64`` halves, and the low half's two 32-bit quarters."""
+    lo = k & 0xFFFFFFFFFFFFFFFF
+    return tuple(np.uint64(v) for v in (k >> 64, lo, lo & _MASK32, lo >> 32))
 
-    A state is two ``uint64`` arrays, its high and low halves.  Every product
-    wraps modulo 2**64 except the high half of ``lo * M_lo``, which is built
-    from 32-bit partial products (Warren, "Hacker's Delight", mulhu).  ``tmp``
-    is four ``uint64`` scratch arrays and ``carry`` one ``bool`` array, all
-    of the states' length.
+
+# _JUMPS[i] is M ** 2**i mod 2**128, the multiplier of a jump of 2**i positions
+_JUMPS = [_limbs(pow(_PCG_MULT, 1 << i, 1 << 128)) for i in range(_LADDER.bit_length())]
+
+
+def _mul_add(hi, lo, k, add_hi, add_lo, out_hi, out_lo, tmp, carry) -> None:
+    """``out = state * k + add mod 2**128``, elementwise over 128-bit states.
+
+    A state is two ``uint64`` arrays, its high and low halves; ``k`` comes
+    from ``_limbs``, and ``add`` broadcasts against the states.  ``out`` may
+    be the state itself.  Every product wraps modulo 2**64 except the high
+    half of ``lo * k_lo``, which is built from 32-bit partial products
+    (Warren, "Hacker's Delight", mulhu).  ``tmp`` is a ``(4, size)``
+    ``uint64`` scratch array and ``carry`` a ``bool`` one, ``size`` at least
+    the states'.  With ``k = M`` and ``add = inc`` this is one step of
+    PCG64's LCG.
     """
-    a0, a1, t, c = tmp
+    k_hi, k_lo, k0, k1 = k
+    a0, a1, t, c = tmp[:, : lo.size].reshape((4,) + lo.shape)
+    carry = carry[: lo.size].reshape(lo.shape)
     np.bitwise_and(lo, _LOW32, out=a0)
     np.right_shift(lo, _U32, out=a1)
-    np.multiply(a0, _MULT_LO0, out=t)
+    np.multiply(a0, k0, out=t)
     np.right_shift(t, _U32, out=t)
-    np.multiply(a1, _MULT_LO0, out=c)
-    t += c  # a1 * b0 + (a0 * b0 >> 32) < 2**64
+    np.multiply(a1, k0, out=c)
+    t += c  # a1 * k0 + (a0 * k0 >> 32) < 2**64
     np.bitwise_and(t, _LOW32, out=c)
-    a0 *= _MULT_LO1
-    a0 += c  # a0 * b1 + (t & 0xFFFFFFFF) < 2**64
+    a0 *= k1
+    a0 += c  # a0 * k1 + (t & 0xFFFFFFFF) < 2**64
     t >>= _U32
     a0 >>= _U32
-    a1 *= _MULT_LO1
+    a1 *= k1
     a1 += t
-    a1 += a0  # the high half of lo * M_lo
-    hi *= _MULT_LO
-    hi += a1
-    np.multiply(lo, _MULT_HI, out=c)
-    hi += c
-    lo *= _MULT_LO
-    lo += inc_lo
-    np.less(lo, inc_lo, out=carry)
-    hi += inc_hi
-    hi += carry
+    a1 += a0  # the high half of lo * k_lo
+    np.multiply(hi, k_lo, out=out_hi)
+    out_hi += a1
+    np.multiply(lo, k_hi, out=c)
+    out_hi += c
+    np.multiply(lo, k_lo, out=out_lo)
+    out_lo += add_lo
+    np.less(out_lo, add_lo, out=carry)
+    out_hi += add_hi
+    out_hi += carry
 
 
-def _xsl_rr_doubles(hi, lo, tmp, out) -> None:
-    """PCG64's XSL-RR output of each state, as the double ``Generator.random`` makes of it.
+def _xsl_rr_doubles(hi, lo, y, out) -> None:
+    """PCG64's XSL-RR output of each state, as the double ``Generator.random``
+    makes of it, written to ``out``; the states are overwritten.
 
     The 64-bit output is ``hi ^ lo`` rotated right by the top six bits of the
     state; the double is its top 53 bits times ``2**-53``.  A rotation by 0
     shifts left by 64, which numpy makes 0 (or ``x``, as the hardware does):
-    either way ``y | x << 64`` is ``x``.
+    either way ``y | x << 64`` is ``x``.  ``y`` is a ``uint64`` scratch array
+    of the states' shape.
     """
-    x, r, y, _ = tmp
-    np.bitwise_xor(hi, lo, out=x)
-    np.right_shift(hi, _U58, out=r)
-    np.right_shift(x, r, out=y)
-    np.subtract(_U64, r, out=r)
-    x <<= r
-    x |= y
-    x >>= _U11
-    np.multiply(x, _DOUBLE_UNIT, out=out)
+    lo ^= hi  # x
+    hi >>= _U58  # the rotation r
+    np.right_shift(lo, hi, out=y)
+    np.subtract(_U64, hi, out=hi)
+    lo <<= hi
+    lo |= y
+    lo >>= _U11
+    np.multiply(lo, _DOUBLE_UNIT, out=out)
 
 
 class _SlabStreams:
-    """The streams of one slab's replications, drawn in two stages, one tile
-    at a time.
+    """The streams of one slab's replications, drawn one tile at a time.
 
-    Row ``i`` holds the stream ``PCG64(_SeedWords(words[i]))`` (see
-    ``_seed_words_type``), which is ``path_stream`` of its replication.
-    ``tiles(rows, block, keep)`` draws the next ``2 * block`` doubles of a
-    set of rows, all at the same stream position: one wave.  It yields the
-    wave in tiles of about ``_PPF_CHUNK`` intervals, ``(cols, a, tile)``:
-    ``tile`` has shape ``(2, n, len(rows[cols]))`` and holds intervals
-    ``a .. a + n - 1`` of the wave for the rows ``rows[cols]``.  Position
-    ``2 (a + j)`` of a row's wave goes to ``tile[0, j]`` and position ``2 (a
-    + j) + 1`` to ``tile[1, j]``: half 0 holds the zeta uniforms and half 1
-    the theta uniforms, one contiguous row per interval.  A tile is a view
-    of one buffer that every tile reuses, so it is valid until the next one
-    is drawn.
+    Row ``i`` is seeded with ``words[i]``, the words ``PCG64`` takes from
+    ``SeedSequence.generate_state(4, np.uint64)`` (see ``_seed_words``), and
+    holds that stream's 128-bit state and increment as ``uint64`` limbs.
+    ``tiles(rows, block, keep)`` draws the next ``2 * block`` doubles of the
+    rows still drawing, all at the same stream position: one wave.  It
+    yields the wave in strips of about ``_PPF_CHUNK`` intervals, ``(cols, a,
+    tile)``: ``cols`` indexes ``rows``, and ``tile`` has shape ``(2, n,
+    cols.size)`` and holds intervals ``a .. a + n - 1`` of the wave for the
+    rows ``rows[cols]``.  Position ``2 (a + j)`` of a row's wave goes to
+    ``tile[0, j]`` and position ``2 (a + j) + 1`` to ``tile[1, j]``: half 0
+    holds the zeta uniforms and half 1 the theta uniforms, one contiguous
+    row per interval.  A tile is a view of one buffer that every tile
+    reuses, so it is valid until the next one is drawn.
 
-    * While a wave ends at or below stream position ``_LIMB_DRAWS``, every
-      row's 128-bit state and increment are ``uint64`` limbs, stepped in
-      place for all the rows still drawing at once, one stream position at
-      a time, each position writing its doubles straight into its tile row.
-      A tile is a strip of interval rows over the rows still drawing, and
-      ``cols`` is an index array.  After each strip ``keep(cols)`` (a
-      boolean per column) says which of them draw on: the others leave the
-      wave there, and their limbs are dropped.  A strip is ``_PPF_CHUNK``
-      intervals over the rows still drawing, at least one interval row and
-      at most what remains of the wave, so it never exceeds the wave.  A
-      limb wave's ``rows`` are the rows the previous one kept.
-    * The first wave that would pass that position builds a ``Generator``
-      for each of its rows only, seeded from the row's words and moved to
-      the position with ``bit_generator.advance``.  That wave and every
-      later one fill a tile from a group of rows over all the wave's
-      intervals, each row's doubles from its ``Generator`` split between
-      the two halves; a row whose wave is longer than a tile draws it in
-      tile-sized pieces.  ``cols`` is a slice, and every row draws the
-      whole wave: ``keep`` is not read.
+    A strip is ``_PPF_CHUNK`` intervals over the rows still drawing, at
+    least one interval row and at most what remains of the wave.  After each
+    strip ``keep(cols)`` (a boolean per column) says which of them draw on:
+    the others leave there, and their limbs are dropped.  A row that leaves
+    never draws again, so a wave's ``rows`` are the rows the previous one
+    kept.  Without ``keep`` every row draws the whole wave.
 
-    A wave is either all limbs or all ``Generator``s, and both give the bits
-    of ``Generator.random``.  A row left out of a wave, or out of a strip,
-    never draws again.
+    A strip is filled in ladder blocks of up to ``_LADDER`` positions over its
+    rows (one interval of each row at least): one LCG step from each row's
+    state gives the block's first position, and rung ``i`` fills the next
+    ``2**i`` positions from the first ``2**i``, ``x[p + 2**i] = M**(2**i)
+    x[p] + incs[i]``, where ``incs[i] = (1 + M + ... + M**(2**i - 1)) inc``
+    is kept per row once a ladder has needed it.
     """
 
     def __init__(self, words: np.ndarray):
-        self.words = words  # (rows, 4) uint64: generate_state(4, np.uint64) per row
-        self.position = 0  # doubles drawn so far by every row still drawing
-        self._gens: list[np.random.Generator | None] | None = None
+        self._rows = words.shape[0]
         self._buf = np.empty(0)  # the tiles' buffer
         w0, w1, w2, w3 = (np.ascontiguousarray(w) for w in words.T)
         # PCG64's seeding: inc = (w2:w3) << 1 | 1, state = inc + (w0:w1), one step
-        self._inc_hi = (w2 << _U1) | (w3 >> _U63)
-        self._inc_lo = (w3 << _U1) | _U1
-        self._lo = self._inc_lo + w1
-        self._hi = self._inc_hi + w0
+        inc = (w2 << _U1) | (w3 >> _U63), (w3 << _U1) | _U1
+        self._incs = [inc]
+        self._lo = inc[1] + w1
+        self._hi = inc[0] + w0
         self._hi += self._lo < w1
-        n = words.shape[0]
-        _lcg_step(
-            self._hi, self._lo, self._inc_hi, self._inc_lo,
-            np.empty((4, n), dtype=np.uint64), np.empty(n, dtype=bool),
-        )
+        n = self._rows
+        _mul_add(self._hi, self._lo, _JUMPS[0], *inc, self._hi, self._lo,
+                 np.empty((4, n), dtype=np.uint64), np.empty(n, dtype=bool))
 
     def __len__(self) -> int:
-        return self.words.shape[0]
+        return self._rows
 
     def tiles(self, rows: np.ndarray, block: int, keep=None):
         """Draw one wave, ``block`` intervals of each stream in ``rows``, and
-        yield it tile by tile as ``(cols, a, tile)`` (see the class).  In the
-        limb stage, ``keep(cols)`` is read after each tile; without it every
-        row draws the whole wave."""
-        count = 2 * block
-        limbs = self._gens is None and self.position + count <= _LIMB_DRAWS
-        if not limbs and self._gens is None:
-            self._hand_over(rows)
-        self.position += count
-        if limbs:
-            yield from self._limb_tiles(rows, block, keep)
-        else:
-            chunk = hazard._PPF_CHUNK
-            yield from self._generator_tiles(rows, block, min(block, chunk),
-                                             max(1, chunk // block))
+        yield it strip by strip as ``(cols, a, tile)`` (see the class);
+        ``keep(cols)`` is read after each strip."""
+        if rows.size != self._hi.size:
+            raise ValueError("a wave draws the rows that the previous wave kept")
+        cols = np.arange(rows.size)  # the rows still drawing, as indices into rows
+        a = 0
+        while a < block and cols.size:
+            n = min(max(1, hazard._PPF_CHUNK // cols.size), block - a)
+            tile = self._tile((2, n, cols.size))
+            self._fill(tile)
+            yield cols, a, tile
+            a += n
+            if keep is not None and not (go := keep(cols)).all():  # compact to the rows drawing on
+                cols = cols[go]
+                self._hi, self._lo = self._hi[go], self._lo[go]
+                self._incs = [(h[go], l[go]) for h, l in self._incs]
 
     def _tile(self, shape) -> np.ndarray:
         size = shape[0] * shape[1] * shape[2]
@@ -325,66 +287,49 @@ class _SlabStreams:
             self._buf = np.empty(size)
         return self._buf[:size].reshape(shape)
 
-    def _limb_tiles(self, rows, block, keep):
-        if rows.size != self._hi.size:
-            raise ValueError("a limb wave draws the rows that the previous limb wave kept")
-        cols = np.arange(rows.size)  # the rows still drawing, as indices into rows
-        tmp = np.empty((4, rows.size), dtype=np.uint64)
-        carry = np.empty(rows.size, dtype=bool)
-        a = 0
-        while a < block and cols.size:
-            n = min(max(1, hazard._PPF_CHUNK // cols.size), block - a)
-            tile = self._tile((2, n, cols.size))
-            for k in range(2 * n):  # one contiguous tile row per stream position
-                _lcg_step(self._hi, self._lo, self._inc_hi, self._inc_lo, tmp, carry)
-                _xsl_rr_doubles(self._hi, self._lo, tmp, tile[k % 2, k // 2])
-            yield cols, a, tile
-            a += n
-            if keep is not None and not (go := keep(cols)).all():  # compact to the rows drawing on
-                cols = cols[go]
-                self._hi, self._lo, self._inc_hi, self._inc_lo = (
-                    v[go] for v in (self._hi, self._lo, self._inc_hi, self._inc_lo)
-                )
-                tmp, carry = tmp[:, : cols.size], carry[: cols.size]
-
-    def _generator_tiles(self, rows, block, piece, group):
-        draws = np.empty(2 * piece)
-        rows = rows.tolist()
-        for c0 in range(0, len(rows), group):
-            cols = slice(c0, min(c0 + group, len(rows)))
-            for a in range(0, block, piece):
-                n = min(piece, block - a)
-                tile = self._tile((2, n, cols.stop - c0))
-                for i, row in enumerate(rows[cols]):
-                    self._gens[row].random(out=draws[: 2 * n])
-                    tile[:, :, i] = draws[: 2 * n].reshape(n, 2).T
-                yield cols, a, tile
-
-    def _hand_over(self, rows: np.ndarray) -> None:
-        from numpy.random import PCG64, Generator  # lazy: see _seed_words_type
-
-        seed_words = _seed_words_type()
-        self._gens = [None] * len(self)
-        for row in rows.tolist():
-            gen = Generator(PCG64(seed_words(self.words[row])))
-            gen.bit_generator.advance(self.position)
-            self._gens[row] = gen
-        self._hi = self._lo = self._inc_hi = self._inc_lo = None
+    def _fill(self, tile: np.ndarray) -> None:
+        """Write the next ``2 n`` doubles of each of the ``c`` rows drawing
+        into ``tile``, of shape ``(2, n, c)``, ladder block by ladder block,
+        and move the rows' states past them.  The ladder's arrays come from
+        ``hazard._SCRATCH``, which ``ppf`` reuses once the strip is drawn."""
+        n, c = tile.shape[1:]
+        m = min(n, max(1, _LADDER // (2 * c)))  # intervals per block
+        incs = self._incs
+        with hazard._SCRATCH as take:
+            hi, lo = take(2 * m * c, np.uint64), take(2 * m * c, np.uint64)
+            tmp = take(4 * m * c, np.uint64).reshape(4, -1)
+            carry = take(m * c, np.bool_)
+            while 1 << len(incs) < 2 * m:  # incs[i + 1] = M**(2**i) incs[i] + incs[i]
+                h, l = incs[-1]
+                incs.append((np.empty_like(h), np.empty_like(l)))
+                _mul_add(h, l, _JUMPS[len(incs) - 2], h, l, *incs[-1], tmp, carry)
+            for a in range(0, n, m):
+                k = min(m, n - a)
+                x_hi, x_lo = hi[: 2 * k * c].reshape(2 * k, c), lo[: 2 * k * c].reshape(2 * k, c)
+                _mul_add(self._hi, self._lo, _JUMPS[0], *incs[0], x_hi[0], x_lo[0], tmp, carry)
+                s, i = 1, 0
+                while s < 2 * k:  # rung i: x[s : s + w] from x[:w]
+                    w = min(s, 2 * k - s)
+                    _mul_add(x_hi[:w], x_lo[:w], _JUMPS[i], *incs[i],
+                             x_hi[s : s + w], x_lo[s : s + w], tmp, carry)
+                    s, i = 2 * s, i + 1
+                self._hi[...], self._lo[...] = x_hi[-1], x_lo[-1]
+                # position 2 j + h of the block is tile[h, a + j]
+                _xsl_rr_doubles(x_hi.reshape(k, 2, c), x_lo.reshape(k, 2, c),
+                                tmp.reshape(-1)[: 2 * k * c].reshape(k, 2, c),
+                                tile[:, a : a + k].transpose(1, 0, 2))
 
 
-def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
-    """The streams of replications ``[r0, r1)``, seeded in one vectorized pass.
+def _seed_words(seed: int, r0: int, r1: int) -> np.ndarray:
+    """``SeedSequence([seed, r]).generate_state(4, np.uint64)`` for each
+    replication ``r`` in ``[r0, r1)``, as rows of one array, in one
+    vectorized pass.
 
-    Row ``r`` is seeded with the words of
-    ``SeedSequence([seed, r]).generate_state(4, np.uint64)``, so it draws
-    like ``path_stream(seed, r)``: its first ``_LIMB_DRAWS`` doubles in
-    limbs, and any later ones from a ``Generator`` built for it at the
-    handover (see ``_SlabStreams``).  The words are O'Neill's seed_seq hash as
-    NumPy implements it (O'Neill 2015, "Developing a seed_seq alternative";
-    NumPy NEP 19): the entropy words hashed into a pool of four with
-    ``hashmix``, mixed pairwise with ``mix``, then drawn out by the
-    ``INIT_B``/``MULT_B`` pass, all in ``uint32`` arithmetic over the whole
-    range.
+    The words are O'Neill's seed_seq hash as NumPy implements it (O'Neill
+    2015, "Developing a seed_seq alternative"; NumPy NEP 19): the entropy
+    words hashed into a pool of four with ``hashmix``, mixed pairwise with
+    ``mix``, then drawn out by the ``INIT_B``/``MULT_B`` pass, all in
+    ``uint32`` arithmetic over the whole range.
 
     The entropy is ``[seed words..., r & 0xFFFFFFFF, r >> 32]``, padded with
     zeros to four words.  NumPy pads a short pool with ``hashmix(0)``, so a
@@ -434,7 +379,13 @@ def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
             seeds[:, i // 2] |= word << _U32
         else:
             seeds[:, i // 2] = word
-    return _SlabStreams(seeds)
+    return seeds
+
+
+def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
+    """The streams of replications ``[r0, r1)``: row ``r - r0`` draws like
+    ``path_stream(seed, r)``."""
+    return _SlabStreams(_seed_words(seed, r0, r1))
 
 
 def generate_interval(

@@ -519,21 +519,24 @@ print("numpy.ma" in sys.modules)
 def test_imports_load_random_openssl_and_polynomial_on_first_use(tmp_path):
     # numpy.random (with secrets -> hashlib -> OpenSSL), hashlib and
     # numpy.polynomial cost a process about 9 MB; importing the CLI loads
-    # none of them, and verify on an exponential scenario, whose paths all
-    # end within the limb stage, builds no Generator
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "verify-exp-cycle.ini"
+    # none of them, and verify builds no Generator: not on the exponential
+    # scenario, nor on uniform(0, 1) at t = 50, where about 2.5 % of the
+    # paths pass 112 intervals
+    scenarios = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
     script = """
 import json, sys
 LAZY = ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial")
 import renewal_bounds.cli
 print(json.dumps([m for m in LAZY if m in sys.modules]))
-assert renewal_bounds.cli.main(["verify", sys.argv[1], "--out", sys.argv[2], "--reps", "2000"]) == 0
+for path, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert renewal_bounds.cli.main(["verify", path, "--out", out, "--reps", "2000"]) == 0
 print(json.dumps([m for m in LAZY if m in sys.modules]))
 """
     src = str(Path(rb.__file__).resolve().parents[1])
     out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(path), str(out)],
+        [sys.executable, "-c", script, str(scenarios / "verify-exp-cycle.ini"), str(out),
+         str(scenarios / "verify-uniform-t50.ini"), str(tmp_path / "out-uniform")],
         env={"PYTHONPATH": src}, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

@@ -150,9 +150,9 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
     ids=["cycle-with-zero", "constant-rate"],
 )
 def test_theta_in_place_on_a_generator_wave(rule):
-    # past the limb waves (positions 0-223), a Generator-stage wave's theta
-    # half is mapped in place, row by interval, as each interval's mu ppf
-    # maps a contiguous copy
+    # past the default schedule's first three waves (positions 0-223), a
+    # 128-interval wave's theta half is mapped in place, row by interval, as
+    # each interval's mu ppf maps a contiguous copy
     from renewal_bounds.simulate import _mu_plan, _slab_streams, _theta_from_uniforms
 
     sc = rb.ScenarioConfig(
@@ -164,7 +164,6 @@ def test_theta_in_place_on_a_generator_wave(rule):
     for count in (32, 64, 128):
         _wave(streams, rows, count)
     buf = _wave(streams, rows, 2 * 128)
-    assert streams._gens is not None
     j0 = 1 + 224 // 2
     want = np.stack([
         sc.mu_cdfs[int(rule.index_for(j0 + j))].ppf(buf[1, j].copy()) for j in range(128)
@@ -187,16 +186,16 @@ SLAB_REPLICATIONS = (0, 1, 16383, 16384, 16385, 2**32 - 1, 2**32, 2**32 + 1, 2**
 
 def _rows_of(seed, replications):
     # one slab whose rows are the given replications, in order
-    from renewal_bounds.simulate import _SlabStreams, _slab_streams
+    from renewal_bounds.simulate import _SlabStreams, _seed_words
 
-    return _SlabStreams(np.concatenate([_slab_streams(seed, r, r + 1).words for r in replications]))
+    return _SlabStreams(np.concatenate([_seed_words(seed, r, r + 1) for r in replications]))
 
 
-def _wave(streams, rows, count):
+def _wave(streams, rows, count, keep=None):
     # the next count doubles of each row, assembled from one wave's tiles
     # into (2, count // 2, rows): position k of row i is in [k % 2, k // 2, i]
     u = np.full((2, count // 2, rows.size), np.nan)
-    for cols, a, tile in streams.tiles(rows, count // 2):
+    for cols, a, tile in streams.tiles(rows, count // 2, keep):
         u[:, a : a + tile.shape[1], cols] = tile
     return u
 
@@ -206,16 +205,12 @@ def _row_doubles(u, i):
     return u[:, :, i].T.ravel()
 
 
-def _handed_over(streams):
-    return [] if streams._gens is None else [i for i, g in enumerate(streams._gens) if g is not None]
-
-
 @pytest.mark.parametrize("seed", SLAB_SEEDS)
 def test_slab_seed_words_match_seed_sequence(seed):
-    from renewal_bounds.simulate import _slab_streams
+    from renewal_bounds.simulate import _seed_words
 
     for r in SLAB_REPLICATIONS:
-        words = _slab_streams(seed, r, r + 1).words[0]
+        words = _seed_words(seed, r, r + 1)[0]
         expected = np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
         assert words.dtype == np.uint64
         assert words.tobytes() == expected.tobytes(), (seed, r)
@@ -234,45 +229,95 @@ def test_slab_streams_draw_like_path_stream(seed):
 
 @pytest.mark.parametrize("seed", SLAB_SEEDS)
 def test_limb_doubles_match_generator_random(seed):
-    # the default schedule's first three waves draw positions 0-223 in limbs
-    from renewal_bounds.simulate import _LIMB_DRAWS
-
+    # the default schedule's first three waves draw positions 0-223
     streams = _rows_of(seed, SLAB_REPLICATIONS)
     rows = np.arange(len(SLAB_REPLICATIONS))
     waves = [_wave(streams, rows, count) for count in (32, 64, 128)]
-    assert streams.position == _LIMB_DRAWS == 224
-    assert _handed_over(streams) == []
     for i, r in enumerate(SLAB_REPLICATIONS):
         u = np.concatenate([_row_doubles(w, i) for w in waves])
         assert u.tobytes() == rb.path_stream(seed, r).random(224).tobytes(), (seed, r)
 
 
 @pytest.mark.parametrize(
-    "counts, handover",
+    "counts, end",
     [((32, 64, 128, 256, 512), 224), ((8, 16, 32, 64, 128, 256), 120)],
     ids=["at-224", "at-120"],
 )
 @pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
-def test_handed_over_rows_continue_bit_equal(counts, handover, seed):
-    # blocks 16, 32, 64 hand over at position 224; blocks 4, 8, 16, 32, 64
-    # (_FIRST_BLOCK = 4) at 120, where the next wave would straddle 224; only
-    # the rows still drawing get a Generator, and every row keeps its stream
+def test_handed_over_rows_continue_bit_equal(counts, end, seed):
+    # blocks 16, 32, 64 end at position 224; blocks 4, 8, 16, 32, 64
+    # (_FIRST_BLOCK = 4) at 120, where the next wave would straddle 224.  The
+    # other rows leave there, and the rows still drawing keep their streams
     streams = _rows_of(seed, SLAB_REPLICATIONS)
     rows = np.arange(len(SLAB_REPLICATIONS))
     survivors = [1, 4, 5, 8]
     drawn = {i: [] for i in rows.tolist()}
+    position = 0
     for count in counts:
-        if streams.position == handover:
-            assert _handed_over(streams) == []
-            rows = rows[survivors]  # the other rows leave as the limbs end
-        u = _wave(streams, rows, count)
+        position += count
+        leave = position == end
+        u = _wave(streams, rows, count, (lambda cols: np.isin(cols, survivors)) if leave else None)
         for i, row in enumerate(rows.tolist()):
             drawn[row].append(_row_doubles(u, i))
-    assert _handed_over(streams) == survivors
+        if leave:
+            rows = rows[survivors]
     for i, r in enumerate(SLAB_REPLICATIONS):
         u = np.concatenate(drawn[i])
-        assert u.size == (sum(counts) if i in survivors else handover)
+        assert u.size == (sum(counts) if i in survivors else end)
         assert u.tobytes() == rb.path_stream(seed, r).random(u.size).tobytes(), r
+
+
+def _drawn(streams, blocks, leave=None):
+    # each row's doubles in stream order over waves of the given blocks;
+    # after each strip, leave(cols) marks the strip's rows that stop drawing
+    rows, kept = np.arange(len(streams)), {}
+    drawn = {r: [] for r in rows.tolist()}
+
+    def keep(cols):
+        kept["cols"] = cols[~leave(cols)] if leave else cols
+        return np.isin(cols, kept["cols"])
+
+    for block in blocks:
+        for cols, a, tile in streams.tiles(rows, block, keep):
+            for i, r in enumerate(rows[cols].tolist()):
+                drawn[r].append(tile[:, :, i].T.ravel().copy())
+        rows = rows[kept["cols"]]
+    return {r: np.concatenate(u) for r, u in drawn.items()}
+
+
+@pytest.mark.parametrize("case", ["switch-1", "switch", "switch+1", "switch+2", "odd-strips",
+                                  "leave-mid-wave", "one-row-two-chunks"])
+def test_ladder_blocks_draw_like_path_stream(monkeypatch, case):
+    # a strip is filled in ladder blocks of _LADDER // (2 rows) intervals
+    # per row, one at least: _LADDER // 4 rows are the most that take blocks
+    # of two intervals.  Odd strips end in a short block, rows that leave
+    # mid-wave change the block from strip to strip, and one row draws past
+    # two ppf chunks in blocks of _LADDER // 2 intervals
+    import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
+
+    seed, r0, blocks, leave = 2**40 + 3, 16380, (16, 32), None
+    if case.startswith("switch"):
+        rows = sim._LADDER // 4 + {"switch-1": -1, "switch": 0, "switch+1": 1, "switch+2": 2}[case]
+    elif case == "odd-strips":  # strips of 7 or 5 intervals, in blocks of 2, the last of 1
+        monkeypatch.setattr(hazard, "_PPF_CHUNK", 7 * 11)
+        monkeypatch.setattr(sim, "_LADDER", 64)
+        rows, blocks = 11, (7, 21, 33)
+    elif case == "leave-mid-wave":  # a row leaves after each strip, while three remain
+        monkeypatch.setattr(hazard, "_PPF_CHUNK", 64)
+        monkeypatch.setattr(sim, "_LADDER", 32)
+        rows, blocks = 12, (16, 40, 64)
+        leave = lambda cols: np.arange(cols.size) == (cols.size // 2 if cols.size > 3 else -1)
+    else:
+        rows, blocks = 1, (16, hazard._PPF_CHUNK + 5)
+    drawn = _drawn(sim._slab_streams(seed, r0, r0 + rows), blocks, leave)
+    sizes = {u.size for u in drawn.values()}
+    if leave is None:
+        assert sizes == {2 * sum(blocks)}
+    else:
+        assert len(sizes) > 3 and max(sizes) == 2 * sum(blocks)
+    for r, u in drawn.items():
+        assert u.tobytes() == rb.path_stream(seed, r0 + r).random(u.size).tobytes(), r
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +458,10 @@ def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
 
 
 def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
-    # a 2,048-interval chunk over 400 rows makes limb strips of 5 intervals.
-    # A row whose last jump passed t_max is in no later tile, every row short
+    # a 2,048-interval chunk over 400 rows makes strips of 5 intervals.  A
+    # row whose last jump passed t_max is in no later tile, every row short
     # of it is in the next tile, and each strip is the chunk over the rows
-    # still drawing, cut at the end of its wave: blocks 16, 32 and 64
+    # still drawing, cut at the end of its wave: blocks 16, 32, 64, 128, ...
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
@@ -424,13 +469,12 @@ def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
     sc = iid_scenario(rb.exponential(1.0), reps=400, t_queries=(100.0,), seed=6)
     streams = sim._slab_streams(sc.seed, 0, sc.reps)
     passed, waiting, heights = set(), list(range(sc.reps)), []
-    position = left = 0
+    block, left = sim._FIRST_BLOCK // 2, 0
     for rows, times in sim._waves(sc, streams, 100.0):
-        if streams._gens is not None:
-            break
         assert rows.tolist() == waiting
         if left == 0:  # a new wave
-            left, position = (streams.position - position) // 2, streams.position
+            block *= 2
+            left = block
         n = times.shape[0]
         assert n == min(max(1, hazard._PPF_CHUNK // rows.size), left)
         left -= n
@@ -439,26 +483,23 @@ def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
         assert passed.isdisjoint(rows.tolist())
         passed.update(rows[done].tolist())
         waiting = rows[~done].tolist()
-    assert position == sim._LIMB_DRAWS and left == 0
     assert heights[:4] == [5, 5, 5, 1] and max(heights) > 5
-    assert len(passed) > sc.reps // 2 and waiting
+    assert block > 64 and len(passed) == sc.reps and not waiting
 
 
 def test_a_small_slab_draws_one_strip_per_limb_wave():
-    # 200 rows fit a limb wave in one strip, so rows leave as the wave ends,
-    # and the tiles are the whole waves of blocks 16, 32 and 64
+    # 200 rows fit a wave in one strip, so rows leave as the wave ends, and
+    # the tiles are the whole waves of blocks 16, 32 and 64, the last wave
     import renewal_bounds.simulate as sim
 
     sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(45.0,), seed=9)
     streams = sim._slab_streams(sc.seed, 0, sc.reps)
     tiles, short = [], np.arange(sc.reps)
     for rows, times in sim._waves(sc, streams, 45.0):
-        if streams._gens is not None:
-            break
         assert rows.tolist() == short.tolist()
         tiles.append(times.shape)
         short = rows[~(times[-1] > 45.0)]
-    assert [n for n, _ in tiles] == [16, 32, 64]
+    assert [n for n, _ in tiles] == [16, 32, 64] and short.size == 0
     assert tiles[0][1] == tiles[1][1] == 200 > tiles[2][1] > 0
     with pytest.raises(ValueError, match="kept"):  # rows leave a limb wave through keep only
         next(sim._slab_streams(sc.seed, 0, 3).tiles(np.arange(2), 16))
@@ -466,7 +507,7 @@ def test_a_small_slab_draws_one_strip_per_limb_wave():
 
 def test_exp_cycle_slab_draws_at_most_38_intervals_per_rep():
     # the verify-exp-cycle workload's scenario on one full slab: rows leave
-    # their limb wave strip by strip, not at the wave's end (48.7 per rep)
+    # their wave strip by strip, not at the wave's end (48.7 per rep)
     import renewal_bounds.simulate as sim
     from renewal_bounds.cli import load_scenario
 
@@ -476,6 +517,21 @@ def test_exp_cycle_slab_draws_at_most_38_intervals_per_rep():
     streams = sim._slab_streams(sc.seed, 0, rows)
     drawn = sum(times.size for _, times in sim._waves(sc, streams, float(sc.t_queries[-1])))
     assert drawn <= 38 * rows, drawn / rows
+
+
+def test_uniform_t50_slab_draws_at_most_104_5_intervals_per_rep():
+    # the verify-uniform-t50 workload's scenario on one full slab: the rows
+    # still short of t = 50 after 112 intervals leave their 128-interval
+    # wave strip by strip too (105.18 per rep when they drew it whole)
+    import renewal_bounds.simulate as sim
+    from renewal_bounds.cli import load_scenario
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "verify-uniform-t50.ini"
+    sc = load_scenario(path)[0]
+    rows = sim._SLAB
+    streams = sim._slab_streams(sc.seed, 0, rows)
+    drawn = sum(times.size for _, times in sim._waves(sc, streams, float(sc.t_queries[-1])))
+    assert drawn <= 104.5 * rows, drawn / rows
 
 
 @pytest.mark.parametrize("wave", [1 << 20, 1 << 22])
@@ -509,9 +565,9 @@ def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, wave):
 def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
     # the tile size follows _PPF_CHUNK and the wave schedule _WAVE_INTERVALS;
     # jump times are running sums per path, so neither changes a sample.
-    # Both scenarios run most paths past the limb stage (224 positions) into
-    # the Generator stage, where a 7-interval tile splits a row's wave in
-    # pieces; the cycle's zero member maps its uniforms to +inf
+    # Both scenarios run most paths past 112 intervals (224 positions), and
+    # a 7-interval chunk draws them in strips of one interval; the cycle's
+    # zero member maps its uniforms to +inf
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
@@ -541,7 +597,32 @@ def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
         assert np.array_equal(b[r], p.b_t)
         assert np.array_equal(w[r], p.w_t)
         events.append(p.events)
-    assert sorted(events)[sc.reps // 2] > sim._LIMB_DRAWS // 2
+    assert sorted(events)[sc.reps // 2] > 112
+
+
+GOLDEN_SAMPLES = {  # sha256 of estimate(keep_samples=True)'s B then W samples
+    ("verify-exp-cycle", 3000, None): "8ce374d519495c7411a39a76ab8af8dacc08013d297e042be433894ff7cc042f",
+    ("verify-uniform-t50", 2000, None): "4b5ad9098a33b2be140ae208970db700ace4121674ee79739d8882bbbdb059df",
+    ("tail-exp-cycle", 2000, None): "b99f7f7281aabd14df483f8e063b7b602f9e52a9aaa49fe86e899ec4b319b429",
+    ("verify-exp-cycle", 400, (5.0, 100.0, 400.0)): "44cf571d9acefd6483ab7984d76261493a0d6484dfcb5fb3c19f4cdc1854cd8f",
+}
+
+
+@pytest.mark.parametrize("workload, reps, t_queries", list(GOLDEN_SAMPLES))
+def test_benchmark_samples_keep_their_bits(workload, reps, t_queries):
+    # the benchmark's scenarios at fewer reps, and exp-cycle at t = 400, give
+    # the samples they gave when these digests were taken: a change to the
+    # streams, the wave loop or ppf that moves a bit fails here
+    import hashlib
+    from dataclasses import replace
+
+    from renewal_bounds.cli import load_scenario
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / f"{workload}.ini"
+    sc = replace(load_scenario(path)[0], reps=reps, t_queries=t_queries or load_scenario(path)[0].t_queries)
+    table = rb.estimate(sc, keep_samples=True)
+    digest = hashlib.sha256(table.samples_backward.tobytes() + table.samples_forward.tobytes())
+    assert digest.hexdigest() == GOLDEN_SAMPLES[workload, reps, t_queries]
 
 
 def test_estimate_exponential_backward_mean():
