@@ -164,11 +164,20 @@ def discretize(
     return GridDistribution(h, values, idx, masses, snap_err, tail)
 
 
+def _convolve(x, y):
+    """``np.convolve(x, y)`` of finite arrays, which is all +0.0 when either
+    is all zero (each output is a dot product begun at +0.0): then no
+    products are formed."""
+    if x.any() and y.any():
+        return np.convolve(x, y)
+    return np.zeros(x.size + y.size - 1)
+
+
 def _conv_masses(aA, cA, aB, cB, n):
     """Convolve two (atom, cell) decompositions; truncate to ``n + 1`` nodes."""
-    atoms = np.convolve(aA, aB)[: n + 1]
-    cells = np.convolve(aA, cB)[: n + 1] + np.convolve(aB, cA)[: n + 1]
-    cc = np.convolve(cA, cB)  # continuous x continuous lands on nodes s-1
+    atoms = _convolve(aA, aB)[: n + 1]
+    cells = _convolve(aA, cB)[: n + 1] + _convolve(aB, cA)[: n + 1]
+    cc = _convolve(cA, cB)  # continuous x continuous lands on nodes s-1
     cc = np.concatenate((cc, [0.0]))
     cells[1:] += 0.5 * (cc[1 : n + 1] + cc[2 : n + 2])
     return atoms, cells

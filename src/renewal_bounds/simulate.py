@@ -61,10 +61,12 @@ time leaves the wave after that strip, and each strip's height is the chunk
 over the rows that remain, cut at the wave's end, so finished rows draw at
 most one strip past their end.  Everything after the draw happens in the
 tile.
-``ppf`` is elementwise and runs in a reused workspace, so each half is
-overwritten with its inverse-CDF values where it lies; theta maps all its
-rows with one law when the tile's intervals share one mu index, else each
-law maps its own rows, by the wave's mu indices, computed once per wave.
+``ppf`` is elementwise and runs in a workspace reused across tiles and
+slabs (``hazard._SCRATCH``, which ``estimate`` frees when it ends), so
+each half is overwritten with its inverse-CDF values where it lies; theta
+maps all its rows with one law when the tile's intervals share one mu
+index, else each law maps its own rows, by the wave's mu indices, computed
+once per wave.
 The interval minimum is written over half 0, each row's last jump so far is
 added to its first row, and the running sum runs down the rows in place.
 That sum is sequential per path, so every jump time equals the running sum
@@ -72,8 +74,10 @@ of the whole path whatever the wave and tile sizes.  The loop yields each
 tile's rows and jump times (half 0, a view of the buffer) before it draws
 the next tile.  ``estimate`` reduces a slab of replications to
 backward/forward times tile by tile, settling each (row, query time) pair in
-the tile that holds the row's first jump beyond it; ``simulate_path`` is the
-one-stream case, which keeps the jumps.
+the tile that holds the row's first jump beyond it, and writes the times
+straight into the slab's rows of its sample arrays ``B`` and ``W``, so a
+slab holds no arrays of its own that grow with the query count;
+``simulate_path`` is the one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -82,7 +86,6 @@ a scenario come from one place, ``_bounds``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -490,11 +493,11 @@ def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
     is row ``rows[i]``'s path).  A row's tiles come in the order of its
     intervals.  ``times`` is a view of the tiles' buffer, valid until the
     next tile.  A row whose last jump lies beyond ``t_max`` draws no more:
-    in the limb stage it leaves after the tile (a strip) in which it passed
-    ``t_max``, and in the ``Generator`` stage when the wave ends.  The wave
-    schedule bounds what a row draws in one wave: the block starts at
-    ``_FIRST_BLOCK``, doubles from wave to wave, and is cut so that one wave
-    draws at most ``_WAVE_INTERVALS`` intervals (one per row at least).
+    it leaves the wave after the tile (a strip) in which it passed
+    ``t_max``.  The wave schedule bounds what a row draws in one wave: the
+    block starts at ``_FIRST_BLOCK``, doubles from wave to wave, and is cut
+    so that one wave draws at most ``_WAVE_INTERVALS`` intervals (one per
+    row at least).
 
     A tile comes from ``streams.tiles``: half 0 holds the zeta uniforms and
     half 1 the theta uniforms.  Both halves are mapped through their
@@ -550,23 +553,28 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
     return RenewalPath(jumps, scenario.t_queries, n_t, b_t, w_t)
 
 
-def _slab_stats(scenario: ScenarioConfig, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+def _slab_stats(
+    scenario: ScenarioConfig, r0: int, r1: int, b=None, w=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward/forward times for replications [r0, r1), vectorized in wave tiles.
 
-    Each (row, query) pair is settled once, in the tile that holds the
-    row's first jump beyond the query time ``t``: a row's tiles come in the
-    order of its jumps, so that is the tile whose last jump lies beyond
-    ``t`` while the row's last jump before it (0 before any) does not.
-    There the first jump beyond ``t`` is ``next_gt``, and the jump before
-    it, in the tile or the last one before it, is ``last_le``.  A tile
-    visits only the queries between its rows' earliest and latest jumps,
-    and gathers only the rows it settles, so its memory follows its own
-    size.
+    Written into ``b`` and ``w``, C-contiguous ``(r1 - r0, queries)``
+    arrays (``estimate`` passes its rows of ``B`` and ``W``), or into new
+    ones, and returned.  Each (row, query) pair is settled once, in the tile
+    that holds the row's first jump beyond the query time ``t``: a row's
+    tiles come in the order of its jumps, so that is the tile whose last
+    jump lies beyond ``t`` while the row's last jump before it (0 before
+    any) does not.  There the first jump beyond ``t`` is ``next_gt``, and
+    the jump before it, in the tile or the last one before it, is
+    ``last_le``.  A tile visits only the queries between its rows' earliest
+    and latest jumps, and gathers only the rows it settles, so its memory
+    follows its own size.
     """
     queries = np.asarray(scenario.t_queries)
     count = r1 - r0
-    last_le = np.empty((count, queries.size))
-    next_gt = np.empty((count, queries.size))
+    # last_le and next_gt, written where B and W go
+    last_le = np.empty((count, queries.size)) if b is None else b
+    next_gt = np.empty((count, queries.size)) if w is None else w
     prev = np.zeros(count)  # each row's last jump before the tile
 
     streams = _slab_streams(scenario.seed, r0, r1)
@@ -627,19 +635,33 @@ def estimate(
     regardless of ``workers``: every replication computes the same values
     from its own stream, results are assembled by replication index, and
     the reduction is a single pass over the full array.
+
+    Memory is the samples ``B`` and ``W`` (``reps x queries`` each) plus
+    one slab's working set, or, while the variances are taken, one more
+    array of ``B``'s size: in one process each slab writes its times
+    straight into its rows of ``B`` and ``W``, and ``ppf``'s workspace
+    (``hazard._SCRATCH``) is released once the slabs are done, or when one
+    raises.
     """
     reps = scenario.reps
     nq = len(scenario.t_queries)
     B = np.empty((reps, nq))
     W = np.empty((reps, nq))
-    jobs = [(scenario, r0, min(r0 + _SLAB, reps)) for r0 in range(0, reps, _SLAB)]
-    parallel = workers > 1 and len(jobs) > 1
-    if parallel:  # imported here: concurrent.futures costs every command ~13 ms
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for r0, b, w in (pool.map if parallel else map)(_slab_worker, jobs):
-            B[r0 : r0 + b.shape[0]] = b
-            W[r0 : r0 + w.shape[0]] = w
+    jobs = [(r0, min(r0 + _SLAB, reps)) for r0 in range(0, reps, _SLAB)]
+    try:
+        if workers > 1 and len(jobs) > 1:
+            # imported here: concurrent.futures costs every command ~13 ms
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for r0, b, w in pool.map(_slab_worker, [(scenario, *job) for job in jobs]):
+                    B[r0 : r0 + b.shape[0]] = b
+                    W[r0 : r0 + w.shape[0]] = w
+        else:
+            for r0, r1 in jobs:
+                _slab_stats(scenario, r0, r1, B[r0:r1], W[r0:r1])
+    finally:
+        hazard._SCRATCH.release()
 
     mean_b = B.mean(axis=0)
     mean_w = W.mean(axis=0)

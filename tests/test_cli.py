@@ -519,9 +519,10 @@ print("numpy.ma" in sys.modules)
 def test_imports_load_random_openssl_and_polynomial_on_first_use(tmp_path):
     # numpy.random (with secrets -> hashlib -> OpenSSL), hashlib and
     # numpy.polynomial cost a process about 9 MB; importing the CLI loads
-    # none of them, and verify builds no Generator: not on the exponential
-    # scenario, nor on uniform(0, 1) at t = 50, where about 2.5 % of the
-    # paths pass 112 intervals
+    # none of them.  verify on the exponential scenario and on uniform(0, 1)
+    # at t = 50 loads neither numpy.random (every draw is PCG64 in limbs)
+    # nor numpy.polynomial (uniform's moments take their Gauss-Legendre
+    # rule from hazard's own table); only the manifest loads hashlib
     scenarios = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
     script = """
 import json, sys
@@ -543,6 +544,7 @@ print(json.dumps([m for m in LAZY if m in sys.modules]))
     at_import, after_verify = (json.loads(line) for line in done.stdout.splitlines())
     assert at_import == []
     assert "numpy.random" not in after_verify
+    assert "numpy.polynomial" not in after_verify
     import hashlib
 
     entries = json.loads((out / "manifest.json").read_text())["files"]

@@ -159,6 +159,39 @@ def test_renewal_solve_matches_power_sum(law):
     assert H.equation_residual <= 1e-10
 
 
+def _conv_masses_in_full(aA, cA, aB, cB, n):
+    # gridcalc._conv_masses with every np.convolve formed, zero operands too
+    atoms = np.convolve(aA, aB)[: n + 1]
+    cells = np.convolve(aA, cB)[: n + 1] + np.convolve(aB, cA)[: n + 1]
+    cc = np.concatenate((np.convolve(cA, cB), [0.0]))
+    cells[1:] += 0.5 * (cc[1 : n + 1] + cc[2 : n + 2])
+    return atoms, cells
+
+
+@pytest.mark.parametrize("law", list(RENEWAL_LAWS))
+def test_conv_masses_skips_zero_operands_bit_for_bit(monkeypatch, law):
+    # the renewal residual check's operands (H's masses and G's), G with
+    # itself, and G against a negated copy: with or without atoms and cells,
+    # a convolution with an all-zero operand is formed nowhere and changes
+    # no bit
+    from renewal_bounds import gridcalc
+
+    G = rb.discretize(rb.cdf_from_intensity(RENEWAL_LAWS[law]), 0.01, 10.0, allow_truncation=True)
+    H = rb.renewal_function(G)
+    aG, cG = G.masses()
+    n = aG.size - 1
+    convolve = np.convolve
+    for ops in [(H.node_mass, H.cell_mass, aG, cG), (aG, cG, aG, cG), (aG, cG, -aG, -cG)]:
+        formed = []
+        monkeypatch.setattr(np, "convolve", lambda x, y: formed.append(1) or convolve(x, y))
+        got = gridcalc._conv_masses(*ops, n)
+        monkeypatch.undo()
+        want = _conv_masses_in_full(*ops, n)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        aA, cA, aB, cB = (bool(x.any()) for x in ops)
+        assert len(formed) == (aA and aB) + (aA and cB) + (aB and cA) + (cA and cB)
+
+
 def test_renewal_monotone_and_zero_at_origin(exp1):
     G = rb.discretize(exp1, 0.01, 10.0, allow_truncation=True)
     H = rb.renewal_function(G)

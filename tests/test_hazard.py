@@ -1094,6 +1094,37 @@ def test_warm_ppf_allocates_little_more_than_its_output():
     assert peak <= 4 * 8 * u.size, f"{peak / 8 / u.size:.2f} doubles per draw"
 
 
+def test_workspace_release_waits_for_the_outermost_frame():
+    # arrays taken in an open frame are views of the buffer, so release
+    # there keeps it; outside every frame it frees the buffer, and the next
+    # frame grows it from nothing
+    scratch = hazard._Scratch()
+    with scratch as take:
+        take(1000)
+    buf = scratch._buf
+    assert buf.size >= 8000
+    with scratch as take:
+        x = take(1000)
+        x[:] = 1.0
+        scratch.release()
+        assert scratch._buf is buf and np.shares_memory(x, buf)
+    scratch.release()
+    assert scratch._buf.size == 0
+    with scratch as take:
+        take(10)
+    assert 0 < scratch._buf.size < 1000
+
+
+def test_gl_rule_is_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = hazard._gl_rule()
+    want_nodes, want_weights = leggauss(32)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert not (nodes.flags.writeable or weights.flags.writeable)
+
+
 def test_guard_on_rows_of_degree_at_most_one_is_cdf():
     # a piecewise-constant hazard of four rows with an interior atom: a
     # chunk's operands carry c1 only, and the guard's lam_lo + c1 tau is

@@ -561,6 +561,63 @@ def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, wave):
     assert peak <= bound, f"slab peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
+def test_estimate_memory_at_dense_t_is_its_samples_and_one_temporary(monkeypatch):
+    # 10,000 reps of the verify-exp-cycle scenario at 200 query times in
+    # slabs of 5,000: each slab writes its times into its rows of B and W,
+    # and var's temporary is one array of B's size.  A slab's own
+    # last_le/next_gt pair, kept alive beside the next slab's, peaked at
+    # 63.7 MiB here
+    import tracemalloc
+    from dataclasses import replace
+
+    import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
+    from renewal_bounds.cli import load_scenario
+
+    monkeypatch.setattr(sim, "_SLAB", 5_000)
+    monkeypatch.setattr(hazard, "_SCRATCH", hazard._Scratch())
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "verify-exp-cycle.ini"
+    sc = replace(load_scenario(path)[0], reps=10_000, t_queries=tuple(0.1 * k for k in range(1, 201)))
+    sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
+    samples = sc.reps * len(sc.t_queries) * 8
+    bound = 3 * samples + 4 * 2**20
+    tracemalloc.start()
+    try:
+        rb.estimate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"estimate peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("cap", [None, 40])
+def test_estimate_releases_ppf_workspace_when_it_returns_or_raises(monkeypatch, cap):
+    # a fresh workspace that records the bytes it holds when released; a cap
+    # of 40 fires after two waves (48 intervals) are drawn
+    import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
+
+    scratch = hazard._Scratch()
+    held = []
+    release = scratch.release
+
+    def recording():
+        held.append(scratch._buf.size)
+        release()
+
+    scratch.release = recording
+    monkeypatch.setattr(hazard, "_SCRATCH", scratch)
+    sc = iid_scenario(rb.uniform(0.0, 1.0), reps=300, t_queries=(1000.0,), seed=7)
+    if cap is None:
+        rb.estimate(sc)
+    else:
+        monkeypatch.setattr(sim, "EVENT_CAP", cap)
+        with pytest.raises(rb.EventCapExceeded):
+            rb.estimate(sc)
+    assert held and held[-1] > 0  # the slab grew it
+    assert scratch._buf.size == 0 and scratch._marks == [] and scratch._top == 0
+
+
 @pytest.mark.parametrize("case", ["cycle-with-zero", "uniform"])
 def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
     # the tile size follows _PPF_CHUNK and the wave schedule _WAVE_INTERVALS;
