@@ -5,7 +5,7 @@ The conditions, in the order reported:
 1. every interval is the minimum of an i.i.d. draw (hazard phi) and an
    independent index-dependent draw (hazard mu_j) -- structural;
 2. the combined hazard phi + mu_j never exceeds the envelope Q, atoms
-   included;
+   included, short of Q's full atom (where Q's law ends), if it has one;
 3. the total hazard of phi diverges and the slow envelope has a finite
    k-th moment for some k >= 2 (largest verified k <= 4 is reported);
 4. Q is locally bounded near zero (an atom at the origin is the only way
@@ -96,17 +96,27 @@ def _jsonable(v):
 def _envelope_violation(
     combined: GeneralizedIntensity, q: GeneralizedIntensity
 ) -> tuple[float, float]:
-    """Max of (combined - Q) over the ac parts and atoms; (violation, where)."""
+    """Max of (combined - Q) over the ac parts and atoms; (violation, where).
+
+    Only ``[0, c)`` is compared when Q has a full atom at ``c``: Q's law ends
+    there, so no draw under Q passes ``c``, and what Q's encoding says beyond
+    it is not part of the law.  Two encodings of one Q get one verdict.
+    """
+    cap = q.full_atom_location if q.has_full_atom else math.inf
     worst, where = -math.inf, 0.0
-    pieces = list(_aligned(combined, q))
-    vals, locs = pmax_rows([cc - cq for _, _, cc, cq in pieces], 0.0,
-                           [width for _, width, _, _ in pieces])
-    for (s, _, _, _), v, loc in zip(pieces, vals.tolist(), locs.tolist()):
-        if v > worst:
-            worst, where = v, s + loc if math.isfinite(loc) else math.inf
+    pieces = [(s, min(width, cap - s), cc, cq)
+              for s, width, cc, cq in _aligned(combined, q) if s < cap]
+    if pieces:  # none when Q's full atom sits at 0
+        vals, locs = pmax_rows([cc - cq for _, _, cc, cq in pieces], 0.0,
+                               [width for _, width, _, _ in pieces])
+        for (s, _, _, _), v, loc in zip(pieces, vals.tolist(), locs.tolist()):
+            if v > worst:
+                worst, where = v, s + loc if math.isfinite(loc) else math.inf
 
     q_atoms = {float(a): float(d) for a, d in zip(q.atom_locs, q.atom_weights)}
     for loc, d in zip(combined.atom_locs, combined.atom_weights):
+        if loc >= cap:
+            break
         dq = q_atoms.get(float(loc), 0.0)
         gap = 0.0 if math.isinf(d) and math.isinf(dq) else float(d) - dq
         if gap > worst:

@@ -487,8 +487,9 @@ def _check_u(u):
     return u
 
 
-# draws per ppf chunk, the unit ppf's scratch is sized by, and the size of a
-# wave tile in ``simulate``: a slab's working set scales with it
+# draws per ppf chunk, the unit ppf's scratch is sized by, and the intervals
+# of one strip in ``simulate`` over the rows still drawing: a slab's working
+# set scales with it
 _PPF_CHUNK = 1 << 15
 _NEWTON_ITERS = 60  # safeguarded-Newton cap, the step count of a full bisection
 _FINISH_STEPS = 64  # cap on the ulp walk that ends a quartic solve
@@ -498,9 +499,10 @@ _GUIDE_BUCKETS = 1024  # equal-probability buckets of u in a row search's guide 
 
 class _Scratch(threading.local):
     """The scratch memory of ``ppf``: one byte buffer used as a stack, kept
-    across chunks, calls and laws until ``release`` frees it;
-    ``simulate.estimate`` releases it when it ends, so a run does not keep a
-    slab's workspace once its replications are drawn.  Each thread has its
+    across chunks, calls and laws until ``release`` frees it.  A strip of
+    ``simulate`` takes its ladder arrays from it before ``ppf`` maps the
+    strip, and ``simulate.estimate`` releases it when it ends, so a run does
+    not keep a slab's workspace once its replications are drawn.  Each thread has its
     own, so ``ppf`` may run in several threads at once, as it could before
     it had one.
 
@@ -1526,10 +1528,18 @@ def _moment_intensity(F: IntensityCdf, k: int) -> float:
     return total
 
 
+def _require_intensity_cdf(F, name: str) -> None:
+    if not isinstance(F, IntensityCdf):
+        raise TypeError(
+            f"{name} takes an IntensityCdf, not {type(F).__name__}; convert other "
+            "CDFs with cdf_from_intensity(intensity_from_cdf(F)) first"
+        )
+
+
 def moment(F: IntensityCdf, k: int) -> float:
     """k-th raw moment ``E X^k = integral k x^(k-1) (1 - F(x)) dx`` of an
-    :class:`IntensityCdf`; any other CDF goes through
-    ``cdf_from_intensity(intensity_from_cdf(F))`` first.
+    :class:`IntensityCdf`.  Any other ``F`` raises ``TypeError``: convert it
+    with ``cdf_from_intensity(intensity_from_cdf(F))`` first.
 
     Constant-hazard stretches integrate in closed form through the
     regularized incomplete gamma of integer shape, a truncated series or a
@@ -1543,6 +1553,7 @@ def moment(F: IntensityCdf, k: int) -> float:
     batching moves no bit.  Raises
     :class:`DivergentMomentError` when the tail does not contract.
     """
+    _require_intensity_cdf(F, "moment")
     if k < 1 or int(k) != k:
         raise ValueError("moment order k must be a positive integer")
     k = int(k)
@@ -1555,8 +1566,10 @@ def sample(F: IntensityCdf, u):
 
     Monotone in ``u``; atoms receive exactly their probability mass.
     Accepts scalars or arrays.  ``F`` is an :class:`IntensityCdf`; any other
-    CDF goes through ``cdf_from_intensity(intensity_from_cdf(F))`` first.
+    ``F`` raises ``TypeError``: convert it with
+    ``cdf_from_intensity(intensity_from_cdf(F))`` first.
     """
+    _require_intensity_cdf(F, "sample")
     u = np.asarray(u, dtype=float)
     if not (np.all(u > 0.0) and np.all(u < 1.0)):  # NaN fails both
         raise ValueError("u must lie strictly inside (0, 1)")

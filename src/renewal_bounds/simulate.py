@@ -30,54 +30,48 @@ mass and the interval law equals the summed-hazard law.  Theta is
 for ``u = 0``, on a zero-mass ``mu_j`` too.
 
 Because interval values depend only on the stream position, batch drawing
-(vectorized waves of whole replication slabs) gives every interval the value
+(vectorized strips of whole replication slabs) gives every interval the value
 ``generate_interval`` gives it, bit for bit.  The jump times of a path are
 the running sum of its intervals, ``np.cumsum(xi)`` of the whole path, so
-they too depend on the stream alone: not on the wave sizes, nor on how
+they too depend on the stream alone: not on the strip heights, nor on how
 replications are split into slabs or workers.  Estimates are therefore
 identical for any degree of parallelism: per-replication results are written
 into index-addressed arrays, and the reduction is a single deterministic pass
 over the assembled array.
 
-Wave loop
----------
-One generator, ``_waves``, draws every interval.  It advances a slab's
-streams in waves: each still-active stream draws up to ``2 * block``
-uniforms (``block`` intervals), and a stream stops drawing once its last
-jump lies beyond the largest query time.  The schedule is fixed: ``block``
-starts at ``_FIRST_BLOCK`` and doubles from wave to wave, cut so that one
-wave draws at most ``_WAVE_INTERVALS`` intervals over all its rows.  The
-schedule bounds what a row draws in one wave, and so how far the last rows
-of a slab overshoot; it does not bound memory.
+Strip loop
+----------
+One generator, ``_strips``, draws every interval.  It advances a slab's
+streams one strip at a time: a strip is a run of intervals, the same ones
+for every row still drawing, and a row stops drawing after the strip in
+which its last jump passed the largest query time.  A strip's height is
+``hazard._PPF_CHUNK`` intervals over the rows still drawing, one at least,
+and no more than the rows have drawn so far (``_FIRST_BLOCK`` at first).
+The chunk bounds memory; the cap bounds how far the last rows of a slab
+overshoot, since a row that needs ``k`` intervals draws fewer than
+``k + max(_FIRST_BLOCK, k)``.
 
-A wave is drawn, mapped and summed one tile at a time, and no array of a
-wave's size exists.  A tile holds about ``hazard._PPF_CHUNK`` intervals in
-one float64 buffer of shape ``(2, n, columns)`` that every tile of the slab
-reuses: half 0 the zeta uniforms (stream positions ``2(j-1)``) and half 1
-the theta uniforms (``2(j-1)+1``), each interval-major, one contiguous row
-per interval and one column per path.  A tile is a strip of interval rows
-over the rows still drawing: a row whose last jump passed the largest query
-time leaves the wave after that strip, and each strip's height is the chunk
-over the rows that remain, cut at the wave's end, so finished rows draw at
-most one strip past their end.  Everything after the draw happens in the
-tile.
-``ppf`` is elementwise and runs in a workspace reused across tiles and
+A strip is drawn into one float64 tile of shape ``(2, n, rows)`` that every
+strip of the slab reuses: half 0 the zeta uniforms (stream positions
+``2(j-1)``) and half 1 the theta uniforms (``2(j-1)+1``), each
+interval-major, one contiguous row per interval and one column per path.
+Everything after the draw happens in the tile.
+``ppf`` is elementwise and runs in a workspace reused across strips and
 slabs (``hazard._SCRATCH``, which ``estimate`` frees when it ends), so
 each half is overwritten with its inverse-CDF values where it lies; theta
-maps all its rows with one law when the tile's intervals share one mu
-index, else each law maps its own rows, by the wave's mu indices, computed
-once per wave.
+maps all its rows with one law when the strip's intervals share one mu
+index, else each law maps its own rows.
 The interval minimum is written over half 0, each row's last jump so far is
 added to its first row, and the running sum runs down the rows in place.
 That sum is sequential per path, so every jump time equals the running sum
-of the whole path whatever the wave and tile sizes.  The loop yields each
-tile's rows and jump times (half 0, a view of the buffer) before it draws
-the next tile.  ``estimate`` reduces a slab of replications to
-backward/forward times tile by tile, settling each (row, query time) pair in
-the tile that holds the row's first jump beyond it, and writes the times
-straight into the slab's rows of its sample arrays ``B`` and ``W``, so a
-slab holds no arrays of its own that grow with the query count;
-``simulate_path`` is the one-stream case, which keeps the jumps.
+of the whole path whatever the strip heights.  The loop yields each strip's
+rows and jump times (half 0, a view of the buffer) before it draws the next
+strip.  ``estimate`` reduces a slab of replications to backward/forward
+times strip by strip, settling each (row, query time) pair in the strip
+that holds the row's first jump beyond it, and writes the times straight
+into the slab's rows of its sample arrays ``B`` and ``W``, so a slab holds
+no arrays of its own that grow with the query count; ``simulate_path`` is
+the one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
@@ -109,9 +103,8 @@ __all__ = [
 ]
 
 EVENT_CAP = 100_000_000  # diagnostic guard against zero-length interval loops
-_SLAB = 16_384  # replications per slab, one job of estimate, advanced together in waves
-_FIRST_BLOCK = 16  # intervals per row in the first wave; the block doubles per wave
-_WAVE_INTERVALS = 1 << 20  # intervals one wave draws over all its rows (one per row at least)
+_SLAB = 16_384  # replications per slab, one job of estimate, advanced together strip by strip
+_FIRST_BLOCK = 16  # the cap on the first strips' height; later the cap is what rows drew
 
 
 def path_stream(seed: int, replication: int) -> np.random.Generator:
@@ -217,28 +210,21 @@ def _xsl_rr_doubles(hi, lo, y, out) -> None:
 
 
 class _SlabStreams:
-    """The streams of one slab's replications, drawn one tile at a time.
+    """The streams of one slab's replications, drawn one strip at a time.
 
     Row ``i`` is seeded with ``words[i]``, the words ``PCG64`` takes from
     ``SeedSequence.generate_state(4, np.uint64)`` (see ``_seed_words``), and
     holds that stream's 128-bit state and increment as ``uint64`` limbs.
-    ``tiles(rows, block, keep)`` draws the next ``2 * block`` doubles of the
-    rows still drawing, all at the same stream position: one wave.  It
-    yields the wave in strips of about ``_PPF_CHUNK`` intervals, ``(cols, a,
-    tile)``: ``cols`` indexes ``rows``, and ``tile`` has shape ``(2, n,
-    cols.size)`` and holds intervals ``a .. a + n - 1`` of the wave for the
-    rows ``rows[cols]``.  Position ``2 (a + j)`` of a row's wave goes to
-    ``tile[0, j]`` and position ``2 (a + j) + 1`` to ``tile[1, j]``: half 0
+    ``draw(n)`` draws the next ``2 n`` doubles of each row still drawing,
+    all at the same stream position, and returns them as a tile of shape
+    ``(2, n, len(self))``: position ``2 j`` of the strip goes to
+    ``tile[0, j]`` and position ``2 j + 1`` to ``tile[1, j]``, so half 0
     holds the zeta uniforms and half 1 the theta uniforms, one contiguous
-    row per interval.  A tile is a view of one buffer that every tile
-    reuses, so it is valid until the next one is drawn.
-
-    A strip is ``_PPF_CHUNK`` intervals over the rows still drawing, at
-    least one interval row and at most what remains of the wave.  After each
-    strip ``keep(cols)`` (a boolean per column) says which of them draw on:
-    the others leave there, and their limbs are dropped.  A row that leaves
-    never draws again, so a wave's ``rows`` are the rows the previous one
-    kept.  Without ``keep`` every row draws the whole wave.
+    row per interval and one column per row.  A tile is a view of one buffer
+    that every draw reuses, so it is valid until the next draw.
+    ``keep(go)``, a boolean per row still drawing, drops the rows where
+    ``go`` is false: they never draw again, and their limbs go.  ``len``
+    counts the rows still drawing.
 
     A strip is filled in ladder blocks of up to ``_LADDER`` positions over its
     rows (one interval of each row at least): one LCG step from each row's
@@ -249,7 +235,6 @@ class _SlabStreams:
     """
 
     def __init__(self, words: np.ndarray):
-        self._rows = words.shape[0]
         self._buf = np.empty(0)  # the tiles' buffer
         w0, w1, w2, w3 = (np.ascontiguousarray(w) for w in words.T)
         # PCG64's seeding: inc = (w2:w3) << 1 | 1, state = inc + (w0:w1), one step
@@ -258,37 +243,27 @@ class _SlabStreams:
         self._lo = inc[1] + w1
         self._hi = inc[0] + w0
         self._hi += self._lo < w1
-        n = self._rows
+        n = len(self)
         _mul_add(self._hi, self._lo, _JUMPS[0], *inc, self._hi, self._lo,
                  np.empty((4, n), dtype=np.uint64), np.empty(n, dtype=bool))
 
     def __len__(self) -> int:
-        return self._rows
+        return self._hi.size
 
-    def tiles(self, rows: np.ndarray, block: int, keep=None):
-        """Draw one wave, ``block`` intervals of each stream in ``rows``, and
-        yield it strip by strip as ``(cols, a, tile)`` (see the class);
-        ``keep(cols)`` is read after each strip."""
-        if rows.size != self._hi.size:
-            raise ValueError("a wave draws the rows that the previous wave kept")
-        cols = np.arange(rows.size)  # the rows still drawing, as indices into rows
-        a = 0
-        while a < block and cols.size:
-            n = min(max(1, hazard._PPF_CHUNK // cols.size), block - a)
-            tile = self._tile((2, n, cols.size))
-            self._fill(tile)
-            yield cols, a, tile
-            a += n
-            if keep is not None and not (go := keep(cols)).all():  # compact to the rows drawing on
-                cols = cols[go]
-                self._hi, self._lo = self._hi[go], self._lo[go]
-                self._incs = [(h[go], l[go]) for h, l in self._incs]
-
-    def _tile(self, shape) -> np.ndarray:
-        size = shape[0] * shape[1] * shape[2]
+    def draw(self, n: int) -> np.ndarray:
+        """The next ``n`` intervals' uniforms of the rows still drawing, as a
+        ``(2, n, len(self))`` tile (see the class)."""
+        size = 2 * n * len(self)
         if self._buf.size < size:
             self._buf = np.empty(size)
-        return self._buf[:size].reshape(shape)
+        tile = self._buf[:size].reshape(2, n, len(self))
+        self._fill(tile)
+        return tile
+
+    def keep(self, go: np.ndarray) -> None:
+        """Drop the rows still drawing where ``go`` is false."""
+        self._hi, self._lo = self._hi[go], self._lo[go]
+        self._incs = [(h[go], l[go]) for h, l in self._incs]
 
     def _fill(self, tile: np.ndarray) -> None:
         """Write the next ``2 n`` doubles of each of the ``c`` rows drawing
@@ -440,42 +415,30 @@ def _ppf_in_place(cdf, half: np.ndarray, rows=None) -> None:
         half[pick] = picked
 
 
-def _mu_plan(scenario: ScenarioConfig, j0: int, block: int) -> list:
-    """The mu laws of a wave's intervals ``j0 .. j0 + block - 1``, as
-    ``(cdf, offsets)`` pairs: the wave offsets of the intervals each law
-    maps, or ``None`` when one law maps them all.  Computed once per wave,
-    and read by every tile of it."""
-    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(block)))
-    members = np.flatnonzero(np.bincount(midx))  # np.unique, without numpy.ma
-    if members.size == 1:
-        return [(scenario.mu_cdfs[members[0]], None)]
-    return [(scenario.mu_cdfs[d], np.flatnonzero(midx == d)) for d in members]
+def _theta_in_place(scenario: ScenarioConfig, u: np.ndarray, j0: int) -> np.ndarray:
+    """Map the theta uniforms of a strip, intervals ``j0, j0 + 1, ...`` (one
+    row each, interval-major), in place through their mu inverses, and
+    return them.
 
-
-def _theta_from_uniforms(plan: list, u: np.ndarray, a: int) -> np.ndarray:
-    """Map the theta uniforms of a tile, wave intervals ``a, a + 1, ...``
-    (one row each, interval-major), in place through their mu inverses by
-    the wave's ``plan`` (``_mu_plan``), and return them.
-
-    A tile whose intervals share one mu law maps all its rows at once;
+    A strip whose intervals share one mu law maps all its rows at once;
     otherwise each law maps its own rows.  ``ppf`` itself gives ``+inf``
     above that mu's total mass.
     """
-    for cdf, offsets in plan:
-        if offsets is None:
-            _ppf_in_place(cdf, u)
-            continue
-        lo, hi = np.searchsorted(offsets, (a, a + u.shape[0]))
-        if hi > lo:
-            _ppf_in_place(cdf, u, offsets[lo:hi] - a)
+    midx = np.asarray(scenario.mu_rule.index_for(j0 + np.arange(u.shape[0])))
+    members = np.flatnonzero(np.bincount(midx))  # np.unique, without numpy.ma
+    if members.size == 1:
+        _ppf_in_place(scenario.mu_cdfs[members[0]], u)
+    else:
+        for d in members:
+            _ppf_in_place(scenario.mu_cdfs[d], u, np.flatnonzero(midx == d))
     return u
 
 
 def _running_sum(times: np.ndarray) -> None:
     """``np.cumsum(times, axis=0, out=times)``: sequential down each column,
     so the same bits either way.  numpy accumulates column by column, one
-    inner loop per column; a tile with more columns than rows (a limb strip)
-    adds row after row instead."""
+    inner loop per column; a strip with more columns than rows adds row
+    after row instead."""
     if times.shape[0] < times.shape[1]:
         for j in range(1, times.shape[0]):
             times[j] += times[j - 1]
@@ -483,58 +446,48 @@ def _running_sum(times: np.ndarray) -> None:
         np.cumsum(times, axis=0, out=times)
 
 
-def _waves(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
-    """Draw intervals from a slab's ``streams`` in waves until every path
-    passes ``t_max``, and yield them a tile at a time.
+def _strips(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
+    """Draw intervals from a slab's ``streams`` strip by strip until every
+    path passes ``t_max``, and yield them a strip at a time.
 
-    Yields ``(rows, times)`` once per tile: rows of ``streams`` still
-    drawing (see below), and their jump times over a run of
-    consecutive intervals, interval-major (``n x rows.size``: column ``i``
-    is row ``rows[i]``'s path).  A row's tiles come in the order of its
-    intervals.  ``times`` is a view of the tiles' buffer, valid until the
-    next tile.  A row whose last jump lies beyond ``t_max`` draws no more:
-    it leaves the wave after the tile (a strip) in which it passed
-    ``t_max``.  The wave schedule bounds what a row draws in one wave: the
-    block starts at ``_FIRST_BLOCK``, doubles from wave to wave, and is cut
-    so that one wave draws at most ``_WAVE_INTERVALS`` intervals (one per
-    row at least).
+    Yields ``(rows, times)`` once per strip: the rows of ``streams`` still
+    drawing, and their jump times over the strip's intervals,
+    interval-major (``n x rows.size``: column ``i`` is row ``rows[i]``'s
+    path).  A row's strips come in the order of its intervals.  ``times``
+    is a view of the tiles' buffer, valid until the next strip.  A row
+    whose last jump lies beyond ``t_max`` leaves after the strip in which
+    it passed ``t_max``, and draws no more.
 
-    A tile comes from ``streams.tiles``: half 0 holds the zeta uniforms and
-    half 1 the theta uniforms.  Both halves are mapped through their
-    inverses in place, the interval minimum overwrites half 0, and so does
-    the running sum: each row's last jump so far is added to the tile's
-    first interval row and ``_running_sum`` runs down the intervals,
-    sequentially per path, so jump times do not depend on the wave, strip
-    or tile sizes.
+    A strip is ``hazard._PPF_CHUNK`` intervals over the rows still drawing,
+    one interval row at least, and no taller than what the rows have drawn
+    so far (``_FIRST_BLOCK`` at first).  Both halves of the tile from
+    ``streams.draw`` are mapped through their inverses in place, the
+    interval minimum overwrites half 0, and so does the running sum: each
+    row's last jump so far is added to the strip's first interval row and
+    ``_running_sum`` runs down the intervals, sequentially per path, so jump
+    times do not depend on the strip heights.
     """
-    active = np.arange(len(streams))
-    base = np.zeros(len(streams))
+    rows = np.arange(len(streams))
+    last = np.zeros(rows.size)  # each row's last jump so far
     j0 = 1
-    block = _FIRST_BLOCK
-    while active.size:
+    while rows.size:
         if j0 > EVENT_CAP:
             raise EventCapExceeded(
                 f"some path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
             )
-        block = max(1, min(block, _WAVE_INTERVALS // active.size))
-        plan = _mu_plan(scenario, j0, block)
-        last = base[active]  # the wave's rows' last jumps, tile by tile
-
-        def keep(cols):  # which of the wave's rows[cols] are still short of t_max
-            return ~(last[cols] > t_max)
-
-        for cols, a, tile in streams.tiles(active, block, keep):
-            _ppf_in_place(scenario.eta_cdf, tile[0])
-            _theta_from_uniforms(plan, tile[1], a)
-            times = np.minimum(tile[0], tile[1], out=tile[0])  # the intervals xi
-            times[0] += last[cols]
-            _running_sum(times)
-            yield active[cols], times
-            last[cols] = times[-1]
-        base[active] = last
-        active = active[keep(slice(None))]
-        j0 += block
-        block *= 2
+        n = max(1, min(hazard._PPF_CHUNK // rows.size, max(_FIRST_BLOCK, j0 - 1)))
+        tile = streams.draw(n)
+        _ppf_in_place(scenario.eta_cdf, tile[0])
+        _theta_in_place(scenario, tile[1], j0)
+        times = np.minimum(tile[0], tile[1], out=tile[0])  # the intervals xi
+        times[0] += last
+        _running_sum(times)
+        yield rows, times
+        last = times[-1].copy()  # the next draw writes over the tile
+        if not (go := ~(last > t_max)).all():  # compact to the rows drawing on
+            rows, last = rows[go], last[go]
+            streams.keep(go)
+        j0 += n
 
 
 def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
@@ -542,8 +495,8 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
     queries = np.asarray(scenario.t_queries)
     t_max = float(queries[-1])
     streams = _slab_streams(scenario.seed, replication, replication + 1)
-    # copies: a tile's buffer is reused by the next tile
-    jumps = np.concatenate([times[:, 0].copy() for _, times in _waves(scenario, streams, t_max)])
+    # copies: the next strip writes over the tile
+    jumps = np.concatenate([times[:, 0].copy() for _, times in _strips(scenario, streams, t_max)])
     jumps = jumps[: int(np.argmax(jumps > t_max)) + 1]
 
     n_t = np.searchsorted(jumps, queries, side="right")
@@ -556,17 +509,17 @@ def simulate_path(scenario: ScenarioConfig, replication: int) -> RenewalPath:
 def _slab_stats(
     scenario: ScenarioConfig, r0: int, r1: int, b=None, w=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward/forward times for replications [r0, r1), vectorized in wave tiles.
+    """Backward/forward times for replications [r0, r1), vectorized strip by strip.
 
     Written into ``b`` and ``w``, C-contiguous ``(r1 - r0, queries)``
     arrays (``estimate`` passes its rows of ``B`` and ``W``), or into new
-    ones, and returned.  Each (row, query) pair is settled once, in the tile
+    ones, and returned.  Each (row, query) pair is settled once, in the strip
     that holds the row's first jump beyond the query time ``t``: a row's
-    tiles come in the order of its jumps, so that is the tile whose last
+    strips come in the order of its jumps, so that is the strip whose last
     jump lies beyond ``t`` while the row's last jump before it (0 before
     any) does not.  There the first jump beyond ``t`` is ``next_gt``, and
-    the jump before it, in the tile or the last one before it, is
-    ``last_le``.  A tile visits only the queries between its rows' earliest
+    the jump before it, in the strip or the last one before it, is
+    ``last_le``.  A strip visits only the queries between its rows' earliest
     and latest jumps, and gathers only the rows it settles, so its memory
     follows its own size.
     """
@@ -575,10 +528,10 @@ def _slab_stats(
     # last_le and next_gt, written where B and W go
     last_le = np.empty((count, queries.size)) if b is None else b
     next_gt = np.empty((count, queries.size)) if w is None else w
-    prev = np.zeros(count)  # each row's last jump before the tile
+    prev = np.zeros(count)  # each row's last jump before the strip
 
     streams = _slab_streams(scenario.seed, r0, r1)
-    for rows, times in _waves(scenario, streams, float(queries[-1])):
+    for rows, times in _strips(scenario, streams, float(queries[-1])):
         before, last = prev[rows], times[-1]
         q0, q1 = np.searchsorted(queries, (before.min(), last.max()), side="left")
         for qi in range(q0, q1):
@@ -638,10 +591,11 @@ def estimate(
 
     Memory is the samples ``B`` and ``W`` (``reps x queries`` each) plus
     one slab's working set, or, while the variances are taken, one more
-    array of ``B``'s size: in one process each slab writes its times
-    straight into its rows of ``B`` and ``W``, and ``ppf``'s workspace
-    (``hazard._SCRATCH``) is released once the slabs are done, or when one
-    raises.
+    array of ``B``'s size.  A slab's working set is its streams' limbs, one
+    strip's tile of about ``hazard._PPF_CHUNK`` intervals, and ``ppf``'s
+    workspace (``hazard._SCRATCH``).  In one process each slab writes its
+    times straight into its rows of ``B`` and ``W``, and the workspace is
+    released once the slabs are done, or when one raises.
     """
     reps = scenario.reps
     nq = len(scenario.t_queries)

@@ -48,6 +48,27 @@ def test_envelope_atom_comparison():
     assert rep2.condition(2).passed
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        rb.from_segments([(0.0, [2.0]), (1.0, [0.0])], atoms=[(1.0, math.inf)]),
+        rb.from_segments([(0.0, [2.0])], atoms=[(1.0, math.inf)]),
+        rb.from_segments([(0.0, [2.0]), (1.0, [0.0]), (2.0, [5.0])], atoms=[(1.0, math.inf)]),
+    ],
+    ids=["zero-past-atom", "two-past-atom", "steps-past-atom"],
+)
+def test_envelope_ends_at_a_full_atom_of_q(q):
+    # Q's law ends at its full atom, so hazards past it are not compared:
+    # every encoding of "2 up to 1, then a full atom" passes under phi = 1
+    rep = rb.check_assumptions(scenario(rb.exponential(1.0), q, rb.ConstantRate(0.0)))
+    assert rep.condition(2).passed, rep.condition(2).detail
+    assert rep.condition(2).diagnostics["max_violation"] == 0.0
+    # before the atom the comparison stands: phi = 3 exceeds 2 by 1 at s = 0
+    rep = rb.check_assumptions(scenario(rb.exponential(3.0), q, rb.ConstantRate(0.0)))
+    assert rep.condition(2).diagnostics["max_violation"] == pytest.approx(1.0)
+    assert rep.condition(2).diagnostics["location"] == 0.0
+
+
 def test_compact_support_fails_condition_3():
     phi = rb.from_segments([(0.0, [1.0]), (1.0, [0.0])], require_proper=False)
     sc = scenario(phi, rb.exponential(3.0), rb.ConstantRate(0.0))
@@ -61,6 +82,11 @@ def test_atom_at_origin_fails_condition_4():
     sc = scenario(rb.exponential(1.0), q, rb.ConstantRate(0.0))
     rep = rb.check_assumptions(sc)
     assert not rep.condition(4).passed
+    # a full atom at the origin ends Q's law before any hazard: condition 2
+    # has nothing to compare, and condition 4 gives the verdict
+    q = rb.from_segments([(0.0, [3.0])], atoms=[(0.0, math.inf)])
+    rep = rb.check_assumptions(scenario(rb.exponential(5.0), q, rb.ConstantRate(0.0)))
+    assert rep.condition(2).passed and not rep.condition(4).passed
 
 
 def test_delayed_process_infers_minimal_T():

@@ -474,6 +474,19 @@ def test_moment_with_constant_rows_matches_mpmath_quadrature():
             assert abs(rb.moment(F, k) - ref) <= 1e-14 * ref, k
 
 
+@pytest.mark.parametrize("call", [lambda F: rb.moment(F, 1), lambda F: rb.sample(F, 0.5)],
+                         ids=["moment", "sample"])
+@pytest.mark.parametrize("make", [lambda: exp_cdf(2.0), lambda: uniform_cdf(0.0, 1.0)],
+                         ids=["exp", "uniform"])
+def test_moment_and_sample_take_an_intensity_cdf(call, make):
+    # a CDF of another kind is refused by name, and the conversion the
+    # message names makes it acceptable
+    F = make()
+    with pytest.raises(TypeError, match=r"IntensityCdf.*cdf_from_intensity\(intensity_from_cdf\(F\)\)"):
+        call(F)
+    assert math.isfinite(call(rb.cdf_from_intensity(rb.intensity_from_cdf(F))))
+
+
 def test_deterministic_moment():
     F = rb.cdf_from_intensity(rb.deterministic(2.0))
     assert rb.moment(F, 2) == pytest.approx(4.0, abs=1e-12)

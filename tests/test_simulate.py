@@ -87,7 +87,7 @@ def test_interval_consumes_two_uniforms_in_order(sc_exp):
 def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
     # generate_interval's theta is mu_cdf.ppf(u); the batch must agree at
     # u = 0 and on both sides of the total mass
-    from renewal_bounds.simulate import _mu_plan, _theta_from_uniforms
+    from renewal_bounds.simulate import _theta_in_place
 
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(4.0),
@@ -96,7 +96,7 @@ def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
     cdf = sc.mu_cdfs[0]
     total = cdf.total_mass()
     us = [u for u in (0.0, total, math.nextafter(total, 1.0), math.nextafter(1.0, 0.0)) if u < 1.0]
-    batch = _theta_from_uniforms(_mu_plan(sc, 1, len(us)), np.array(us)[:, None], 0)[:, 0]
+    batch = _theta_in_place(sc, np.array(us)[:, None], 1)[:, 0]
     scalar = [float(cdf.ppf(u)) for u in us]
     assert batch.tolist() == scalar
     assert batch[0] == 0.0
@@ -150,25 +150,24 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
     ids=["cycle-with-zero", "constant-rate"],
 )
 def test_theta_in_place_on_a_generator_wave(rule):
-    # past the default schedule's first three waves (positions 0-223), a
-    # 128-interval wave's theta half is mapped in place, row by interval, as
+    # past strips of 16, 32 and 64 intervals (positions 0-223), a
+    # 128-interval strip's theta half is mapped in place, row by interval, as
     # each interval's mu ppf maps a contiguous copy
-    from renewal_bounds.simulate import _mu_plan, _slab_streams, _theta_from_uniforms
+    from renewal_bounds.simulate import _slab_streams, _theta_in_place
 
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=rule,
         t_queries=(5.0,), reps=300, seed=17,
     )
     streams = _slab_streams(sc.seed, 0, sc.reps)
-    rows = np.arange(sc.reps)
     for count in (32, 64, 128):
-        _wave(streams, rows, count)
-    buf = _wave(streams, rows, 2 * 128)
+        _strip(streams, count)
+    buf = _strip(streams, 2 * 128)
     j0 = 1 + 224 // 2
     want = np.stack([
         sc.mu_cdfs[int(rule.index_for(j0 + j))].ppf(buf[1, j].copy()) for j in range(128)
     ])
-    theta = _theta_from_uniforms(_mu_plan(sc, j0, 128), buf[1], 0)
+    theta = _theta_in_place(sc, buf[1], j0)
     assert np.shares_memory(theta, buf)
     assert buf[1].tobytes() == want.tobytes()
     if isinstance(rule, rb.CycledIntensities):  # the zero member: +inf but at u = 0
@@ -191,17 +190,14 @@ def _rows_of(seed, replications):
     return _SlabStreams(np.concatenate([_seed_words(seed, r, r + 1) for r in replications]))
 
 
-def _wave(streams, rows, count, keep=None):
-    # the next count doubles of each row, assembled from one wave's tiles
-    # into (2, count // 2, rows): position k of row i is in [k % 2, k // 2, i]
-    u = np.full((2, count // 2, rows.size), np.nan)
-    for cols, a, tile in streams.tiles(rows, count // 2, keep):
-        u[:, a : a + tile.shape[1], cols] = tile
-    return u
+def _strip(streams, count):
+    # the next count doubles of each row still drawing, as a copy of one
+    # strip's tile (2, count // 2, rows): position k of row i is in [k % 2, k // 2, i]
+    return streams.draw(count // 2).copy()
 
 
 def _row_doubles(u, i):
-    # row i of a wave (2, count // 2, rows) in stream order: position k is u[k % 2, k // 2, i]
+    # row i of a strip (2, count // 2, rows) in stream order: position k is u[k % 2, k // 2, i]
     return u[:, :, i].T.ravel()
 
 
@@ -222,19 +218,18 @@ def test_slab_streams_draw_like_path_stream(seed):
 
     streams = _slab_streams(seed, 16380, 16390)
     assert len(streams) == 10
-    u = _wave(streams, np.arange(10), 50)
+    u = _strip(streams, 50)
     for i, r in enumerate(range(16380, 16390)):
         assert _row_doubles(u, i).tobytes() == rb.path_stream(seed, r).random(50).tobytes()
 
 
 @pytest.mark.parametrize("seed", SLAB_SEEDS)
 def test_limb_doubles_match_generator_random(seed):
-    # the default schedule's first three waves draw positions 0-223
+    # strips of 16, 32 and 64 intervals draw positions 0-223
     streams = _rows_of(seed, SLAB_REPLICATIONS)
-    rows = np.arange(len(SLAB_REPLICATIONS))
-    waves = [_wave(streams, rows, count) for count in (32, 64, 128)]
+    strips = [_strip(streams, count) for count in (32, 64, 128)]
     for i, r in enumerate(SLAB_REPLICATIONS):
-        u = np.concatenate([_row_doubles(w, i) for w in waves])
+        u = np.concatenate([_row_doubles(w, i) for w in strips])
         assert u.tobytes() == rb.path_stream(seed, r).random(224).tobytes(), (seed, r)
 
 
@@ -245,43 +240,43 @@ def test_limb_doubles_match_generator_random(seed):
 )
 @pytest.mark.parametrize("seed", [0, 2**40 + 3, 2**64 - 1])
 def test_handed_over_rows_continue_bit_equal(counts, end, seed):
-    # blocks 16, 32, 64 end at position 224; blocks 4, 8, 16, 32, 64
-    # (_FIRST_BLOCK = 4) at 120, where the next wave would straddle 224.  The
-    # other rows leave there, and the rows still drawing keep their streams
+    # strips of 16, 32, 64 intervals end at position 224; strips of 4, 8,
+    # 16, 32, 64 at 120, where the next strip would straddle 224.  The other
+    # rows leave there, and the rows still drawing keep their streams
     streams = _rows_of(seed, SLAB_REPLICATIONS)
     rows = np.arange(len(SLAB_REPLICATIONS))
     survivors = [1, 4, 5, 8]
     drawn = {i: [] for i in rows.tolist()}
     position = 0
     for count in counts:
-        position += count
-        leave = position == end
-        u = _wave(streams, rows, count, (lambda cols: np.isin(cols, survivors)) if leave else None)
+        u = _strip(streams, count)
         for i, row in enumerate(rows.tolist()):
             drawn[row].append(_row_doubles(u, i))
-        if leave:
-            rows = rows[survivors]
+        position += count
+        if position == end:
+            go = np.isin(rows, survivors)
+            streams.keep(go)
+            rows = rows[go]
     for i, r in enumerate(SLAB_REPLICATIONS):
         u = np.concatenate(drawn[i])
         assert u.size == (sum(counts) if i in survivors else end)
         assert u.tobytes() == rb.path_stream(seed, r).random(u.size).tobytes(), r
 
 
-def _drawn(streams, blocks, leave=None):
-    # each row's doubles in stream order over waves of the given blocks;
-    # after each strip, leave(cols) marks the strip's rows that stop drawing
-    rows, kept = np.arange(len(streams)), {}
+def _drawn(streams, heights, leave=None):
+    # each row's doubles in stream order over strips of the given heights;
+    # after each strip, leave(rows) marks the rows drawing that stop
+    rows = np.arange(len(streams))
     drawn = {r: [] for r in rows.tolist()}
-
-    def keep(cols):
-        kept["cols"] = cols[~leave(cols)] if leave else cols
-        return np.isin(cols, kept["cols"])
-
-    for block in blocks:
-        for cols, a, tile in streams.tiles(rows, block, keep):
-            for i, r in enumerate(rows[cols].tolist()):
-                drawn[r].append(tile[:, :, i].T.ravel().copy())
-        rows = rows[kept["cols"]]
+    for n in heights:
+        tile = streams.draw(n)
+        for i, r in enumerate(rows.tolist()):
+            drawn[r].append(tile[:, :, i].T.ravel().copy())
+        if leave is not None:
+            go = ~leave(rows)
+            streams.keep(go)
+            rows = rows[go]
+        assert len(streams) == rows.size
     return {r: np.concatenate(u) for r, u in drawn.items()}
 
 
@@ -291,31 +286,29 @@ def test_ladder_blocks_draw_like_path_stream(monkeypatch, case):
     # a strip is filled in ladder blocks of _LADDER // (2 rows) intervals
     # per row, one at least: _LADDER // 4 rows are the most that take blocks
     # of two intervals.  Odd strips end in a short block, rows that leave
-    # mid-wave change the block from strip to strip, and one row draws past
-    # two ppf chunks in blocks of _LADDER // 2 intervals
+    # strip by strip change the block from strip to strip, and one row
+    # draws a strip past two ppf chunks in blocks of _LADDER // 2 intervals
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
-    seed, r0, blocks, leave = 2**40 + 3, 16380, (16, 32), None
+    seed, r0, heights, leave = 2**40 + 3, 16380, (16, 32), None
     if case.startswith("switch"):
         rows = sim._LADDER // 4 + {"switch-1": -1, "switch": 0, "switch+1": 1, "switch+2": 2}[case]
     elif case == "odd-strips":  # strips of 7 or 5 intervals, in blocks of 2, the last of 1
-        monkeypatch.setattr(hazard, "_PPF_CHUNK", 7 * 11)
         monkeypatch.setattr(sim, "_LADDER", 64)
-        rows, blocks = 11, (7, 21, 33)
+        rows, heights = 11, (7, 5, 7, 7, 5)
     elif case == "leave-mid-wave":  # a row leaves after each strip, while three remain
-        monkeypatch.setattr(hazard, "_PPF_CHUNK", 64)
         monkeypatch.setattr(sim, "_LADDER", 32)
-        rows, blocks = 12, (16, 40, 64)
-        leave = lambda cols: np.arange(cols.size) == (cols.size // 2 if cols.size > 3 else -1)
+        rows, heights = 12, (5, 5, 5, 1, 6, 6, 7, 8, 10, 12, 16, 32, 40, 64)
+        leave = lambda rows: np.arange(rows.size) == (rows.size // 2 if rows.size > 3 else -1)
     else:
-        rows, blocks = 1, (16, hazard._PPF_CHUNK + 5)
-    drawn = _drawn(sim._slab_streams(seed, r0, r0 + rows), blocks, leave)
+        rows, heights = 1, (16, hazard._PPF_CHUNK + 5)
+    drawn = _drawn(sim._slab_streams(seed, r0, r0 + rows), heights, leave)
     sizes = {u.size for u in drawn.values()}
     if leave is None:
-        assert sizes == {2 * sum(blocks)}
+        assert sizes == {2 * sum(heights)}
     else:
-        assert len(sizes) > 3 and max(sizes) == 2 * sum(blocks)
+        assert len(sizes) > 3 and max(sizes) == 2 * sum(heights)
     for r, u in drawn.items():
         assert u.tobytes() == rb.path_stream(seed, r0 + r).random(u.size).tobytes(), r
 
@@ -410,17 +403,18 @@ def test_estimate_rows_match_individual_paths(seed):
 
 
 def test_rows_match_paths_across_waves(monkeypatch):
-    # a first block of 4 and a budget of 64 intervals per wave make a slab of
-    # 40 rows advance one interval per wave, and a single path at t = 60 take
-    # blocks of 4, 8, 16, 32, 64, ...; jump times are the running sum of each
-    # path's intervals, so rows, paths, the scalar stream and the default
-    # schedule agree bit for bit
+    # a first block of 4 and a chunk of 40 intervals make a slab of 40 rows
+    # advance one interval per strip, and a single path at t = 60 take
+    # strips of 4, 4, 8, 16, 32, 40, ...; jump times are the running sum of
+    # each path's intervals, so rows, paths, the scalar stream and the
+    # default strips agree bit for bit
     import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
 
     sc = iid_scenario(rb.exponential(1.0), reps=40, t_queries=(1.0, 30.0, 60.0), seed=8)
     default = rb.estimate(sc, keep_samples=True)
     monkeypatch.setattr(sim, "_FIRST_BLOCK", 4)
-    monkeypatch.setattr(sim, "_WAVE_INTERVALS", 64)
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", 40)
     table = rb.estimate(sc, keep_samples=True)
     for name in ("samples_backward", "samples_forward"):
         assert getattr(table, name).tobytes() == getattr(default, name).tobytes()
@@ -429,7 +423,7 @@ def test_rows_match_paths_across_waves(monkeypatch):
         p = rb.simulate_path(sc, r)
         assert np.array_equal(table.samples_backward[r], p.b_t)
         assert np.array_equal(table.samples_forward[r], p.w_t)
-        if p.events > 4 + 8 + 16:  # more than three waves
+        if p.events > 4 + 4 + 8 + 16:  # more than four strips
             long_paths += 1
             stream = rb.path_stream(sc.seed, r)
             xi = [rb.generate_interval(j, sc, stream) for j in range(1, p.events + 1)]
@@ -442,26 +436,27 @@ def test_rows_match_paths_across_waves(monkeypatch):
         assert getattr(split, name).tobytes() == getattr(default, name).tobytes()
 
 
-@pytest.mark.parametrize("budget", [64, 4096])
-def test_wave_size_is_bounded_at_long_horizons(monkeypatch, budget):
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_wave_size_is_bounded_at_long_horizons(monkeypatch, chunk):
     # at t = 400 each Exp(1) path needs about 400 intervals, 80,000 over the
-    # slab; no wave may draw more than the budget, or one interval per row
+    # slab; no strip may draw more than the chunk, or one interval per row
     import renewal_bounds.simulate as sim
+    from renewal_bounds import hazard
 
-    monkeypatch.setattr(sim, "_WAVE_INTERVALS", budget)
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
     sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(400.0,), seed=3)
     drawn = 0
-    for active, times in sim._waves(sc, sim._slab_streams(sc.seed, 0, sc.reps), 400.0):
-        assert times.size <= max(sim._WAVE_INTERVALS, active.size)
+    for rows, times in sim._strips(sc, sim._slab_streams(sc.seed, 0, sc.reps), 400.0):
+        assert times.size <= max(chunk, rows.size)
         drawn += times.size
-    assert drawn >= 10 * budget
+    assert drawn >= 10 * chunk
 
 
 def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
     # a 2,048-interval chunk over 400 rows makes strips of 5 intervals.  A
-    # row whose last jump passed t_max is in no later tile, every row short
-    # of it is in the next tile, and each strip is the chunk over the rows
-    # still drawing, cut at the end of its wave: blocks 16, 32, 64, 128, ...
+    # row whose last jump passed t_max is in no later strip, every row short
+    # of it is in the next strip, and each strip is the chunk over the rows
+    # still drawing, no taller than what they drew (16 at first)
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
@@ -469,45 +464,41 @@ def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
     sc = iid_scenario(rb.exponential(1.0), reps=400, t_queries=(100.0,), seed=6)
     streams = sim._slab_streams(sc.seed, 0, sc.reps)
     passed, waiting, heights = set(), list(range(sc.reps)), []
-    block, left = sim._FIRST_BLOCK // 2, 0
-    for rows, times in sim._waves(sc, streams, 100.0):
-        assert rows.tolist() == waiting
-        if left == 0:  # a new wave
-            block *= 2
-            left = block
+    j0 = 1
+    for rows, times in sim._strips(sc, streams, 100.0):
+        assert rows.tolist() == waiting and len(streams) == rows.size
         n = times.shape[0]
-        assert n == min(max(1, hazard._PPF_CHUNK // rows.size), left)
-        left -= n
+        assert n == max(1, min(hazard._PPF_CHUNK // rows.size, max(sim._FIRST_BLOCK, j0 - 1)))
         heights.append(n)
+        j0 += n
         done = times[-1] > 100.0
         assert passed.isdisjoint(rows.tolist())
         passed.update(rows[done].tolist())
         waiting = rows[~done].tolist()
-    assert heights[:4] == [5, 5, 5, 1] and max(heights) > 5
-    assert block > 64 and len(passed) == sc.reps and not waiting
+    assert heights[:4] == [5, 5, 5, 5] and max(heights) > 5
+    assert j0 > 128 and len(passed) == sc.reps and not waiting
 
 
 def test_a_small_slab_draws_one_strip_per_limb_wave():
-    # 200 rows fit a wave in one strip, so rows leave as the wave ends, and
-    # the tiles are the whole waves of blocks 16, 32 and 64, the last wave
+    # the chunk over 200 rows is 163 intervals, so the cap sets each
+    # strip's height: 16, then what the rows drew, 16, 32 and 64
     import renewal_bounds.simulate as sim
 
     sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(45.0,), seed=9)
     streams = sim._slab_streams(sc.seed, 0, sc.reps)
-    tiles, short = [], np.arange(sc.reps)
-    for rows, times in sim._waves(sc, streams, 45.0):
+    strips, short = [], np.arange(sc.reps)
+    for rows, times in sim._strips(sc, streams, 45.0):
         assert rows.tolist() == short.tolist()
-        tiles.append(times.shape)
+        strips.append(times.shape)
         short = rows[~(times[-1] > 45.0)]
-    assert [n for n, _ in tiles] == [16, 32, 64] and short.size == 0
-    assert tiles[0][1] == tiles[1][1] == 200 > tiles[2][1] > 0
-    with pytest.raises(ValueError, match="kept"):  # rows leave a limb wave through keep only
-        next(sim._slab_streams(sc.seed, 0, 3).tiles(np.arange(2), 16))
+    assert [n for n, _ in strips] == [16, 16, 32, 64] and short.size == 0
+    assert strips[0][1] == strips[1][1] == 200 > strips[2][1] > strips[3][1] > 0
 
 
 def test_exp_cycle_slab_draws_at_most_38_intervals_per_rep():
     # the verify-exp-cycle workload's scenario on one full slab: rows leave
-    # their wave strip by strip, not at the wave's end (48.7 per rep)
+    # strip by strip (48.7 per rep when they left only at the end of
+    # doubling waves)
     import renewal_bounds.simulate as sim
     from renewal_bounds.cli import load_scenario
 
@@ -515,14 +506,15 @@ def test_exp_cycle_slab_draws_at_most_38_intervals_per_rep():
     sc = load_scenario(path)[0]
     rows = sim._SLAB
     streams = sim._slab_streams(sc.seed, 0, rows)
-    drawn = sum(times.size for _, times in sim._waves(sc, streams, float(sc.t_queries[-1])))
+    drawn = sum(times.size for _, times in sim._strips(sc, streams, float(sc.t_queries[-1])))
     assert drawn <= 38 * rows, drawn / rows
 
 
 def test_uniform_t50_slab_draws_at_most_104_5_intervals_per_rep():
-    # the verify-uniform-t50 workload's scenario on one full slab: the rows
-    # still short of t = 50 after 112 intervals leave their 128-interval
-    # wave strip by strip too (105.18 per rep when they drew it whole)
+    # the verify-uniform-t50 workload's scenario on one full slab: rows
+    # leave strip by strip, and no strip is taller than what its rows drew
+    # (105.18 per rep when rows still short of t = 50 after 112 intervals
+    # drew a 128-interval block whole)
     import renewal_bounds.simulate as sim
     from renewal_bounds.cli import load_scenario
 
@@ -530,28 +522,45 @@ def test_uniform_t50_slab_draws_at_most_104_5_intervals_per_rep():
     sc = load_scenario(path)[0]
     rows = sim._SLAB
     streams = sim._slab_streams(sc.seed, 0, rows)
-    drawn = sum(times.size for _, times in sim._waves(sc, streams, float(sc.t_queries[-1])))
+    drawn = sum(times.size for _, times in sim._strips(sc, streams, float(sc.t_queries[-1])))
     assert drawn <= 104.5 * rows, drawn / rows
 
 
-@pytest.mark.parametrize("wave", [1 << 20, 1 << 22])
-def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, wave):
+def test_tail_exp_cycle_slab_draws_at_most_40_5_intervals_per_rep():
+    # the tail-exp-cycle workload's scenario on its one 4,000-row slab: the
+    # chunk over fewer rows makes taller strips, so rows overshoot more
+    # than on a full slab
+    import renewal_bounds.simulate as sim
+    from renewal_bounds.cli import load_scenario
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "tail-exp-cycle.ini"
+    sc = load_scenario(path)[0]
+    rows = sc.reps
+    assert rows == 4000
+    streams = sim._slab_streams(sc.seed, 0, rows)
+    drawn = sum(times.size for _, times in sim._strips(sc, streams, float(sc.t_queries[-1])))
+    assert drawn <= 40.5 * rows, drawn / rows
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 1 << 17])
+def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, chunk):
     # one full slab of the verify-uniform-t50 scenario: 16,384 rows at t = 50.
-    # A wave is drawn, mapped and summed one tile of about _PPF_CHUNK
+    # It is drawn, mapped and summed one strip of about _PPF_CHUNK
     # intervals at a time, and ppf's temporaries live in one workspace,
-    # here a fresh one, so its growth is counted.  The peak does not follow
-    # the wave size: waves in one (2, block, rows) buffer peaked at 26 MiB.
+    # here a fresh one, so its growth is counted.  The peak follows the
+    # chunk, not what the slab draws: waves of up to 2**20 intervals in one
+    # (2, block, rows) buffer peaked at 26 MiB (7.9 MiB at the default chunk)
     import tracemalloc
 
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
-    monkeypatch.setattr(sim, "_WAVE_INTERVALS", wave)
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
     monkeypatch.setattr(hazard, "_SCRATCH", hazard._Scratch())
     uni = rb.uniform(0.0, 1.0)
     sc = iid_scenario(uni, reps=16_384, t_queries=(50.0,), seed=4242)
     sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
-    bound = 12 * 2**20
+    bound = 12 * 2**20 * chunk // (1 << 15)
     tracemalloc.start()
     try:
         sim._slab_stats(sc, 0, sc.reps)
@@ -593,7 +602,7 @@ def test_estimate_memory_at_dense_t_is_its_samples_and_one_temporary(monkeypatch
 @pytest.mark.parametrize("cap", [None, 40])
 def test_estimate_releases_ppf_workspace_when_it_returns_or_raises(monkeypatch, cap):
     # a fresh workspace that records the bytes it holds when released; a cap
-    # of 40 fires after two waves (48 intervals) are drawn
+    # of 40 fires after three strips (16, 16 and 32 intervals) are drawn
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
@@ -620,7 +629,8 @@ def test_estimate_releases_ppf_workspace_when_it_returns_or_raises(monkeypatch, 
 
 @pytest.mark.parametrize("case", ["cycle-with-zero", "uniform"])
 def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
-    # the tile size follows _PPF_CHUNK and the wave schedule _WAVE_INTERVALS;
+    # a strip's height follows _PPF_CHUNK and its cap _FIRST_BLOCK (a first
+    # block of 1 doubles from one interval, one of 2**20 lifts the cap);
     # jump times are running sums per path, so neither changes a sample.
     # Both scenarios run most paths past 112 intervals (224 positions), and
     # a 7-interval chunk draws them in strips of one interval; the cycle's
@@ -638,14 +648,14 @@ def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
         )
     runs = {}
     for chunk in (7, hazard._PPF_CHUNK):
-        for wave in (64, 1 << 20):
+        for first in (1, 1 << 20):
             monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
-            monkeypatch.setattr(sim, "_WAVE_INTERVALS", wave)
+            monkeypatch.setattr(sim, "_FIRST_BLOCK", first)
             table = rb.estimate(sc, keep_samples=True)
             b, w = sim._slab_stats(sc, 0, sc.reps)
             assert b.tobytes() == table.samples_backward.tobytes()
             assert w.tobytes() == table.samples_forward.tobytes()
-            runs[chunk, wave] = b.tobytes() + w.tobytes()
+            runs[chunk, first] = b.tobytes() + w.tobytes()
             monkeypatch.undo()
     assert len(set(runs.values())) == 1, runs.keys()
     events = []
@@ -669,7 +679,7 @@ GOLDEN_SAMPLES = {  # sha256 of estimate(keep_samples=True)'s B then W samples
 def test_benchmark_samples_keep_their_bits(workload, reps, t_queries):
     # the benchmark's scenarios at fewer reps, and exp-cycle at t = 400, give
     # the samples they gave when these digests were taken: a change to the
-    # streams, the wave loop or ppf that moves a bit fails here
+    # streams, the strip loop or ppf that moves a bit fails here
     import hashlib
     from dataclasses import replace
 
