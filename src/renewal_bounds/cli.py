@@ -52,7 +52,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -87,7 +87,7 @@ from .scenario import (
     RepeatLastIntensities,
     ScenarioConfig,
 )
-from .simulate import _assumption_gate, _bounds, estimate, verify_bound
+from .simulate import _assumption_gate, _bounds, _dominates, estimate, verify_bound
 
 __all__ = ["parse_scenario", "load_scenario", "run", "main", "OutputOptions", "ReportBundle"]
 
@@ -383,7 +383,15 @@ class ReportBundle:
     files: dict[str, Path] = field(default_factory=dict)
 
     def write_manifest(self, directory: Path, command: str) -> Path:
-        import hashlib  # lazy: it loads OpenSSL, about 3.5 MB, for the manifest alone
+        # CPython's own SHA-256: hashlib would load OpenSSL (about 3.5 MB) for
+        # the manifest alone
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # CPython 3.11
+            except ImportError:
+                from hashlib import sha256
 
         entries = [{"name": "manifest.json"}]  # a file cannot hold its own hash
         for name, file in self.files.items():
@@ -391,7 +399,7 @@ class ReportBundle:
             entries.append(
                 {
                     "name": name,
-                    "sha256": hashlib.sha256(data).hexdigest(),
+                    "sha256": sha256(data).hexdigest(),
                     "bytes": len(data),
                 }
             )
@@ -491,14 +499,7 @@ def run(
         payload["estimates"] = _estimates_payload(report.table)
         payload["verdicts"] = {
             "all_pass": report.all_pass,
-            "per_t": [
-                {
-                    "t": v.t,
-                    "generalized_ok": v.generalized_ok,
-                    "classical_ok": v.classical_ok,
-                }
-                for v in report.verdicts
-            ],
+            "per_t": [asdict(v) for v in report.verdicts],
         }
         if want_csv:
             _emit_estimates_csv(bundle, directory, report.table)
@@ -625,7 +626,7 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict
                 "t": t,
                 "points": len(xs),
                 "max_gap": float(np.max(emp - ub)),
-                "dominates": bool(np.all(ub >= emp - 3.0 * se)),
+                "dominates": bool(np.all(_dominates(ub, emp, se))),
             }
         )
     payload["assumptions"] = report.as_dict()

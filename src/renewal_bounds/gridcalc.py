@@ -24,23 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DistributionError, GridError
 from .hazard import IntensityCdf, moment
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .assumptions import AssumptionReport
-    from .simulate import EstimateTable
-
 __all__ = [
     "GridDistribution",
     "RenewalFunction",
     "OrderingResult",
-    "DominanceVerdict",
-    "BoundReport",
     "discretize",
     "convolve",
     "convolution_power",
@@ -350,6 +344,9 @@ def generalized_bound(Phi: IntensityCdf, G: IntensityCdf) -> float:
     (mass 0.99 at 1, the rest at 100) passes every check and gets a bound
     of 26.30, while Monte Carlo gives E W_50 = 28.05 and E B_99.999 = 35.22
     (ROADMAP open item 1).
+
+    The formula lives here only: ``simulate._bounds`` reports this value
+    next to the moments it is made of, and computes it nowhere else.
     """
     e_zeta = moment(G, 1)
     if e_zeta <= 0:
@@ -397,42 +394,3 @@ def backward_tail_bound(Phi, H: RenewalFunction, t: float, x) -> np.ndarray | fl
     np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 
-
-@dataclass(frozen=True)
-class DominanceVerdict:
-    """Per-query dominance of the computed bounds over the MC estimates."""
-
-    t: float
-    bound: float
-    mean_backward: float
-    se_backward: float
-    mean_forward: float
-    se_forward: float
-    generalized_ok: bool
-    classical_ok: bool | None = None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Moments, bound values, Monte Carlo estimates, and dominance verdicts."""
-
-    e_eta: float
-    e_eta2: float
-    e_zeta: float
-    generalized: float
-    classical: float | None
-    table: "EstimateTable | None"
-    verdicts: tuple[DominanceVerdict, ...]
-    assumptions: "AssumptionReport | None" = None
-    assumption_override: bool = False
-
-    def __post_init__(self):
-        expected = self.e_eta + self.e_eta2 / (2.0 * self.e_zeta)
-        if self.generalized != expected:
-            raise ValueError("generalized bound must equal E eta + E eta^2 / (2 E zeta)")
-
-    @property
-    def all_pass(self) -> bool:
-        return all(
-            v.generalized_ok and (v.classical_ok is not False) for v in self.verdicts
-        )

@@ -19,10 +19,10 @@ positions cost O(log k) numpy passes over the rows drawing.
 
 Each interval ``j = 1, 2, ...`` consumes
 exactly two uniforms from that stream, in order: first the draw for
-``zeta_j`` (hazard phi), then the draw for ``theta_j`` (hazard mu_j).  The
+``eta_j`` (hazard phi), then the draw for ``theta_j`` (hazard mu_j).  The
 theta uniform is consumed even when ``mu_j`` is the zero intensity (theta
-is then +inf and the interval equals zeta), so traces stay aligned across
-mu rules.  The interval is ``xi_j = min(zeta_j, theta_j)``; both draws go
+is then +inf and the interval equals eta), so traces stay aligned across
+mu rules.  The interval is ``xi_j = min(eta_j, theta_j)``; both draws go
 through the generalized inverse CDF, so atoms are hit with exactly their
 mass and the interval law equals the summed-hazard law.  Theta is
 ``mu_j``'s ``ppf`` value, in the batch and in ``generate_interval`` alike:
@@ -52,7 +52,7 @@ overshoot, since a row that needs ``k`` intervals draws fewer than
 ``k + max(_FIRST_BLOCK, k)``.
 
 A strip is drawn into one float64 tile of shape ``(2, n, rows)`` that every
-strip of the slab reuses: half 0 the zeta uniforms (stream positions
+strip of the slab reuses: half 0 the eta uniforms (stream positions
 ``2(j-1)``) and half 1 the theta uniforms (``2(j-1)+1``), each
 interval-major, one contiguous row per interval and one column per path.
 Everything after the draw happens in the tile.
@@ -75,7 +75,9 @@ the one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
-a scenario come from one place, ``_bounds``.
+a scenario come from one place, ``_bounds``.  Whether a bound covers a Monte
+Carlo mean is decided by one rule, ``_dominates``: ``verify_bound`` applies
+it to the backward and the forward time, and ``tail`` to each tail point.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ import numpy as np
 
 from .assumptions import AssumptionReport, check_assumptions
 from .errors import AssumptionFailure, EventCapExceeded
-from .gridcalc import BoundReport, DominanceVerdict, generalized_bound, lorden_classical_bound
+from .gridcalc import generalized_bound, lorden_classical_bound
 from . import hazard
 from .hazard import moment
 from .scenario import ScenarioConfig
@@ -95,6 +97,8 @@ __all__ = [
     "EVENT_CAP",
     "RenewalPath",
     "EstimateTable",
+    "DominanceVerdict",
+    "BoundReport",
     "path_stream",
     "generate_interval",
     "simulate_path",
@@ -219,7 +223,7 @@ class _SlabStreams:
     all at the same stream position, and returns them as a tile of shape
     ``(2, n, len(self))``: position ``2 j`` of the strip goes to
     ``tile[0, j]`` and position ``2 j + 1`` to ``tile[1, j]``, so half 0
-    holds the zeta uniforms and half 1 the theta uniforms, one contiguous
+    holds the eta uniforms and half 1 the theta uniforms, one contiguous
     row per interval and one column per row.  A tile is a view of one buffer
     that every draw reuses, so it is valid until the next draw.
     ``keep(go)``, a boolean per row still drawing, drops the rows where
@@ -369,17 +373,17 @@ def _slab_streams(seed: int, r0: int, r1: int) -> _SlabStreams:
 def generate_interval(
     j: int, scenario: ScenarioConfig, stream: np.random.Generator
 ) -> float:
-    """Draw interval ``xi_j = min(zeta_j, theta_j)``, consuming two uniforms.
+    """Draw interval ``xi_j = min(eta_j, theta_j)``, consuming two uniforms.
 
     The stream must be positioned at the start of interval ``j``'s pair
     (positions ``2(j-1)`` and ``2(j-1)+1`` of the replication stream).
     """
-    u_zeta = stream.random()
+    u_eta = stream.random()
     u_theta = stream.random()
-    zeta = float(scenario.eta_cdf.ppf(u_zeta))
+    eta = float(scenario.eta_cdf.ppf(u_eta))
     mu_cdf = scenario.mu_cdfs[int(scenario.mu_rule.index_for(j))]
     theta = float(mu_cdf.ppf(u_theta))  # +inf when u_theta exceeds mu's total mass
-    return min(zeta, theta)
+    return min(eta, theta)
 
 
 @dataclass(frozen=True)
@@ -643,6 +647,45 @@ def estimate(
     )
 
 
+@dataclass(frozen=True)
+class DominanceVerdict:
+    """Whether the bounds cover the Monte Carlo means at one query time.
+
+    ``classical_ok`` is None when the scenario has no classical bound.
+    """
+
+    t: float
+    generalized_ok: bool
+    classical_ok: bool | None = None
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Moments, bound values, Monte Carlo estimates, and dominance verdicts."""
+
+    e_eta: float
+    e_eta2: float
+    e_zeta: float
+    generalized: float
+    classical: float | None
+    table: EstimateTable | None = None
+    verdicts: tuple[DominanceVerdict, ...] = ()
+    assumptions: AssumptionReport | None = None
+    assumption_override: bool = False
+
+    @property
+    def all_pass(self) -> bool:
+        return all(
+            v.generalized_ok and (v.classical_ok is not False) for v in self.verdicts
+        )
+
+
+def _dominates(bound, mean, se):
+    """The verdict rule: ``bound >= mean - 3 se``, pointwise.  A NaN mean or
+    se (an estimate that diverged under an assumption override) fails."""
+    return bound >= mean - 3.0 * se
+
+
 def _assumption_gate(scenario: ScenarioConfig, override: bool) -> AssumptionReport:
     """The scenario's assumption report; a failed check raises unless overridden."""
     report = check_assumptions(scenario)
@@ -666,8 +709,6 @@ def _bounds(scenario: ScenarioConfig) -> BoundReport:
         scenario.zeta_mean,
         generalized_bound(scenario.eta_cdf, scenario.zeta_cdf),
         lorden_classical_bound(scenario.interval_cdfs[0]) if scenario.iid else None,
-        table=None,
-        verdicts=(),
     )
 
 
@@ -681,32 +722,22 @@ def verify_bound(
 
     Requires the assumption checks to pass unless ``override_assumptions``
     is set (the override is recorded in the report).  Per query, the bound
-    must cover both estimated means minus three standard errors; the
-    classical bound is included (and checked) when the scenario is i.i.d.
+    must dominate both estimated means (``_dominates``); the classical bound
+    is included (and checked) when the scenario is i.i.d.
     """
     report = _assumption_gate(scenario, override_assumptions)
     bounds = _bounds(scenario)
     table = estimate(scenario, workers=workers)
-    se_b = table.se_backward()
-    se_w = table.se_forward()
-    lower = np.maximum(table.mean_backward - 3.0 * se_b, table.mean_forward - 3.0 * se_w)
+    se_b, se_w = table.se_backward(), table.se_forward()
 
-    def covers(bound, qi):
-        return None if bound is None else bool(bound >= lower[qi])
+    def covers(bound) -> list:
+        if bound is None:
+            return [None] * se_b.size
+        return (_dominates(bound, table.mean_backward, se_b)
+                & _dominates(bound, table.mean_forward, se_w)).tolist()
 
-    verdicts = tuple(
-        DominanceVerdict(
-            t,
-            bounds.generalized,
-            float(table.mean_backward[qi]),
-            float(se_b[qi]),
-            float(table.mean_forward[qi]),
-            float(se_w[qi]),
-            covers(bounds.generalized, qi),
-            covers(bounds.classical, qi),
-        )
-        for qi, t in enumerate(scenario.t_queries)
-    )
+    verdicts = tuple(map(DominanceVerdict, scenario.t_queries,
+                         covers(bounds.generalized), covers(bounds.classical)))
     return replace(
         bounds,
         table=table,
