@@ -10,8 +10,11 @@ The conditions, in the order reported:
    k-th moment for some k >= 2 (largest verified k <= 4 is reported);
 4. Q is locally bounded near zero (an atom at the origin is the only way
    to fail inside the polynomial class; the supremum near zero is reported);
-5. the ac hazard of phi is positive a.e. beyond some finite delay T (the
-   minimal such T is reported; T > 0 marks a delayed process).
+5. the ac hazard of phi is positive a.e. beyond some finite delay T.  The
+   least such T decides it: the end of the last stretch where that hazard
+   is identically zero, cut off at a full atom of phi (nothing beyond it is
+   reached).  T is reported; T > 0 marks a delayed process, and T = inf,
+   the one failure, happens exactly when phi is improper.
 
 Failures are verdicts, never exceptions.
 """
@@ -38,7 +41,7 @@ _ZERO_WINDOW = 0.1  # neighbourhood of zero inspected for condition 4
 class ConditionVerdict:
     number: int
     title: str
-    status: str  # "pass" | "fail" | "undecidable"
+    status: str  # "pass" | "fail"
     detail: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -77,12 +80,6 @@ class AssumptionReport:
                 for c in self.conditions
             ],
         }
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.conditions:
-            lines.append(f"condition {c.number} [{c.status:4s}] {c.title}: {c.detail}")
-        return "\n".join(lines)
 
 
 def _jsonable(v):
@@ -124,52 +121,27 @@ def _envelope_violation(
     return worst, where
 
 
-def _zero_hazard_runs(phi: GeneralizedIntensity) -> tuple[list[tuple[float, float]], bool]:
-    """Maximal intervals where the ac hazard is identically zero.
+def _delay(phi: GeneralizedIntensity) -> float:
+    """End of the last stretch where phi's ac hazard is identically zero.
 
-    Returns (finite runs, has_unbounded_zero_tail); the domain is capped at a
-    full atom since nothing beyond it is ever reached.
+    The domain ends at a full atom of phi.  0 when there is no such stretch,
+    ``inf`` when it never ends.
     """
     cap = phi.full_atom_location if phi.has_full_atom else math.inf
-    runs: list[tuple[float, float]] = []
-    open_start = None
-    last_end = 0.0
-    for i, s in enumerate(phi.breaks):
-        if s >= cap:
-            break
-        end = min(phi.breaks[i + 1] if i + 1 < phi.breaks.size else math.inf, cap)
-        if is_zero_poly(phi.coeffs[i]):
-            if open_start is None:
-                open_start = float(s)
-            if not math.isfinite(end):
-                return runs, True
-            last_end = float(end)
-        else:
-            if open_start is not None:
-                runs.append((open_start, float(s)))
-                open_start = None
-    if open_start is not None:
-        runs.append((open_start, last_end))
-    return runs, False
+    ends = np.minimum(np.append(phi.breaks[1:], math.inf), cap)
+    zero = [i for i, s in enumerate(phi.breaks) if s < cap and is_zero_poly(phi.coeffs[i])]
+    return float(ends[zero[-1]]) if zero else 0.0
 
 
-def check_assumptions(
-    scenario: ScenarioConfig,
-    *,
-    delay_T: float | None = None,
-) -> AssumptionReport:
-    """Check the five conditions of a scenario; failures are verdicts.
-
-    ``delay_T`` fixes the delay threshold of condition 5 (when omitted the
-    minimal feasible T is inferred and reported).
-    """
+def check_assumptions(scenario: ScenarioConfig) -> AssumptionReport:
+    """Check the five conditions of a scenario; failures are verdicts."""
     phi, q, rule = scenario.phi, scenario.q, scenario.mu_rule
 
     c1 = ConditionVerdict(
         1,
         "intervals are min-couplings",
         "pass",
-        "each interval is min(zeta_j, theta_j) with zeta i.i.d. from phi and "
+        "each interval is min(eta_j, theta_j) with eta i.i.d. from phi and "
         f"theta_j from the declared mu rule ({type(rule).__name__})",
         {"distinct_mu": len(rule.distinct_intensities)},
     )
@@ -228,33 +200,16 @@ def check_assumptions(
         {"sup_q_near_zero": sup_q, "window": _ZERO_WINDOW, "atom_at_zero": atom_at_zero},
     )
 
-    runs, unbounded = _zero_hazard_runs(phi)
-    if unbounded:
-        c5 = ConditionVerdict(
-            5,
-            "ac hazard of phi positive a.e. beyond a finite delay",
-            "fail",
-            "the ac hazard vanishes on an unbounded tail",
-            {"zero_measure_beyond_T": math.inf},
-        )
-    else:
-        t_min = max((end for _, end in runs), default=0.0)
-        t_used = delay_T if delay_T is not None else t_min
-        measure = sum(
-            max(0.0, end - max(start, t_used)) for start, end in runs
-        )
-        ok5 = measure <= 0.0
-        c5 = ConditionVerdict(
-            5,
-            "ac hazard of phi positive a.e. beyond a finite delay",
-            "pass" if ok5 else "fail",
-            f"delay T = {t_used:g}" + (" (delayed process)" if t_used > 0 else ""),
-            {
-                "T": t_used,
-                "minimal_T": t_min,
-                "zero_measure_beyond_T": measure,
-                "delayed": t_used > 0,
-            },
-        )
+    T = _delay(phi)
+    ok5 = math.isfinite(T)
+    c5 = ConditionVerdict(
+        5,
+        "ac hazard of phi positive a.e. beyond a finite delay",
+        "pass" if ok5 else "fail",
+        (f"delay T = {T:g}" + (" (delayed process)" if T > 0 else ""))
+        if ok5
+        else "the ac hazard vanishes on an unbounded tail",
+        {"T": T, "delayed": 0 < T < math.inf},
+    )
 
     return AssumptionReport((c1, c2, c3, c4, c5))

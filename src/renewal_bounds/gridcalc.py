@@ -253,6 +253,19 @@ class RenewalFunction:
         return np.arange(self.values.size) * self.step
 
 
+def _forward_solve(rhs, kernel, div, first):
+    """``x[k] = (rhs[k] + sum_{first<=i<k} x[i] kernel[k-i]) / div`` for
+    ``k >= first``, node by node; ``x[:first]`` is 0."""
+    n = rhs.size - 1
+    # the kernel is reversed (into a contiguous copy) so that each sum over
+    # i < k is one dot product of a prefix of x with a suffix of the kernel
+    rev = np.ascontiguousarray(kernel[::-1])
+    x = np.zeros(n + 1)
+    for k in range(first, n + 1):
+        x[k] = (rhs[k] + np.dot(x[first:k], rev[n - k + first : n])) / div
+    return x
+
+
 def renewal_function(G: GridDistribution) -> RenewalFunction:
     """Solve ``H = G + G * H`` on the lattice, one node at a time.
 
@@ -275,22 +288,12 @@ def renewal_function(G: GridDistribution) -> RenewalFunction:
     n = G.values.size - 1
     aG, cG = G.masses()
     h_atoms = np.zeros(n + 1)
-    h_cells = np.zeros(n + 1)
-    cell_rhs = cG.copy()
-    # kernels are reversed (into contiguous copies) so that each sum over
-    # i < k is one dot product of a prefix of H with a suffix of the kernel
+    cell_rhs = cG
     if np.any(aG):
-        rev_a = np.ascontiguousarray(aG[::-1])
-        div_a = 1.0 - aG[0]
-        h_atoms[0] = aG[0] / div_a
-        for k in range(1, n + 1):
-            h_atoms[k] = (aG[k] + np.dot(h_atoms[:k], rev_a[n - k : n])) / div_a
-        cell_rhs += np.convolve(h_atoms, cG)[: n + 1]  # atoms are final here
+        h_atoms = _forward_solve(aG, aG, 1.0 - aG[0], 0)
+        cell_rhs = cG + np.convolve(h_atoms, cG)[: n + 1]  # atoms are final here
     w = aG + 0.5 * (cG + np.append(cG[1:], 0.0))
-    rev_w = np.ascontiguousarray(w[::-1])
-    div_c = 1.0 - aG[0] - 0.5 * cG[1]
-    for k in range(1, n + 1):
-        h_cells[k] = (cell_rhs[k] + np.dot(h_cells[1:k], rev_w[n - k + 1 : n])) / div_c
+    h_cells = _forward_solve(cell_rhs, w, 1.0 - aG[0] - 0.5 * cG[1], 1)
 
     values = np.cumsum(h_atoms + h_cells)
     ra, rc = _conv_masses(h_atoms, h_cells, aG, cG, n)

@@ -109,13 +109,27 @@ def test_deterministic_passes_condition_5_via_full_atom_cap():
     assert rep.condition(3).passed  # full atom diverges; moments finite
 
 
-def test_explicit_T_fails_when_too_small():
-    phi = rb.from_segments([(0.0, [0.0]), (0.5, [2.0])])
-    rep = rb.check_assumptions(
-        scenario(phi, rb.exponential(2.0), rb.ConstantRate(0.0)), delay_T=0.1
-    )
-    assert not rep.condition(5).passed
-    assert rep.condition(5).diagnostics["zero_measure_beyond_T"] == pytest.approx(0.4)
+@pytest.mark.parametrize(
+    "phi, T",
+    [
+        (rb.exponential(1.0), 0.0),
+        (rb.from_segments([(0.0, [0.0]), (0.5, [2.0])]), 0.5),
+        (rb.from_segments([(0.0, [0.0]), (1.0, [0.0]), (2.0, [1.0])]), 2.0),
+        (rb.from_segments([(0.0, [1.0]), (1.0, [0.0]), (2.0, [1.0])]), 2.0),
+        (rb.deterministic(1.0), 1.0),
+        (rb.from_segments([(0.0, [1.0]), (2.0, [0.0])], atoms=[(3.0, math.inf)]), 3.0),
+        (rb.from_segments([(0.0, [1.0]), (1.0, [0.0])], require_proper=False), math.inf),
+    ],
+    ids=["exp", "delayed", "adjacent-zero", "interior-zero", "deterministic",
+         "zero-to-full-atom", "improper"],
+)
+def test_condition_5_is_decided_by_the_least_delay(phi, T):
+    # T is the end of the last zero stretch of phi's ac hazard, cut off at a
+    # full atom; the condition fails exactly when T is infinite, i.e. when
+    # phi is improper
+    c5 = rb.check_assumptions(scenario(phi, rb.exponential(3.0), rb.ConstantRate(0.0))).condition(5)
+    assert c5.passed == phi.proper == math.isfinite(T)
+    assert c5.diagnostics == {"T": T, "delayed": 0.0 < T < math.inf}
 
 
 def test_report_structure():
@@ -142,6 +156,21 @@ def test_linear_capped_rule_distinct_set():
     rep = rb.check_assumptions(sc_bad)
     assert not rep.condition(2).passed
     assert rep.condition(2).diagnostics["max_violation"] == pytest.approx(0.1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: LinearCappedRate builds one "
+                   "exponential law per rate step (1,000 here) before any is used")
+def test_linear_capped_rule_builds_few_laws(monkeypatch):
+    from renewal_bounds import scenario as scenario_module
+
+    phi, q = rb.exponential(1.0), rb.exponential(3.0)
+    built = []
+    real = scenario_module.exponential
+    monkeypatch.setattr(scenario_module, "exponential",
+                        lambda rate: built.append(rate) or real(rate))
+    rep = rb.check_assumptions(scenario(phi, q, rb.LinearCappedRate(0.0, 1e-3, 1.0)))
+    assert rep.all_pass
+    assert len(built) <= 10
 
 
 def _rates(rule):
