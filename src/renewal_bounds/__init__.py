@@ -1,123 +1,94 @@
 """Generalized renewal processes: hazard calculus with atoms, grid
 distribution arithmetic, Lorden-type overshoot bounds, and reproducible
-Monte Carlo verification."""
+Monte Carlo verification.
 
-from .assumptions import AssumptionReport, ConditionVerdict, check_assumptions
-from .errors import (
-    AssumptionFailure,
-    DistributionError,
-    DivergentMomentError,
-    EventCapExceeded,
-    GridError,
-    IntensityError,
-    RenewalBoundsError,
-    ScenarioFormatError,
-    UsageError,
-)
-from .gridcalc import (
-    GridDistribution,
-    OrderingResult,
-    RenewalFunction,
-    backward_tail_bound,
-    convolution_power,
-    convolve,
-    discretize,
-    generalized_bound,
-    lorden_classical_bound,
-    ordering_check,
-    renewal_function,
-)
-from .hazard import (
-    ATOM_INF,
-    GeneralizedIntensity,
-    IntensityCdf,
-    add_intensities,
-    cdf_from_intensity,
-    deterministic,
-    exponential,
-    from_cumulative_hazard,
-    from_segments,
-    intensity_from_cdf,
-    moment,
-    sample,
-    uniform,
-    weibull,
-    zero,
-)
-from .scenario import (
-    ConstantRate,
-    CycledIntensities,
-    LinearCappedRate,
-    MuRule,
-    RepeatLastIntensities,
-    ScenarioConfig,
-)
-from .simulate import (
-    BoundReport,
-    DominanceVerdict,
-    EstimateTable,
-    RenewalPath,
-    estimate,
-    generate_interval,
-    path_stream,
-    simulate_path,
-    verify_bound,
-)
+A public name loads its submodule on first use (PEP 562), so importing the
+package loads no numpy.  ``renewal_bounds.cli`` relies on that: it pins
+numpy's BLAS to one thread before its own first numpy import.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOM_INF",
-    "AssumptionFailure",
-    "AssumptionReport",
-    "BoundReport",
-    "ConditionVerdict",
-    "ConstantRate",
-    "CycledIntensities",
-    "DistributionError",
-    "DivergentMomentError",
-    "DominanceVerdict",
-    "EstimateTable",
-    "EventCapExceeded",
-    "GeneralizedIntensity",
-    "GridDistribution",
-    "GridError",
-    "IntensityCdf",
-    "IntensityError",
-    "LinearCappedRate",
-    "MuRule",
-    "OrderingResult",
-    "RenewalBoundsError",
-    "RenewalFunction",
-    "RenewalPath",
-    "RepeatLastIntensities",
-    "ScenarioConfig",
-    "ScenarioFormatError",
-    "UsageError",
-    "add_intensities",
-    "backward_tail_bound",
-    "cdf_from_intensity",
-    "check_assumptions",
-    "convolution_power",
-    "convolve",
-    "deterministic",
-    "discretize",
-    "estimate",
-    "exponential",
-    "from_cumulative_hazard",
-    "from_segments",
-    "generalized_bound",
-    "generate_interval",
-    "intensity_from_cdf",
-    "lorden_classical_bound",
-    "moment",
-    "ordering_check",
-    "path_stream",
-    "renewal_function",
-    "sample",
-    "simulate_path",
-    "uniform",
-    "verify_bound",
-    "weibull",
-    "zero",
-]
+# submodule -> the public names it defines; the package re-exports exactly these
+_EXPORTS = {
+    "assumptions": ("AssumptionReport", "ConditionVerdict", "check_assumptions"),
+    "errors": (
+        "AssumptionFailure",
+        "DistributionError",
+        "DivergentMomentError",
+        "EventCapExceeded",
+        "GridError",
+        "IntensityError",
+        "RenewalBoundsError",
+        "ScenarioFormatError",
+        "UsageError",
+    ),
+    "gridcalc": (
+        "GridDistribution",
+        "OrderingResult",
+        "RenewalFunction",
+        "backward_tail_bound",
+        "convolution_power",
+        "convolve",
+        "discretize",
+        "generalized_bound",
+        "lorden_classical_bound",
+        "ordering_check",
+        "renewal_function",
+    ),
+    "hazard": (
+        "ATOM_INF",
+        "GeneralizedIntensity",
+        "IntensityCdf",
+        "add_intensities",
+        "cdf_from_intensity",
+        "deterministic",
+        "exponential",
+        "from_cumulative_hazard",
+        "from_segments",
+        "intensity_from_cdf",
+        "moment",
+        "sample",
+        "uniform",
+        "weibull",
+        "zero",
+    ),
+    "scenario": (
+        "ConstantRate",
+        "CycledIntensities",
+        "LinearCappedRate",
+        "MuRule",
+        "RepeatLastIntensities",
+        "ScenarioConfig",
+    ),
+    "simulate": (
+        "BoundReport",
+        "DominanceVerdict",
+        "EstimateTable",
+        "RenewalPath",
+        "estimate",
+        "generate_interval",
+        "path_stream",
+        "simulate_path",
+        "verify_bound",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULE:
+        value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -35,7 +35,11 @@ lattice numerics: the renewal equation's residual, the node count, the atom
 snap error and the mass truncated beyond the horizon.
 
 Outputs are deterministic byte-for-byte for a fixed scenario and flags;
-the only timestamp lives in ``manifest.json``.  The manifest lists every
+the only timestamp lives in ``manifest.json``.  That holds whatever
+``OPENBLAS_NUM_THREADS`` the caller set: importing ``renewal_bounds.cli``
+runs numpy's BLAS on one thread (set before numpy loads; a process that
+loaded numpy first keeps its own BLAS threads), so the lattice solve's dot
+products are summed in one order on every machine.  The manifest lists every
 output file, itself included, sorted by name; each entry carries the
 file's ``sha256`` and ``bytes`` except the manifest's own, which has only
 its name.
@@ -51,10 +55,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+# before numpy loads: one BLAS thread, so output bytes do not depend on the
+# core count, and no thread pool is started for a short process
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

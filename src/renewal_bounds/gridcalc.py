@@ -282,6 +282,12 @@ def renewal_function(G: GridDistribution) -> RenewalFunction:
     the convolution itself as a cross-check.  The lattice's own error
     against the continuous renewal function (midpoint placement of cell
     mass, atom snapping) is not included.
+
+    The sums over ``i < k`` are ``np.dot`` calls, which go through BLAS.  A
+    caller whose BLAS runs several threads gets different last bits beyond
+    about 10,000 nodes, where OpenBLAS splits a dot product by thread count;
+    the CLI pins one thread.  ROADMAP item 4's FFT solve would remove the
+    long dot products.
     """
     if G.values[0] >= 1.0:
         raise GridError("renewal function diverges: G has atom mass >= 1 at 0")

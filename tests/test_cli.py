@@ -613,11 +613,17 @@ def test_imports_load_random_openssl_and_polynomial_on_first_use(tmp_path):
     # none of them.  verify on the exponential scenario and on uniform(0, 1)
     # at t = 50, and then tail, load none of them either: every draw is
     # PCG64 in limbs, uniform's moments take their Gauss-Legendre rule from
-    # hazard's own table, and the manifest hashes with CPython's own SHA-256
+    # hazard's own table, and the manifest hashes with CPython's own SHA-256.
+    # Importing the package loads no numpy at all, so the CLI module pins
+    # numpy's BLAS to one thread before numpy starts: no thread but the main
     script = """
-import json, sys
+import json, os, sys
 LAZY = ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial")
+import renewal_bounds
+assert "numpy" not in sys.modules
 import renewal_bounds.cli
+if os.path.isdir("/proc/self/task"):
+    assert len(os.listdir("/proc/self/task")) == 1
 print(json.dumps([m for m in LAZY if m in sys.modules]))
 command, *args = sys.argv[1:]
 for path, out in zip(args[::2], args[1::2]):
@@ -649,6 +655,46 @@ print(json.dumps([m for m in LAZY if m in sys.modules]))
         assert set(hashed) == names
         for name, digest in hashed.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path):
+    # beyond about 10,000 nodes OpenBLAS splits the lattice solve's dot
+    # products by thread count, which moves H's last bits; the CLI pins one
+    # thread whatever OPENBLAS_NUM_THREADS the caller set.  N = 30,001 here
+    text = """\
+[phi]
+family = weibull
+shape = 1.5
+
+[Q]
+family = weibull
+shape = 1.5
+
+[mu]
+rule = constant-rate
+rate = 0
+
+[simulation]
+t_queries = 50
+reps = 300
+seed = 1
+step = 0.002
+horizon = 60
+"""
+    path = write(tmp_path, text)
+    src = str(Path(rb.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "renewal_bounds.cli", "tail", str(path), "--out", str(out)],
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True,
+        )
+        assert done.returncode in (0, 1), done.stderr
+        outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert set(outs[0]) == {"report.json", "tail_t50.csv"}
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize(
