@@ -1,21 +1,49 @@
 """Batch command-line interface.
 
-Scenario files are INI-like documents with sections ``[phi]``, ``[Q]``,
-``[mu]`` (+ ``[mu.1]``, ``[mu.2]``, ... members), ``[simulation]`` and an
-optional ``[output]``.  Intensities are given as a named family::
+A scenario file is INI-like: ``[section]`` headers, each followed by
+``key = value`` lines; ``#`` and ``;`` start a comment, and keys are read in
+lower case.  The sections are:
 
-    [phi]
-    family = exp          # exp | uniform | weibull | deterministic | zero | piecewise
-    rate = 1.0
+- ``[phi]`` and ``[Q]`` (``[q]`` names the same section): an intensity;
+- ``[mu]``: the rule for the extra hazards mu_j, with member sections
+  ``[mu.1]`` ... ``[mu.m]`` when the rule takes members;
+- ``[simulation]``: ``t_queries`` (one or more ascending times), ``reps``
+  and ``seed`` (integers), and optional ``step`` and ``horizon`` of the
+  renewal grid (defaults ``E zeta / 200`` and ``max(40 E eta, 1.1 max t)``);
+- ``[output]``, optional: ``dir`` (default ``.``) and ``formats``
+  (``csv``, ``json`` or both; default both).
 
-or as explicit piecewise segments and atoms (repeatable keys)::
+An intensity section names a ``family`` and gives that family's keys (all
+numbers; ``inf`` is one)::
+
+    exp              rate
+    uniform          a  b
+    weibull          shape  scale (default 1)
+    deterministic    c
+    zero             (no key)
+    piecewise        segment = start: c0 [c1 c2 c3]   (repeatable, at least one)
+                     atom = location: hazard jump     (repeatable)
+
+for example::
 
     [phi]
     family = piecewise
-    segment = 0: 1.0            # start: c0 [c1 c2 c3]
+    segment = 0: 1.0
     segment = 2: 0.5 0.1
     atom = 1: 0.693147
     atom = 2.5: inf
+
+``[mu]`` names a ``rule`` and gives its keys::
+
+    constant-rate        rate               hazard rate for every j
+    linear-capped-rate   base  slope  cap   hazard min(base + slope (j - 1), cap)
+    cycle                (members)          [mu.k] with k - 1 = (j - 1) mod m
+    repeat-last, list    (members)          [mu.j], and [mu.m] for every j > m
+
+Member sections are intensity sections numbered 1 to m without a gap, read
+in numeric order (``[mu.10]`` follows ``[mu.9]``); a rate rule takes none.
+A key or a section that this grammar does not name is an error, and so is a
+key or a section given twice; each is reported at its line.
 
 Subcommands: ``check`` (assumption report), ``bound`` (moments and bounds,
 no simulation), ``simulate`` (estimates only), ``verify`` (bounds +
@@ -116,21 +144,30 @@ class _Entry:
     col: int  # 1-based column where the value starts
 
 
-def _parse_sections(text: str, path: str) -> dict[str, list[_Entry]]:
-    sections: dict[str, list[_Entry]] = {}
-    current: str | None = None
+@dataclass
+class _Section:
+    name: str
+    line: int  # the header's line
+    entries: list[_Entry] = field(default_factory=list)
+
+
+def _parse_sections(text: str, path: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
+    current: _Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].split(";", 1)[0].rstrip()
         if not stripped.strip():
             continue
         s = stripped.strip()
         if s.startswith("["):
+            col = raw.index("[") + 1
             if not s.endswith("]") or len(s) < 3:
-                raise ScenarioFormatError(
-                    "malformed section header", path, lineno, raw.index("[") + 1
-                )
-            current = s[1:-1].strip()
-            sections.setdefault(current, [])
+                raise ScenarioFormatError("malformed section header", path, lineno, col)
+            name = s[1:-1].strip()
+            name = "Q" if name == "q" else name
+            if name in sections:
+                raise ScenarioFormatError(f"section [{name}] given twice", path, lineno, col)
+            current = sections[name] = _Section(name, lineno)
             continue
         if "=" not in s:
             raise ScenarioFormatError(
@@ -142,108 +179,136 @@ def _parse_sections(text: str, path: str) -> dict[str, list[_Entry]]:
         col = raw.index("=") + 2
         while col <= len(raw) and raw[col - 1] in " \t":
             col += 1
-        sections[current].append(_Entry(key.strip().lower(), value.strip(), lineno, col))
+        current.entries.append(_Entry(key.strip().lower(), value.strip(), lineno, col))
     return sections
 
 
-def _as_float(entry: _Entry, path: str) -> float:
-    token = entry.value
+def _floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(token) for token in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("needs at least one number")
+    return values
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(text.split())
+    for name in formats:
+        if name not in ("csv", "json"):
+            raise ValueError(f"unknown output format {name!r}")
+    return formats
+
+
+def _value(entry: _Entry, parse, path: str):
     try:
-        if token.lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        return float(token)
-    except ValueError:
+        return parse(entry.value)
+    except ValueError as err:
         raise ScenarioFormatError(
-            f"expected a number for '{entry.key}', got {token!r}", path, entry.line, entry.col
+            f"bad value for '{entry.key}': {err}", path, entry.line, entry.col
         ) from None
 
 
-def _as_int(entry: _Entry, path: str) -> int:
-    try:
-        return int(entry.value)
-    except ValueError:
+_REQUIRED = object()  # the default of a key that must be given
+
+# each kind of section, as rows of (key, parser, default)
+_FAMILIES = {  # family -> (constructor, keys); keys None: segment and atom, repeatable
+    "exp": (exponential, [("rate", float, _REQUIRED)]),
+    "uniform": (uniform, [("a", float, _REQUIRED), ("b", float, _REQUIRED)]),
+    "weibull": (weibull, [("shape", float, _REQUIRED), ("scale", float, 1.0)]),
+    "deterministic": (deterministic, [("c", float, _REQUIRED)]),
+    "zero": (zero, []),
+    "piecewise": (from_segments, None),
+}
+_RULES = {  # rule -> (constructor, keys); keys None: the rule takes [mu.1] ... [mu.m]
+    "constant-rate": (ConstantRate, [("rate", float, _REQUIRED)]),
+    "linear-capped-rate": (
+        LinearCappedRate,
+        [("base", float, _REQUIRED), ("slope", float, _REQUIRED), ("cap", float, _REQUIRED)],
+    ),
+    "cycle": (CycledIntensities, None),
+    "repeat-last": (RepeatLastIntensities, None),
+    "list": (RepeatLastIntensities, None),
+}
+_SIMULATION = [
+    ("t_queries", _floats, _REQUIRED),
+    ("reps", int, _REQUIRED),
+    ("seed", int, _REQUIRED),
+    ("step", float, None),
+    ("horizon", float, None),
+]
+_OUTPUT = [("dir", Path, Path(".")), ("formats", _formats, ("csv", "json"))]
+
+
+def _read(section: _Section, keys, path: str, loose=()) -> dict:
+    """The section's value for each (key, parser, default) row of ``keys``.
+
+    A key given twice or named by no row is an error at its line; entries
+    whose key is in ``loose`` are left to the caller.
+    """
+    rows = {key: (parse, default) for key, parse, default in keys}
+    given: dict[str, _Entry] = {}
+    for e in section.entries:
+        if e.key in loose:
+            continue
+        if e.key not in rows:
+            raise ScenarioFormatError(
+                f"unknown key '{e.key}' in section [{section.name}]", path, e.line, e.col
+            )
+        if e.key in given:
+            raise ScenarioFormatError(
+                f"duplicate key '{e.key}' in section [{section.name}]", path, e.line, e.col
+            )
+        given[e.key] = e
+    values = {}
+    for key, (parse, default) in rows.items():
+        if key in given:
+            values[key] = _value(given[key], parse, path)
+        elif default is _REQUIRED:
+            raise ScenarioFormatError(
+                f"section [{section.name}] is missing '{key}'", path, section.line
+            )
+        else:
+            values[key] = default
+    return values
+
+
+def _kind(section: _Section, key: str, table: dict, what: str, path: str):
+    """The entry of ``key`` (``family`` or ``rule``) and the row of ``table`` it names."""
+    entry = next((e for e in section.entries if e.key == key), None)
+    if entry is None:
         raise ScenarioFormatError(
-            f"expected an integer for '{entry.key}', got {entry.value!r}",
+            f"section [{section.name}] is missing '{key}'", path, section.line
+        )
+    name = entry.value.lower().replace("_", "-")
+    if name not in table:
+        raise ScenarioFormatError(
+            f"unknown {what} {entry.value!r} (expected {', '.join(table)})",
             path,
             entry.line,
             entry.col,
-        ) from None
-
-
-def _float_list(entry: _Entry, path: str) -> list[float]:
-    tokens = entry.value.replace(",", " ").split()
-    out = []
-    for tok in tokens:
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ScenarioFormatError(
-                f"expected numbers for '{entry.key}', got {tok!r}",
-                path,
-                entry.line,
-                entry.col,
-            ) from None
-    if not out:
-        raise ScenarioFormatError(
-            f"'{entry.key}' needs at least one number", path, entry.line, entry.col
         )
-    return out
+    return entry, table[name]
 
 
-def _single(entries: list[_Entry], key: str, path: str, section: str) -> _Entry | None:
-    found = [e for e in entries if e.key == key]
-    if not found:
-        return None
-    if len(found) > 1:
-        e = found[1]
-        raise ScenarioFormatError(
-            f"duplicate key '{key}' in section [{section}]", path, e.line, e.col
-        )
-    return found[0]
-
-
-def _require(entries: list[_Entry], key: str, path: str, section: str) -> _Entry:
-    e = _single(entries, key, path, section)
-    if e is None:
-        raise ScenarioFormatError(f"section [{section}] is missing '{key}'", path)
-    return e
-
-
-def _build_intensity(entries: list[_Entry], path: str, section: str) -> GeneralizedIntensity:
-    fam_entry = _require(entries, "family", path, section)
-    family = fam_entry.value.lower()
+def _build_intensity(section: _Section, path: str) -> GeneralizedIntensity:
+    entry, (build, keys) = _kind(section, "family", _FAMILIES, "intensity family", path)
+    if keys is None:
+        values = _read_piecewise(section, path)
+    else:
+        values = _read(section, [("family", str, None), *keys], path)
+        del values["family"]
     try:
-        if family == "exp":
-            return exponential(_as_float(_require(entries, "rate", path, section), path))
-        if family == "uniform":
-            a = _as_float(_require(entries, "a", path, section), path)
-            b = _as_float(_require(entries, "b", path, section), path)
-            return uniform(a, b)
-        if family == "weibull":
-            shape = _as_float(_require(entries, "shape", path, section), path)
-            scale_e = _single(entries, "scale", path, section)
-            scale = _as_float(scale_e, path) if scale_e else 1.0
-            return weibull(shape, scale)
-        if family == "deterministic":
-            return deterministic(_as_float(_require(entries, "c", path, section), path))
-        if family == "zero":
-            return zero()
-        if family == "piecewise":
-            return _build_piecewise(entries, path, section)
+        return build(**values)
     except RenewalBoundsError as err:
-        if isinstance(err, ScenarioFormatError):
-            raise
         raise ScenarioFormatError(
-            f"invalid intensity in [{section}]: {err}", path, fam_entry.line, fam_entry.col
+            f"invalid intensity in [{section.name}]: {err}", path, entry.line, entry.col
         ) from err
-    raise ScenarioFormatError(
-        f"unknown intensity family {fam_entry.value!r}", path, fam_entry.line, fam_entry.col
-    )
 
 
-def _build_piecewise(entries: list[_Entry], path: str, section: str) -> GeneralizedIntensity:
+def _read_piecewise(section: _Section, path: str) -> dict:
+    """The repeatable ``segment`` and ``atom`` keys, as :func:`from_segments` arguments."""
+    _read(section, [("family", str, None)], path, loose=("segment", "atom"))
     segments, atoms = [], []
-    for e in entries:
+    for e in section.entries:
         if e.key not in ("segment", "atom"):
             continue
         head, sep, rest = e.value.partition(":")
@@ -251,68 +316,44 @@ def _build_piecewise(entries: list[_Entry], path: str, section: str) -> Generali
             raise ScenarioFormatError(
                 f"'{e.key}' must look like 'location: numbers'", path, e.line, e.col
             )
-        try:
-            loc = float(head.strip())
-        except ValueError:
-            raise ScenarioFormatError(
-                f"bad location {head.strip()!r}", path, e.line, e.col
-            ) from None
+        loc = _value(_Entry(e.key, head.strip(), e.line, e.col), float, path)
         body = _Entry(e.key, rest.strip(), e.line, e.col + len(head) + 1)
         if e.key == "segment":
-            segments.append((loc, _float_list(body, path)))
+            segments.append((loc, _value(body, _floats, path)))
         else:
-            atoms.append((loc, _as_float(body, path)))
-    if not segments:
-        raise ScenarioFormatError(
-            f"piecewise intensity in [{section}] needs at least one 'segment'", path
-        )
+            atoms.append((loc, _value(body, float, path)))
     # properness is condition 3's verdict, not a parse error
-    return from_segments(segments, atoms, require_proper=False)
+    return {"segments": segments, "atoms": atoms, "require_proper": False}
 
 
-def _build_mu_rule(sections: dict[str, list[_Entry]], path: str) -> MuRule:
-    entries = sections.get("mu")
-    if entries is None:
-        raise ScenarioFormatError("missing required section [mu]", path)
-    rule_entry = _require(entries, "rule", path, "mu")
-    rule = rule_entry.value.lower().replace("_", "-")
-
-    members = []
-    i = 1
-    while f"mu.{i}" in sections:
-        members.append(_build_intensity(sections[f"mu.{i}"], path, f"mu.{i}"))
-        i += 1
-
-    if rule in ("cycle", "repeat-last", "list"):
-        if not members:
+def _build_mu_rule(sections: dict[str, _Section], path: str) -> MuRule:
+    section = sections["mu"]
+    entry, (build, keys) = _kind(section, "rule", _RULES, "mu rule", path)
+    numbered = [s for name, s in sections.items() if name.startswith("mu.")]
+    names = [f"mu.{i}" for i in range(1, len(numbered) + 1)] if keys is None else []
+    for member in numbered:
+        if member.name not in names:
+            takes = f"[mu.1] ... [mu.{len(names)}]" if names else "no member sections"
             raise ScenarioFormatError(
-                f"mu rule {rule!r} needs member sections [mu.1], [mu.2], ...",
-                path,
-                rule_entry.line,
-                rule_entry.col,
+                f"mu rule {entry.value!r} takes {takes}, got [{member.name}]", path, member.line
             )
-        if rule == "cycle":
-            return CycledIntensities(tuple(members))
-        return RepeatLastIntensities(tuple(members))
+    if keys is None and not names:
+        raise ScenarioFormatError(
+            f"mu rule {entry.value!r} needs member sections [mu.1], [mu.2], ...",
+            path,
+            entry.line,
+            entry.col,
+        )
+    values = _read(section, [("rule", str, None), *(keys or [])], path)
+    del values["rule"]
+    if keys is None:
+        return build(tuple(_build_intensity(sections[name], path) for name in names))
     try:
-        if rule == "constant-rate":
-            return ConstantRate(_as_float(_require(entries, "rate", path, "mu"), path))
-        if rule == "linear-capped-rate":
-            base = _as_float(_require(entries, "base", path, "mu"), path)
-            slope = _as_float(_require(entries, "slope", path, "mu"), path)
-            cap = _as_float(_require(entries, "cap", path, "mu"), path)
-            return LinearCappedRate(base, slope, cap)
+        return build(**values)
     except IntensityError as err:
         raise ScenarioFormatError(
-            f"invalid mu rule in [mu]: {err}", path, rule_entry.line, rule_entry.col
+            f"invalid mu rule in [mu]: {err}", path, entry.line, entry.col
         ) from err
-    raise ScenarioFormatError(
-        f"unknown mu rule {rule_entry.value!r} "
-        "(expected cycle, repeat-last, constant-rate, linear-capped-rate)",
-        path,
-        rule_entry.line,
-        rule_entry.col,
-    )
 
 
 @dataclass(frozen=True)
@@ -324,55 +365,30 @@ class OutputOptions:
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, OutputOptions]:
     """Parse a scenario file; returns the config and its output options."""
     p = Path(path)
+    where = str(p)
     if not p.is_file():
-        raise ScenarioFormatError("scenario file not found", str(p))
-    sections = _parse_sections(p.read_text(), str(p))
-
+        raise ScenarioFormatError("scenario file not found", where)
+    sections = _parse_sections(p.read_text(), where)
     for required in ("phi", "Q", "mu", "simulation"):
-        if required not in sections and required.lower() not in sections:
-            raise ScenarioFormatError(f"missing required section [{required}]", str(p))
+        if required not in sections:
+            raise ScenarioFormatError(f"missing required section [{required}]", where)
+    for name, section in sections.items():
+        if name not in ("phi", "Q", "mu", "simulation", "output") and not name.startswith("mu."):
+            raise ScenarioFormatError(f"unknown section [{name}]", where, section.line)
 
-    q_entries = sections.get("Q", sections.get("q"))
-    phi = _build_intensity(sections["phi"], str(p), "phi")
-    q = _build_intensity(q_entries, str(p), "Q")
-    mu_rule = _build_mu_rule(sections, str(p))
-
+    phi = _build_intensity(sections["phi"], where)
+    q = _build_intensity(sections["Q"], where)
+    mu_rule = _build_mu_rule(sections, where)
     sim = sections["simulation"]
-    t_entry = _require(sim, "t_queries", str(p), "simulation")
-    t_queries = _float_list(t_entry, str(p))
-    reps = _as_int(_require(sim, "reps", str(p), "simulation"), str(p))
-    seed = _as_int(_require(sim, "seed", str(p), "simulation"), str(p))
-    step_e = _single(sim, "step", str(p), "simulation")
-    horizon_e = _single(sim, "horizon", str(p), "simulation")
-
+    values = _read(sim, _SIMULATION, where)
     try:
-        config = ScenarioConfig(
-            phi=phi,
-            q=q,
-            mu_rule=mu_rule,
-            t_queries=tuple(t_queries),
-            reps=reps,
-            seed=seed,
-            step=_as_float(step_e, str(p)) if step_e else None,
-            horizon=_as_float(horizon_e, str(p)) if horizon_e else None,
-            label=p.stem,
-        )
+        config = ScenarioConfig(phi=phi, q=q, mu_rule=mu_rule, label=p.stem, **values)
     except (ValueError, RenewalBoundsError) as err:
         raise ScenarioFormatError(
-            f"invalid [simulation] values: {err}", str(p), t_entry.line
+            f"invalid [simulation] values: {err}", where, sim.line
         ) from err
-
-    out = sections.get("output", [])
-    dir_e = _single(out, "dir", str(p), "output")
-    fmt_e = _single(out, "formats", str(p), "output")
-    formats = tuple(fmt_e.value.split()) if fmt_e else ("csv", "json")
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ScenarioFormatError(
-                f"unknown output format {f!r}", str(p), fmt_e.line, fmt_e.col
-            )
-    directory = Path(dir_e.value) if dir_e else Path(".")
-    return config, OutputOptions(directory, formats)
+    out = _read(sections.get("output", _Section("output", 0)), _OUTPUT, where)
+    return config, OutputOptions(out["dir"], out["formats"])
 
 
 def parse_scenario(path: str | Path) -> ScenarioConfig:
@@ -625,7 +641,8 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict
         srt = np.sort(table.samples_backward[:, qi])
         emp = (srt.size - np.searchsorted(srt, xs, side="right")) / srt.size
         se = np.sqrt(emp * (1.0 - emp) / scenario.reps)
-        name = f"tail_t{t:g}.csv"
+        # :g keeps 6 digits; distinct query times need distinct files
+        name = f"tail_t{t:g}.csv" if float(f"{t:g}") == t else f"tail_t{t!r}.csv"
         if want_csv:
             path = directory / name
             _write_csv(path, ["x", "upper_bound", "empirical", "se"], zip(xs, ub, emp, se))

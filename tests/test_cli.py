@@ -213,6 +213,52 @@ def test_output_options(tmp_path):
     assert defaults.formats == ("csv", "json")
 
 
+# the member sections of GENERALIZED, without [mu.2]: [mu.3] moves to line 16
+NO_MU_2 = GENERALIZED.replace("[mu.2]\nfamily = exp\nrate = 1.0\n\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, line, words",
+    [
+        (MINIMAL_IID.replace("rate = 1.0", "rate = 1.0\nscale = 2", 1), 4, "unknown key 'scale'"),
+        (MINIMAL_IID.replace("rate = 0.0", "rate = 0.0\nslope = 1"), 12, "unknown key 'slope'"),
+        (MINIMAL_IID + "horizn = 123\n", 17, "unknown key 'horizn'"),
+        (MINIMAL_IID + "\n[output]\nformat = json\n", 19, "unknown key 'format'"),
+        (MINIMAL_IID + "\n[simulaton]\nreps = 5\n", 18, "unknown section [simulaton]"),
+        (MINIMAL_IID + "\n[phi]\n", 18, "section [phi] given twice"),
+        (MINIMAL_IID + "\n[q]\n", 18, "section [Q] given twice"),
+        (NO_MU_2, 16, "got [mu.3]"),
+        (NO_MU_2.replace("[mu.3]", "[mu.x]"), 16, "got [mu.x]"),
+        (MINIMAL_IID + "\n[mu.1]\nfamily = zero\n", 18, "takes no member sections"),
+        # section-level errors sit at the header's line
+        (MINIMAL_IID.replace("reps = 400\n", ""), 13, "is missing 'reps'"),
+        (MINIMAL_IID.replace("reps = 400", "reps = 0"), 13, "reps must be at least 1"),
+        (MINIMAL_IID.replace("seed = 42", "seed = 42\nhorizon = 3"), 13, "cover every query"),
+    ],
+    ids=[
+        "key-in-phi", "key-in-mu", "key-in-simulation", "key-in-output", "section",
+        "phi-twice", "Q-and-q", "member-gap", "member-not-a-number", "member-under-rate-rule",
+        "missing-key", "reps-0", "short-horizon",
+    ],
+)
+def test_scenario_outside_the_grammar_is_rejected_at_its_line(tmp_path, capsys, text, line, words):
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(write(tmp_path, text))
+    assert words in str(exc.value)
+    assert exc.value.line == line
+    assert main(["check", str(tmp_path / "scenario.ini"), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["where"]["line"] == line
+
+
+def test_members_are_read_in_numeric_order(tmp_path):
+    # written [mu.10], [mu.9], ..., [mu.1]: a name sort would put [mu.10] second
+    members = "".join(f"\n[mu.{k}]\nfamily = exp\nrate = {k}\n" for k in range(10, 0, -1))
+    text = MINIMAL_IID.replace("rule = constant-rate\nrate = 0.0", "rule = cycle") + members
+    rule = parse_scenario(write(tmp_path, text)).mu_rule
+    assert isinstance(rule, rb.CycledIntensities)
+    assert [float(mu.coeffs[0, 0]) for mu in rule.items] == [float(k) for k in range(1, 11)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -381,6 +427,16 @@ def test_tail_grid_ends_at_t_off_the_stride(tmp_path):
     assert len(rows) == 2002
     assert float(rows[-1].split(",")[0]) == 10.003
     assert [entry["points"] for entry in bundle.report["tail"]] == [2002]
+
+
+def test_tail_csvs_of_close_query_times_do_not_share_a_file(tmp_path):
+    # both times print as "1" with :g, which kept one CSV for the two
+    text = GENERALIZED.replace("t_queries = 0.5 1 2 5", "t_queries = 1.0000001 1.0000002")
+    bundle = run("tail", write(tmp_path, text), out_dir=tmp_path / "out", reps=200)
+    names = {"tail_t1.0000001.csv", "tail_t1.0000002.csv"}
+    assert names <= set(bundle.files) and len(bundle.report["tail"]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert names <= {entry["name"] for entry in manifest["files"]}
 
 
 def test_tail_exits_1_when_a_curve_does_not_dominate(tmp_path, monkeypatch):
