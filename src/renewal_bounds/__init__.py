@@ -27,7 +27,6 @@ _EXPORTS = {
     ),
     "gridcalc": (
         "GridDistribution",
-        "OrderingResult",
         "RenewalFunction",
         "backward_tail_bound",
         "convolution_power",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "discretize",
         "generalized_bound",
         "lorden_classical_bound",
-        "ordering_check",
         "renewal_function",
     ),
     "hazard": (

@@ -7,9 +7,9 @@ lower case.  The sections are:
 - ``[phi]`` and ``[Q]`` (``[q]`` names the same section): an intensity;
 - ``[mu]``: the rule for the extra hazards mu_j, with member sections
   ``[mu.1]`` ... ``[mu.m]`` when the rule takes members;
-- ``[simulation]``: ``t_queries`` (one or more ascending times), ``reps``
-  and ``seed`` (integers), and optional ``step`` and ``horizon`` of the
-  renewal grid (defaults ``E zeta / 200`` and ``max(40 E eta, 1.1 max t)``);
+- ``[simulation]``: ``t_queries`` (one or more times, strictly ascending),
+  ``reps`` and ``seed`` (integers), and optional ``step`` and ``horizon`` of
+  the renewal grid (defaults ``E zeta / 200`` and ``max(40 E eta, 1.1 max t)``);
 - ``[output]``, optional: ``dir`` (default ``.``) and ``formats``
   (``csv``, ``json`` or both; default both).
 
@@ -123,6 +123,7 @@ from .scenario import (
     MuRule,
     RepeatLastIntensities,
     ScenarioConfig,
+    _query_times,
 )
 from .simulate import _assumption_gate, _bounds, _dominates, estimate, verify_bound
 
@@ -192,6 +193,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _formats(text: str) -> tuple[str, ...]:
     formats = tuple(text.split())
+    if not formats:
+        raise ValueError("needs csv, json or both")
     for name in formats:
         if name not in ("csv", "json"):
             raise ValueError(f"unknown output format {name!r}")
@@ -229,7 +232,7 @@ _RULES = {  # rule -> (constructor, keys); keys None: the rule takes [mu.1] ... 
     "list": (RepeatLastIntensities, None),
 }
 _SIMULATION = [
-    ("t_queries", _floats, _REQUIRED),
+    ("t_queries", lambda text: _query_times(_floats(text)), _REQUIRED),
     ("reps", int, _REQUIRED),
     ("seed", int, _REQUIRED),
     ("step", float, None),

@@ -10,7 +10,7 @@ nodes and are split evenly between the adjacent cells, which keeps the mean
 placement unbiased).
 
 On top of the convolution sit the renewal function ``H = sum_n G^{*n}``,
-stochastic-ordering checks, the classical overshoot bound
+the classical overshoot bound
 ``E xi^2 / E xi``, its generalized form ``E eta + E eta^2 / (2 E zeta)``,
 and the pointwise tail bound
 ``P(B_t > x) <= (1 - Phi(t)) + integral_0^{t-x} (1 - Phi(t-s)) dH(s)``.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +33,15 @@ from .hazard import IntensityCdf, moment
 __all__ = [
     "GridDistribution",
     "RenewalFunction",
-    "OrderingResult",
     "discretize",
     "convolve",
     "convolution_power",
     "renewal_function",
-    "ordering_check",
     "lorden_classical_bound",
     "generalized_bound",
     "backward_tail_bound",
 ]
 
-ORDERING_TOL = 1e-9
 TRUNCATION_TOL = 1e-6
 
 
@@ -308,30 +304,6 @@ def renewal_function(G: GridDistribution) -> RenewalFunction:
     return RenewalFunction(G.step, values, h_atoms, h_cells, 0, residual)
 
 
-class OrderingResult(NamedTuple):
-    max_violation: float
-    passed: bool
-
-
-def ordering_check(
-    G: GridDistribution, F: GridDistribution, Phi: GridDistribution
-) -> OrderingResult:
-    """Verify the stochastic ordering ``G >= F >= Phi`` pointwise on the grid.
-
-    Returns the largest violation ``max(F - G, Phi - F)`` over all nodes;
-    the check passes when it does not exceed 1e-9.
-    """
-    if not (G.step == F.step == Phi.step) or not (
-        G.values.size == F.values.size == Phi.values.size
-    ):
-        raise GridError("ordering check requires a common grid")
-    v = max(
-        float(np.max(F.values - G.values)),
-        float(np.max(Phi.values - F.values)),
-    )
-    return OrderingResult(v, v <= ORDERING_TOL)
-
-
 def lorden_classical_bound(F: IntensityCdf) -> float:
     """Classical overshoot bound ``E xi^2 / E xi`` for i.i.d. renewals."""
     m1 = moment(F, 1)
@@ -344,15 +316,16 @@ def generalized_bound(Phi: IntensityCdf, G: IntensityCdf) -> float:
     """Envelope overshoot bound ``E eta + E eta^2 / (2 E zeta)``.
 
     ``eta ~ Phi`` is the slow envelope (hazard phi) and ``zeta ~ G`` the
-    fast one (hazard Q).  The value is meant to bound both the backward and
-    the forward renewal time of the generalized process, uniformly in t, but
-    that is not proven for every law that passes the assumption checks, and
-    it fails on some.  In the i.i.d. case it reads ``E xi + E xi^2 / (2 E
-    xi)``, below Lorden's ``E xi^2 / E xi`` exactly when the squared
-    coefficient of variation of ``xi`` exceeds 1.  A two-point i.i.d. law
-    (mass 0.99 at 1, the rest at 100) passes every check and gets a bound
-    of 26.30, while Monte Carlo gives E W_50 = 28.05 and E B_99.999 = 35.22
-    (ROADMAP open item 1).
+    fast one (hazard Q).  The value is meant to bound the mean backward and
+    forward renewal times of the generalized process, uniformly in t.  That
+    is unproven: no proof is written here, and the formula fails on a law
+    that passes every assumption check.  In the i.i.d. case it reads ``E xi
+    + E xi^2 / (2 E xi)``, below Lorden's ``E xi^2 / E xi`` exactly when the
+    squared coefficient of variation of ``xi`` exceeds 1, and Lorden's
+    factor 2 cannot be lowered.  The counterexample is the two-point i.i.d.
+    law with mass 0.99 at 1 and the rest at 100: its bound is 26.30, while
+    Monte Carlo (40,000 reps, seed 1) gives E W_50 = 28.05 +- 0.35 and
+    E B_99.999 = 35.22 +- 0.35 (ROADMAP open item 1).
 
     The formula lives here only: ``simulate._bounds`` reports this value
     next to the moments it is made of, and computes it nowhere else.
@@ -372,6 +345,13 @@ def backward_tail_bound(Phi, H: RenewalFunction, t: float, x) -> np.ndarray | fl
     the value dominates the exact integral; atoms of H are taken at their
     exact node locations.  Returns 0 for x > t (the backward time never
     exceeds t) and clips at 1.
+
+    With ``H`` the renewal function of zeta, the value is the exact tail
+    where phi = Q, but it is not a proven bound where phi < Q: the coupling
+    bounds the process's renewal measure by ``1 + H`` only in total, not
+    against the increasing integrand.  It fails on i.i.d. intervals near 1
+    or 1.9 with Q's mass near 1: at t = 3.5 and x = 0.55 it gives 0.4966
+    where the tail is 0.87 (ROADMAP open item 1).
     """
     if t < 0 or t > H.horizon + 1e-9 * max(1.0, H.horizon):
         raise GridError("query time outside the renewal-function horizon")

@@ -125,14 +125,31 @@ def LinearCappedRate(base: float, slope: float, cap: float) -> RepeatLastIntensi
     return RepeatLastIntensities(tuple(_rate_intensity(r) for r in rates))
 
 
+def _query_times(times) -> tuple[float, ...]:
+    """``times`` as a tuple of floats, checked: at least one, each finite and
+    nonnegative, in strictly ascending order.  A time given twice would be
+    reported twice and would name one ``tail`` CSV twice."""
+    times = tuple(float(t) for t in times)
+    if not times:
+        raise ValueError("at least one query time is required")
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("query times must be finite")
+    if any(t < 0 for t in times):
+        raise ValueError("query times must be nonnegative")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("query times must be strictly ascending")
+    return times
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of a generalized renewal experiment.
 
-    ``step`` and ``horizon`` may be omitted; the resolved defaults are
-    ``E zeta / 200`` and ``max(40 * E eta, 1.1 * max t)`` -- the horizon is
-    widened beyond the plain 40-mean rule whenever the queries demand it so
-    that queries always sit inside the grid horizon.
+    ``t_queries`` are strictly ascending.  ``step`` and ``horizon`` may be
+    omitted; the resolved defaults are ``E zeta / 200`` and ``max(40 * E eta,
+    1.1 * max t)`` -- the horizon is widened beyond the plain 40-mean rule
+    whenever the queries demand it so that queries always sit inside the grid
+    horizon.
     """
 
     phi: GeneralizedIntensity
@@ -146,15 +163,7 @@ class ScenarioConfig:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "t_queries", tuple(float(t) for t in self.t_queries))
-        if not self.t_queries:
-            raise ValueError("at least one query time is required")
-        if not all(math.isfinite(t) for t in self.t_queries):
-            raise ValueError("query times must be finite")
-        if any(t < 0 for t in self.t_queries):
-            raise ValueError("query times must be nonnegative")
-        if any(b < a for a, b in zip(self.t_queries, self.t_queries[1:])):
-            raise ValueError("query times must be ordered")
+        object.__setattr__(self, "t_queries", _query_times(self.t_queries))
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
         if int(self.seed) != self.seed or self.seed < 0 or self.seed > 2**64 - 1:

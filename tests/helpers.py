@@ -7,6 +7,7 @@ inverts a CDF by plain bisection on its evaluator; ``ks_distance`` compares
 the ECDF's left and right limits at each distinct sample value with the
 CDF's, so ties on an atom are handled; ``renewal_by_powers`` sums lattice
 convolution powers, the definition the renewal-equation solve must match;
+``ordering_check`` tests the stochastic ordering of three grid laws;
 ``moment_by_recursion`` is the scalar, depth-first adaptive Gauss-Legendre
 moment quadrature, one interval per call, that the batched ``moment`` must
 reproduce bit for bit; ``extreme_by_roots`` finds a polynomial's extrema
@@ -24,6 +25,7 @@ are the laws whose rows take that solver.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from renewal_bounds import (
     uniform,
     weibull,
 )
-from renewal_bounds.errors import DivergentMomentError
+from renewal_bounds.errors import DivergentMomentError, GridError
 from renewal_bounds import hazard
 from renewal_bounds.hazard import _poly_exp_int, _quartic
 from renewal_bounds.poly import pderiv, pinteg, prows, pvalue
@@ -193,6 +195,23 @@ def renewal_by_powers(G, tol: float) -> np.ndarray:
         power = convolve(power, G)
         total += power.values
     return total
+
+
+class OrderingResult(NamedTuple):
+    max_violation: float
+    passed: bool
+
+
+def ordering_check(G, F, Phi) -> OrderingResult:
+    """The stochastic ordering ``G >= F >= Phi`` of three grid distributions,
+    pointwise on their common grid: the largest violation ``max(F - G, Phi
+    - F)`` over all nodes, which passes when it does not exceed 1e-9."""
+    if not (G.step == F.step == Phi.step) or not (
+        G.values.size == F.values.size == Phi.values.size
+    ):
+        raise GridError("ordering check requires a common grid")
+    v = max(float(np.max(F.values - G.values)), float(np.max(Phi.values - F.values)))
+    return OrderingResult(v, v <= 1e-9)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -409,6 +428,7 @@ def _solve_rows_by_masks(F, rows, tprime):
         tp = tprime[gen]
         c1, c2, c3, c4 = (F._row_RT[k][ridx] for k in (1, 2, 3, 4))
         hi = F._row_width[ridx]
+        q = F._row_q[ridx]
         unb = ~np.isfinite(hi)
         if np.any(unb):
             guess = np.maximum(1.0, tp[unb])
@@ -418,17 +438,26 @@ def _solve_rows_by_masks(F, rows, tprime):
                     break
                 guess = np.where(need, guess * 2.0, guess)
             hi[unb] = guess
-        out[gen] = newton_quartic_by_masks(c1, c2, c3, c4, hi, tp)
+            q[unb] = (c4[unb] * guess + c3[unb]) * guess + c2[unb]
+        out[gen] = newton_quartic_by_masks(c1, c2, c3, c4, q, hi, tp)
     return out
 
 
-def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
+def newton_quartic_by_masks(c1, c2, c3, c4, q, width, tp, stop=hazard._NEWTON_STOP, walks=None):
     """The safeguarded Newton solve of a quartic row with a ulp-walk finish,
     written with masks: ``np.where`` for the bracket, the divide and the
     midpoint in every step, a fresh array per operation, and gathers for
     every ulp of the walk, up while ``R < tp`` and then down while the
     previous double still qualifies.  ``hazard._newton_quartic`` must
     reproduce it bit for bit.
+
+    It starts from the root of the quadratic ``c1 tau + q tau^2``, at most
+    ``width``.  A draw stops after a Newton step inside the bracket of at
+    most ``stop`` times the next iterate, after any step of at most an ulp,
+    or once its bracket is an ulp wide; ``stop = hazard._ULP`` is the rule
+    that stops only on an ulp.  ``walks``, a list, receives a tuple: the
+    number of draws that walked up and the longest walk up, then the same
+    for the walks down.
     """
     n = tp.size
     tau_end = np.empty(n)
@@ -436,9 +465,7 @@ def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
     k1, k2, k3, k4, t = c1, c2, c3, c4, tp  # the unconverged draws' rows
     lo = np.zeros(n)
     hi = width.copy()
-    # chord through the origin: exact on a linear row, left of the root on
-    # a convex one
-    tau = hi * (tp / np.maximum(_quartic(c1, c2, c3, c4, hi), tp))
+    tau = np.fmin(2.0 * tp / (np.sqrt(np.maximum(c1 * c1 + 4.0 * q * tp, 0.0)) + c1), hi)
     for _ in range(hazard._NEWTON_ITERS):
         # R and R' by one Horner pass
         p = k4 * tau + k3
@@ -453,8 +480,11 @@ def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
         lo = np.where(ge, lo, tau)
         pos = df > 0.0
         new = tau - f / np.where(pos, df, 1.0)
-        new = np.where(pos & (new > lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = (np.abs(new - tau) <= hazard._ULP * new) | (hi - lo <= hazard._ULP * hi)
+        inside = pos & (new > lo) & (new <= hi)
+        new = np.where(inside, new, 0.5 * (lo + hi))
+        step = np.abs(new - tau)
+        done = ((inside & (step <= stop * new)) | (step <= hazard._ULP * new)
+                | (hi - lo <= hazard._ULP * hi))
         tau = new
         if np.all(done):
             break
@@ -469,9 +499,11 @@ def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
     walk = np.nonzero(_quartic(c1, c2, c3, c4, tau_end) < tp)[0]
     qualified = np.ones(n, dtype=bool)
     qualified[walk] = False
+    counts = [walk.size, 0]
     for _ in range(hazard._FINISH_STEPS):
         if walk.size == 0:
             break
+        counts[1] += 1
         up = np.minimum(np.nextafter(tau_end[walk], math.inf), width[walk])
         tau_end[walk] = up
         walk = walk[(up < width[walk])
@@ -480,6 +512,7 @@ def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
     # ... and, from a qualifying start, down while the previous double
     # still qualifies
     walk = np.nonzero(qualified)[0]
+    counts += [0, 0]
     for _ in range(hazard._FINISH_STEPS):
         if walk.size == 0:
             break
@@ -487,4 +520,9 @@ def newton_quartic_by_masks(c1, c2, c3, c4, width, tp):
         ok = _quartic(c1[walk], c2[walk], c3[walk], c4[walk], down) >= tp[walk]
         walk = walk[ok]
         tau_end[walk] = down[ok]
+        if walk.size:
+            counts[2] = counts[2] or walk.size
+            counts[3] += 1
+    if walks is not None:
+        walks.append(tuple(counts))
     return tau_end

@@ -234,11 +234,16 @@ NO_MU_2 = GENERALIZED.replace("[mu.2]\nfamily = exp\nrate = 1.0\n\n", "")
         (MINIMAL_IID.replace("reps = 400\n", ""), 13, "is missing 'reps'"),
         (MINIMAL_IID.replace("reps = 400", "reps = 0"), 13, "reps must be at least 1"),
         (MINIMAL_IID.replace("seed = 42", "seed = 42\nhorizon = 3"), 13, "cover every query"),
+        # a value its key's parser refuses sits at the key's line
+        (MINIMAL_IID.replace("t_queries = 1 5 10", "t_queries = 5 5"), 14, "strictly ascending"),
+        (MINIMAL_IID.replace("t_queries = 1 5 10", "t_queries = 1 5 1"), 14, "strictly ascending"),
+        (MINIMAL_IID + "\n[output]\nformats =\n", 19, "needs csv, json or both"),
     ],
     ids=[
         "key-in-phi", "key-in-mu", "key-in-simulation", "key-in-output", "section",
         "phi-twice", "Q-and-q", "member-gap", "member-not-a-number", "member-under-rate-rule",
-        "missing-key", "reps-0", "short-horizon",
+        "missing-key", "reps-0", "short-horizon", "equal-times", "descending-times",
+        "empty-formats",
     ],
 )
 def test_scenario_outside_the_grammar_is_rejected_at_its_line(tmp_path, capsys, text, line, words):
@@ -248,6 +253,14 @@ def test_scenario_outside_the_grammar_is_rejected_at_its_line(tmp_path, capsys, 
     assert exc.value.line == line
     assert main(["check", str(tmp_path / "scenario.ini"), "--out", str(tmp_path / "out")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["where"]["line"] == line
+
+
+def test_scenario_config_refuses_equal_query_times():
+    # a time given twice would be reported twice, and tail would write its
+    # CSV twice under one name
+    phi = rb.exponential(1.0)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        rb.ScenarioConfig(phi, phi, rb.ConstantRate(0.0), (1.0, 5.0, 5.0), 10, 1)
 
 
 def test_members_are_read_in_numeric_order(tmp_path):
@@ -334,6 +347,44 @@ def test_smoothed_two_point_law_passes_check_and_verify(tmp_path):
     path = str(write(tmp_path, SMOOTH_TWO_POINT))
     assert main(["check", path, "--out", str(tmp_path / "check")]) == 0
     assert main(["verify", path, "--out", str(tmp_path / "verify")]) == 0
+
+
+# ROADMAP item 1's tail scenario: i.i.d. intervals near 1 or 1.9, phi below Q
+# and no atoms.  It passes every check, and at x = 0.55 the empirical tail
+# (0.869) exceeds the bound (0.4966): the bound integrates against zeta's
+# renewal function where the process's own renewal measure belongs
+BIMODAL_TAIL = """\
+[phi]
+family = piecewise
+segment = 0: 0
+segment = 0.99: 35
+segment = 1.01: 0
+segment = 1.9: 500
+
+[Q]
+family = piecewise
+segment = 0: 0
+segment = 0.99: 500
+
+[mu]
+rule = constant-rate
+rate = 0
+
+[simulation]
+t_queries = 3.5
+reps = 4000
+seed = 1
+step = 0.001
+horizon = 6
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the empirical tail exceeds the tail "
+                   "bound on a scenario with phi below Q that passes every check")
+def test_bimodal_tail_passes_check_and_tail(tmp_path):
+    path = str(write(tmp_path, BIMODAL_TAIL))
+    assert main(["check", path, "--out", str(tmp_path / "check")]) == 0
+    assert main(["tail", path, "--out", str(tmp_path / "tail")]) == 0
 
 
 def test_check_exit_status(tmp_path):

@@ -809,30 +809,72 @@ def test_quartic_rows_give_a_double_whose_predecessor_fails(phi):
     assert np.all(_row_increment(F, rows, below) < tp)
 
 
+def _kernel_draws(F):
+    """The quartic kernel's targets on F's quartic rows, as ``(rows, tp)``
+    per set: 10^6 bulk draws, 10^4 each with u near 0 and near 1, and the
+    row ends with their neighbours."""
+    rng = np.random.default_rng(23)
+    ends = -np.expm1(-F._row_lam_hi[np.isfinite(F._row_lam_hi)])
+    sets = {"bulk": rng.random(10**6), "near0": 1e-9 * rng.random(10**4),
+            "near1": 1.0 - 1e-9 * rng.random(10**4),
+            "ends": np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])}
+    draws = {}
+    for name, u in sets.items():
+        u = u[u < 1.0]
+        T = -np.log1p(-u)
+        rows = np.searchsorted(F._row_lam_hi, T, side="left")
+        keep = (F._row_deg[rows] > 2) & (T > F._row_lam_lo[rows])
+        draws[name] = rows[keep], (T - F._row_lam_lo[rows])[keep]
+    return draws
+
+
+def _kernel_args(F, rows, tp, n=1 << 16):
+    """The kernel's arguments but ``out``, for draws ``rows``, ``tp``, ``n``
+    at a time: the solve is elementwise, and slices bound the memory."""
+    for s in range(0, tp.size, n):
+        r = rows[s : s + n]
+        coeffs = [F._row_RT[k][r] for k in (1, 2, 3, 4)]
+        yield coeffs + [F._row_q[r], F._row_width[r], tp[s : s + n]]
+
+
 @pytest.mark.parametrize("phi", list(KERNEL_LAWS.values()), ids=list(KERNEL_LAWS))
 def test_quartic_kernel_is_bit_equal_to_the_masked_kernel(phi):
     F = rb.cdf_from_intensity(phi)
-    rng = np.random.default_rng(23)
-    ends = -np.expm1(-F._row_lam_hi[np.isfinite(F._row_lam_hi)])
-    u = np.concatenate([rng.random(10**6), 1e-9 * rng.random(10**4),
-                        1.0 - 1e-9 * rng.random(10**4),
-                        ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
-    u = u[u < 1.0]
-    T = -np.log1p(-u)
-    rows = np.searchsorted(F._row_lam_hi, T, side="left")
-    keep = (F._row_deg[rows] > 2) & (T > F._row_lam_lo[rows])
-    rows, tp = rows[keep], (T - F._row_lam_lo[rows])[keep]
+    rows, tp = (np.concatenate(v) for v in zip(*_kernel_draws(F).values()))
     quartic = np.flatnonzero(F._row_deg > 2)
     assert quartic.size > 10 and np.array_equal(np.unique(rows), quartic)
     assert np.all(np.isfinite(F._row_width[quartic]))
     differ = 0
-    for s in range(0, tp.size, 1 << 16):  # elementwise: slices bound the memory
-        r = rows[s : s + (1 << 16)]
-        args = [F._row_RT[k][r] for k in (1, 2, 3, 4)] + [F._row_width[r], tp[s : s + (1 << 16)]]
+    for args in _kernel_args(F, rows, tp):
         got = hazard._newton_quartic(*args, np.empty(args[-1].size))
         want = newton_quartic_by_masks(*args)
         differ += np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))
     assert differ == 0, f"{differ} of {tp.size} solves differ"
+
+
+@pytest.mark.parametrize("phi", list(KERNEL_LAWS.values()), ids=list(KERNEL_LAWS))
+def test_short_step_stop_moves_only_edge_draws_by_a_few_ulps(phi):
+    # the masked kernel at the stop on an ulp step, the rule before the stop
+    # on a Newton step of 2^-26 tau: no bulk draw moves, an edge draw moves
+    # by at most 8 ulps, and no walk up reaches its cap.  A walk down may,
+    # where it does at the ulp rule too: the row ends of uniform(2, 5)
+    # include tp = 5e-324 on a row with c1 = 0, where R stays at or above tp
+    # for far more than _FINISH_STEPS ulps below the root
+    F = rb.cdf_from_intensity(phi)
+    for name, (rows, tp) in _kernel_draws(F).items():
+        moved = 0
+        for args in _kernel_args(F, rows, tp):
+            walks, ulp_walks = [], []
+            short = newton_quartic_by_masks(*args, walks=walks)
+            ulp = newton_quartic_by_masks(*args, stop=hazard._ULP, walks=ulp_walks)
+            gap = np.abs(short.view(np.int64) - ulp.view(np.int64))
+            moved += np.count_nonzero(gap)
+            assert gap.max(initial=0) <= 8, name
+            (_, up, _, down), (_, _, _, ulp_down) = walks[0], ulp_walks[0]
+            assert up < hazard._FINISH_STEPS, name
+            assert down < hazard._FINISH_STEPS or ulp_down == hazard._FINISH_STEPS, name
+        if name == "bulk":
+            assert moved == 0
 
 
 def test_quartic_kernel_result_is_not_the_smallest_qualifying_double():
@@ -842,7 +884,7 @@ def test_quartic_kernel_result_is_not_the_smallest_qualifying_double():
     F = rb.cdf_from_intensity(rb.weibull(1.5))
     row = np.array([84])
     tp = np.array([2.92119253236924])
-    tau = hazard._newton_quartic(*(F._row_RT[k][row] for k in (1, 2, 3, 4)),
+    tau = hazard._newton_quartic(*(F._row_RT[k][row] for k in (1, 2, 3, 4)), F._row_q[row],
                                  F._row_width[row], tp, np.empty(1))
     assert tau[0] == 0.724984149771789
     one_down = np.nextafter(tau, 0.0)
