@@ -47,8 +47,9 @@ key or a section given twice; each is reported at its line.
 
 Subcommands: ``check`` (assumption report), ``bound`` (moments and bounds,
 no simulation), ``simulate`` (estimates only), ``verify`` (bounds +
-simulation + dominance verdicts), ``tail`` (backward-time tail-bound
-curves vs empirical), ``renewal`` (renewal function of the envelope).
+simulation + dominance verdicts), ``tail`` (the backward-time tail
+formula, not a proved bound, against the empirical tail), ``renewal``
+(renewal function of the envelope).
 Exit status is 0 iff every requested verdict passes; a failed verdict
 exits 1, and errors exit 2 with a machine-readable JSON record on stderr (a
 flag value the scenario cannot take, such as ``--reps 0`` or
@@ -621,7 +622,7 @@ def _renewal(scenario: ScenarioConfig):
     H = renewal_function(grid)
     diagnostics = {
         "equation_residual": H.equation_residual,
-        "nodes": int(H.values.size),
+        "nodes": int(H.atoms.size),
         "snap_error": grid.snap_error,
         "truncation_residual": grid.truncation_residual,
     }

@@ -1,29 +1,33 @@
-"""Grid-based distribution arithmetic and the overshoot bounds.
+"""Lattice measures, the renewal function, and the overshoot formulas.
 
-Distributions live on a uniform lattice ``0, h, ..., N h``.  Each carries
-its CDF values at the nodes plus explicit atom bookkeeping: atoms are
-snapped to their nearest node and kept separate from the continuous cell
-masses, so that convolutions treat point masses exactly (deterministic
+A measure on the lattice ``0, h, ..., N h`` is two dense arrays of N + 1
+masses: ``atoms[k]``, the mass at node ``k h``, and ``cells[k]``, the
+continuous mass of ``((k-1) h, k h]``; its CDF at the nodes is their running
+sum.  Atoms of a law are snapped to their nearest node and kept apart from
+the cells, so that convolutions treat point masses exactly (deterministic
 inputs convolve to exact deterministic outputs) while continuous mass uses
 midpoint assignment (cell masses sit at cell midpoints; products land on
 nodes and are split evenly between the adjacent cells, which keeps the mean
 placement unbiased).
 
-On top of the convolution sit the renewal function ``H = sum_n G^{*n}``,
-the classical overshoot bound
-``E xi^2 / E xi``, its generalized form ``E eta + E eta^2 / (2 E zeta)``,
-and the pointwise tail bound
-``P(B_t > x) <= (1 - Phi(t)) + integral_0^{t-x} (1 - Phi(t-s)) dH(s)``.
-H is not summed power by power: it is solved node by node from the
-discretized renewal equation ``H = G + G * H``, which the atom/cell
-convolution makes lower-triangular, so on the lattice it is exact up to
-rounding (reported as ``equation_residual``).
+On that convolution sits the renewal function ``H = sum_n G^{*n}``.  It is
+not summed power by power: it is solved node by node from the discretized
+renewal equation ``H = G + G * H``, which the atom/cell convolution makes
+lower-triangular, so on the lattice it is exact up to rounding (reported as
+``equation_residual``), and it is stored as the same measure, dH.
+
+Three formulas are computed here: Lorden's bound ``E xi^2 / E xi`` on the
+mean overshoot of i.i.d. renewals; the generalized formula ``E eta + E
+eta^2 / (2 E zeta)``; and the tail formula ``(1 - Phi(t)) + integral_0^{t-x}
+(1 - Phi(t-s)) dH(s)`` for ``P(B_t > x)``.  The last two are not proved
+bounds: each is exceeded on a law that passes every assumption check
+(ROADMAP open item 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,60 +51,44 @@ TRUNCATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GridDistribution:
-    """CDF sampled on ``0, h, ..., N h`` with explicit node atoms.
+    """A measure on ``0, h, ..., N h`` as node atoms and cell masses.
 
-    ``snap_error`` is the farthest any atom was moved to reach its node;
-    ``truncation_residual`` is the mass beyond the last node that the
-    values leave out.
+    ``atoms[k]`` is the mass at node ``k h`` and ``cells[k]`` the continuous
+    mass of ``((k-1) h, k h]``, both finite and nonnegative; ``values`` is
+    the CDF at the nodes, their running sum.  ``snap_error`` is the farthest
+    any atom was moved to reach its node; ``truncation_residual`` is the
+    mass beyond the last node that the lattice leaves out.
     """
 
     step: float
-    values: np.ndarray
-    atom_idx: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    atom_mass: np.ndarray = field(default_factory=lambda: np.empty(0))
+    atoms: np.ndarray
+    cells: np.ndarray
     snap_error: float = 0.0
     truncation_residual: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "atom_idx", np.asarray(self.atom_idx, dtype=np.int64))
-        object.__setattr__(self, "atom_mass", np.asarray(self.atom_mass, dtype=float))
-        if self.step <= 0:
+        atoms = np.asarray(self.atoms, dtype=float)
+        cells = np.asarray(self.cells, dtype=float)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "cells", cells)
+        if not self.step > 0:
             raise GridError("grid step must be positive")
-        if values.ndim != 1 or values.size < 2:
-            raise GridError("grid values must be a 1-D array with at least 2 nodes")
-        if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
-            raise GridError("grid values must lie in [0, 1]")
-        if np.any(np.diff(values) < -1e-12):
-            raise GridError("grid values must be nondecreasing")
+        if atoms.ndim != 1 or atoms.shape != cells.shape or atoms.size < 2:
+            raise GridError("atoms and cells must be 1-D arrays of one length, at least 2")
+        # NaN fails every comparison
+        if not np.all((atoms >= 0) & (atoms < math.inf) & (cells >= 0) & (cells < math.inf)):
+            raise GridError("grid masses must be finite and nonnegative")
 
     @property
-    def n_nodes(self) -> int:
-        return self.values.size
+    def values(self) -> np.ndarray:
+        return np.cumsum(self.atoms + self.cells)
 
     @property
     def horizon(self) -> float:
-        return (self.values.size - 1) * self.step
+        return (self.atoms.size - 1) * self.step
 
     def grid(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.step
-
-    def masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (node atom mass, cell mass) decomposition.
-
-        Cell ``j`` holds the continuous mass of ``((j-1)h, jh]``; any mass at
-        node 0 is treated as atomic (mass exactly at the origin).
-        """
-        n = self.values.size
-        atoms = np.zeros(n)
-        if self.atom_idx.size:
-            np.add.at(atoms, self.atom_idx, self.atom_mass)
-        cells = np.zeros(n)
-        cells[1:] = np.diff(self.values) - atoms[1:]
-        atoms[0] = self.values[0]  # mass sitting exactly at the origin is atomic
-        np.clip(cells, 0.0, None, out=cells)
-        return atoms, cells
+        return np.arange(self.atoms.size) * self.step
 
 
 def discretize(
@@ -110,48 +98,59 @@ def discretize(
     *,
     allow_truncation: bool = False,
 ) -> GridDistribution:
-    """Sample a mixed CDF on the lattice, snapping atoms to nearest nodes.
+    """Put a mixed law on the lattice, snapping atoms to their nearest nodes.
 
     ``F`` is any object with ``cdf`` and ``sf`` evaluators and a ``jumps``
-    list of ``(location, mass)`` pairs, such as an ``IntensityCdf``.
-    Rejects horizons that truncate more than ``1e-6`` of the mass unless
-    ``allow_truncation`` is set; the truncated mass ``F.sf(N h)`` is kept
-    in ``truncation_residual``.  Node values are exact pointwise
-    evaluations of the snapped distribution, so the interpolation error
-    between nodes is bounded by the local increment of F.
+    list of ``(location, mass)`` pairs, such as an ``IntensityCdf``.  Each
+    atom at or below ``N h + h/2`` moves to its nearest node; the cells
+    hold the increments of the snapped CDF at the nodes less the atoms,
+    floored at 0, and node 0's value is an atom at the origin.  The mass
+    the lattice leaves out, ``F.sf(N h)`` less the atoms snapped down onto
+    node N, is kept in ``truncation_residual``; a horizon that leaves out
+    more than ``1e-6`` is rejected unless ``allow_truncation`` is set.
+
+    The node values are the running sum of the masses, not evaluations of
+    the snapped CDF.  At a node without an atom whose value is at most
+    twice the one before, the sum adds back exactly the difference its cell
+    was made of (Sterbenz's lemma), so drift enters only at the first nodes
+    and at atoms.  Against the snapped CDF at the nodes it measured 8.7e-19
+    on Weibull(2) at h = 0.005, and 0 on Exp(1), uniform(0, 1), uniform(2, 5),
+    Weibull(4), Exp(1) with an atom at 1.0037 and Exp(2) with an atom at 0,
+    each at h = 0.001, 0.005 and 0.01.
     """
-    if h <= 0 or s_max < h:
-        raise GridError("need h > 0 and s_max >= h")
+    if not 0 < h <= s_max < math.inf:  # NaN fails too
+        raise GridError("need 0 < h <= s_max < inf")
     n = int(math.ceil(s_max / h - 1e-12))
     grid = np.arange(n + 1) * h
 
-    tail = float(F.sf(n * h))
+    jumps = [(a, p) for a, p in F.jumps if a <= n * h + 0.5 * h]
+    locs = np.array([a for a, _ in jumps])
+    masses = np.array([p for _, p in jumps])
+    tail = max(float(F.sf(n * h)) - float(np.sum(masses[locs > n * h])), 0.0)
     if tail > TRUNCATION_TOL and not allow_truncation:
         raise GridError(
             f"horizon {s_max:g} truncates {tail:.3e} of the mass; "
             "enlarge s_max or pass allow_truncation=True"
         )
 
-    jumps = [(a, p) for a, p in F.jumps if a <= n * h + 0.5 * h]
-    locs = np.array([a for a, _ in jumps])
-    masses = np.array([p for _, p in jumps])
-
     values = np.asarray(F.cdf(grid), dtype=float).copy()
+    atoms = np.zeros(n + 1)
     snap_err = 0.0
     if locs.size:
         cum = np.concatenate(([0.0], np.cumsum(masses)))
         values -= cum[np.searchsorted(locs, grid, side="right")]
         idx = np.clip(np.round(locs / h).astype(np.int64), 0, n)
         snap_err = float(np.max(np.abs(locs - idx * h)))
-        add = np.zeros(n + 1)
-        np.add.at(add, idx, masses)
-        values += np.cumsum(add)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-
+        np.add.at(atoms, idx, masses)
+        values += np.cumsum(atoms)
     np.clip(values, 0.0, 1.0, out=values)
     np.maximum.accumulate(values, out=values)
-    return GridDistribution(h, values, idx, masses, snap_err, tail)
+
+    cells = np.zeros(n + 1)
+    cells[1:] = np.diff(values) - atoms[1:]
+    np.clip(cells, 0.0, None, out=cells)
+    atoms[0] = values[0]
+    return GridDistribution(h, atoms, cells, snap_err, tail)
 
 
 def _convolve(x, y):
@@ -183,24 +182,12 @@ def convolve(A: GridDistribution, B: GridDistribution) -> GridDistribution:
     """
     if A.step != B.step:
         raise GridError("convolve requires identical grid steps")
-    if A.values.size != B.values.size:
+    if A.atoms.size != B.atoms.size:
         raise GridError("convolve requires identical grid lengths")
-    n = A.values.size - 1
-    aA, cA = A.masses()
-    aB, cB = B.masses()
-    atoms, cells = _conv_masses(aA, cA, aB, cB, n)
-    values = np.cumsum(atoms + cells)
-    np.clip(values, 0.0, 1.0, out=values)
-    np.maximum.accumulate(values, out=values)
-    residual = float(A.values[-1] * B.values[-1] - values[-1])
-    nz = np.nonzero(atoms > 0)[0]
+    atoms, cells = _conv_masses(A.atoms, A.cells, B.atoms, B.cells, A.atoms.size - 1)
+    lost = float(A.values[-1] * B.values[-1] - np.sum(atoms + cells))
     return GridDistribution(
-        A.step,
-        values,
-        nz,
-        atoms[nz],
-        max(A.snap_error, B.snap_error),
-        max(residual, 0.0),
+        A.step, atoms, cells, max(A.snap_error, B.snap_error), max(lost, 0.0)
     )
 
 
@@ -222,31 +209,20 @@ def convolution_power(A: GridDistribution, n: int) -> GridDistribution:
 
 
 @dataclass(frozen=True)
-class RenewalFunction:
-    """Renewal function ``H(s) = sum_{n>=1} G^{*n}(s)`` on a lattice.
+class RenewalFunction(GridDistribution):
+    """Renewal function ``H(s) = sum_{n>=1} G^{*n}(s)`` as the lattice measure dH.
 
     H is the solution of the discretized renewal equation ``H = G + G * H``
     (the convolution of :func:`convolve`), found by forward substitution;
-    ``equation_residual`` is that equation's largest nodal residual.
-    ``node_mass``/``cell_mass`` keep the Stieltjes increments of H in the
-    same atom/cell decomposition used by the convolution, so downstream
-    integrals against ``dH`` treat atoms exactly.  ``n_max`` is always 0:
-    no convolution power is formed.
+    ``equation_residual`` is that equation's largest nodal residual.  The
+    atoms and cells are H's Stieltjes increments in the convolution's
+    decomposition, so integrals against ``dH`` treat atoms exactly, and
+    ``values`` is H at the nodes.  ``n_max`` is always 0: no convolution
+    power is formed.
     """
 
-    step: float
-    values: np.ndarray
-    node_mass: np.ndarray
-    cell_mass: np.ndarray
-    n_max: int
-    equation_residual: float
-
-    @property
-    def horizon(self) -> float:
-        return (self.values.size - 1) * self.step
-
-    def grid(self) -> np.ndarray:
-        return np.arange(self.values.size) * self.step
+    equation_residual: float = 0.0
+    n_max: int = 0
 
 
 def _forward_solve(rhs, kernel, div, first):
@@ -285,10 +261,10 @@ def renewal_function(G: GridDistribution) -> RenewalFunction:
     the CLI pins one thread.  ROADMAP item 4's FFT solve would remove the
     long dot products.
     """
-    if G.values[0] >= 1.0:
+    aG, cG = G.atoms, G.cells
+    if aG[0] >= 1.0:
         raise GridError("renewal function diverges: G has atom mass >= 1 at 0")
-    n = G.values.size - 1
-    aG, cG = G.masses()
+    n = aG.size - 1
     h_atoms = np.zeros(n + 1)
     cell_rhs = cG
     if np.any(aG):
@@ -301,7 +277,7 @@ def renewal_function(G: GridDistribution) -> RenewalFunction:
     ra, rc = _conv_masses(h_atoms, h_cells, aG, cG, n)
     rhs = np.cumsum(aG + cG) + np.cumsum(ra + rc)
     residual = float(np.max(np.abs(values - rhs)))
-    return RenewalFunction(G.step, values, h_atoms, h_cells, 0, residual)
+    return RenewalFunction(G.step, h_atoms, h_cells, G.snap_error, equation_residual=residual)
 
 
 def lorden_classical_bound(F: IntensityCdf) -> float:
@@ -361,11 +337,11 @@ def backward_tail_bound(Phi, H: RenewalFunction, t: float, x) -> np.ndarray | fl
         raise GridError("x must be nonnegative")
 
     h = H.step
-    kmax = int(min(math.floor(t / h + 1e-9), H.values.size - 1))
+    kmax = int(min(math.floor(t / h + 1e-9), H.atoms.size - 1))
     s_nodes = np.arange(kmax + 1) * h
     sf_at = np.asarray(Phi.sf(t - s_nodes), dtype=float)
-    w_atom = np.concatenate(([0.0], np.cumsum(H.node_mass[: kmax + 1] * sf_at)))
-    w_cell = np.concatenate(([0.0], np.cumsum(H.cell_mass[: kmax + 1] * sf_at)))
+    w_atom = np.concatenate(([0.0], np.cumsum(H.atoms[: kmax + 1] * sf_at)))
+    w_cell = np.concatenate(([0.0], np.cumsum(H.cells[: kmax + 1] * sf_at)))
 
     c = t - x  # upper integration limit per query
     node_cnt = np.clip(np.floor(c / h + 1e-9).astype(np.int64), -1, kmax)
@@ -378,7 +354,7 @@ def backward_tail_bound(Phi, H: RenewalFunction, t: float, x) -> np.ndarray | fl
     frac = valid & (node_cnt + 1 <= kmax) & (c > node_cnt * h + 1e-15)
     if np.any(frac):
         j = node_cnt[frac] + 1
-        out[frac] += H.cell_mass[j] * np.asarray(Phi.sf(x[frac]), dtype=float)
+        out[frac] += H.cells[j] * np.asarray(Phi.sf(x[frac]), dtype=float)
 
     np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out

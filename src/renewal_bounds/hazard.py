@@ -616,6 +616,23 @@ def _secant_q(c2, c3, c4, w):
     return (c4 * w + c3) * w + c2
 
 
+def _quadratic_root(c1, q, tp, d, out):
+    """The root ``tau >= 0`` of ``c1 tau + q tau^2 = tp`` by the stable formula
+    ``2 tp / (c1 + sqrt(max(c1 c1 + 4 q tp, 0)))``, operation by operation,
+    into ``out``; ``d`` is scratch of ``out``'s size, and ``q`` is read
+    before ``out`` is written."""
+    np.multiply(c1, c1, out=d)
+    e = np.multiply(4.0, q, out=out)
+    e *= tp
+    d += e
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    d += c1
+    np.multiply(2.0, tp, out=out)
+    out /= d
+    return out
+
+
 def _ulps(x, k):
     """``x`` moved ``k`` ulps, for doubles ``x >= 0`` and ``x + k`` ulps
     ``>= 0``: their bits order as their values.  ``np.nextafter`` gives the
@@ -683,18 +700,8 @@ def _newton_quartic(c1, c2, c3, c4, q, width, tp, out):
         flags = take(4 * n, bool).reshape(4, n)
         flags[3].fill(True)  # live: the draws in the arrays that go on
         sets = [None, None]  # the arrays the unconverged draws are gathered into
-        # the root of the row's quadratic c1 tau + q tau^2, by the stable
-        # formula 2 tp / (c1 + sqrt(c1 c1 + 4 q tp)), and at most hi
-        tau = bufs[5]
-        d = np.multiply(c1, c1, out=bufs[0])
-        e = np.multiply(4.0, q, out=bufs[1])
-        e *= tp
-        d += e
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        d += c1
-        np.multiply(2.0, tp, out=tau)
-        tau /= d
+        # the root of the row's quadratic c1 tau + q tau^2, at most hi
+        tau = _quadratic_root(c1, q, tp, bufs[0], bufs[5])
         np.fmin(tau, hi, out=tau)
         for it in range(_NEWTON_ITERS):
             m = tau.size
@@ -1275,17 +1282,7 @@ class IntensityCdf:
             return np.divide(tp, rows.c1, out=out)
         with _SCRATCH as take:
             if cls == 1:
-                # 2 tp / (c1 + sqrt(max(c1 c1 + 4 c2 tp, 0))), operation by operation
-                d = np.multiply(rows.c1, rows.c1, out=take(tp.size))
-                e = np.multiply(4.0, rows.c2, out=out)
-                e *= tp
-                d += e
-                np.maximum(d, 0.0, out=d)
-                np.sqrt(d, out=d)
-                d += rows.c1
-                np.multiply(2.0, tp, out=out)
-                out /= d
-                return out
+                return _quadratic_root(rows.c1, rows.c2, tp, take(tp.size), out)
             c1, c2, c3, c4, hi = rows.c1, rows.c2, rows.c3, rows.c4, rows.width
             q = _gather(self._row_q, rows.idx, out)  # the kernel reads q before it writes out
             unb = np.flatnonzero(~np.isfinite(hi))

@@ -213,6 +213,9 @@ def test_output_options(tmp_path):
     assert defaults.formats == ("csv", "json")
 
 
+# the family and rate of MINIMAL_IID's [phi], on lines 2 and 3
+PHI = "family = exp\nrate = 1.0"
+
 # the member sections of GENERALIZED, without [mu.2]: [mu.3] moves to line 16
 NO_MU_2 = GENERALIZED.replace("[mu.2]\nfamily = exp\nrate = 1.0\n\n", "")
 
@@ -238,12 +241,31 @@ NO_MU_2 = GENERALIZED.replace("[mu.2]\nfamily = exp\nrate = 1.0\n\n", "")
         (MINIMAL_IID.replace("t_queries = 1 5 10", "t_queries = 5 5"), 14, "strictly ascending"),
         (MINIMAL_IID.replace("t_queries = 1 5 10", "t_queries = 1 5 1"), 14, "strictly ascending"),
         (MINIMAL_IID + "\n[output]\nformats =\n", 19, "needs csv, json or both"),
+        (MINIMAL_IID + "\n[output]\nformats = xml\n", 19, "unknown output format 'xml'"),
+        (MINIMAL_IID.replace("t_queries = 1 5 10", "t_queries ="), 14, "needs at least one number"),
+        (MINIMAL_IID.replace(PHI, "family = piecewise\nsegment = 0 1.0", 1), 3,
+         "'segment' must look like 'location: numbers'"),
+        (MINIMAL_IID.replace(PHI, "family = piecewise\nsegment = 0:", 1), 3,
+         "needs at least one number"),
+        # a line that is neither a header nor an entry of a section
+        (MINIMAL_IID.replace("[Q]", "[Q"), 5, "malformed section header"),
+        (MINIMAL_IID.replace("rate = 1.0", "rate 1.0", 1), 3, "expected 'key = value'"),
+        ("seed = 1\n" + MINIMAL_IID, 1, "entry outside any section"),
+        # a missing family or rule sits at its section's header; a rule with no
+        # members, at the rule's line
+        (MINIMAL_IID.replace("family = exp\n", "", 1), 1, "section [phi] is missing 'family'"),
+        (MINIMAL_IID.replace("rule = constant-rate\n", ""), 9, "section [mu] is missing 'rule'"),
+        (MINIMAL_IID.replace("rule = constant-rate\nrate = 0.0", "rule = cycle"), 10,
+         "needs member sections"),
     ],
     ids=[
         "key-in-phi", "key-in-mu", "key-in-simulation", "key-in-output", "section",
         "phi-twice", "Q-and-q", "member-gap", "member-not-a-number", "member-under-rate-rule",
         "missing-key", "reps-0", "short-horizon", "equal-times", "descending-times",
-        "empty-formats",
+        "empty-formats", "unknown-format", "no-query-times", "segment-without-colon",
+        "segment-without-numbers", "open-header", "entry-without-equals",
+        "entry-before-a-section", "phi-without-family", "mu-without-rule",
+        "cycle-without-members",
     ],
 )
 def test_scenario_outside_the_grammar_is_rejected_at_its_line(tmp_path, capsys, text, line, words):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import renewal_bounds as rb
-from renewal_bounds import GridError
+from renewal_bounds import DistributionError, GridError
 
 from helpers import erlang_cdf, ordering_check, renewal_by_powers
 
@@ -23,7 +23,7 @@ def exp1():
 
 def test_discretize_exponential_values(exp1):
     g = rb.discretize(exp1, 0.01, 20.0)
-    k = np.arange(g.n_nodes)
+    k = np.arange(g.atoms.size)
     assert np.allclose(g.values, 1.0 - np.exp(-k * 0.01), atol=1e-14)
 
 
@@ -32,7 +32,7 @@ def test_discretize_deterministic_step():
     g = rb.discretize(F, 0.01, 5.0)
     assert g.values[199] == 0.0
     assert g.values[200] == 1.0
-    assert g.atom_idx.tolist() == [200]
+    assert np.flatnonzero(g.atoms).tolist() == [200]
     assert g.snap_error == 0.0
 
 
@@ -54,9 +54,50 @@ def test_discretize_snaps_off_grid_atom():
     phi = rb.from_segments([(0.0, [1.0])], atoms=[(1.0037, 0.7)])
     F = rb.cdf_from_intensity(phi)
     g = rb.discretize(F, 0.01, 25.0)
-    assert g.atom_idx.tolist() == [100]
+    assert np.flatnonzero(g.atoms).tolist() == [100]
     assert g.snap_error == pytest.approx(0.0037, abs=1e-12)
     assert np.all(np.diff(g.values) >= 0.0)
+
+
+def test_discretize_keeps_an_atom_snapped_onto_the_last_node():
+    # an atom in (N h, N h + h/2] moves onto node N and stays on the
+    # lattice, so it is not part of the truncated mass
+    g = rb.discretize(rb.cdf_from_intensity(rb.deterministic(10.002)), 0.005, 10.0)
+    assert g.values[-1] == 1.0 and g.truncation_residual == 0.0
+    phi = rb.from_segments([(0.0, [1.0])], atoms=[(10.001, 0.5)])
+    g = rb.discretize(rb.cdf_from_intensity(phi), 0.005, 10.0, allow_truncation=True)
+    left_out = math.exp(-10.0) - math.exp(-10.001) * -math.expm1(-0.5)
+    assert g.truncation_residual == pytest.approx(left_out, rel=1e-9)
+    assert g.truncation_residual == pytest.approx(1.0 - g.values[-1], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda F: rb.discretize(F, 0.0, 5.0),
+        lambda F: rb.discretize(F, math.nan, 5.0),
+        lambda F: rb.discretize(F, 0.01, math.inf),
+        lambda F: rb.convolve(rb.discretize(F, 0.01, 25.0), rb.discretize(F, 0.01, 30.0)),
+        lambda F: rb.convolution_power(rb.discretize(F, 0.01, 25.0), 0),
+        lambda F: rb.backward_tail_bound(
+            F, rb.renewal_function(rb.discretize(F, 0.01, 10.0, allow_truncation=True)), 5.0, -0.1
+        ),
+        lambda F: rb.GridDistribution(0.01, [1.0, math.nan], [0.0, 0.0]),
+        lambda F: rb.GridDistribution(0.01, [1.0, 0.0], [0.0, -1e-300]),
+        lambda F: rb.GridDistribution(0.01, [1.0, 0.0], [0.0, math.inf]),
+        lambda F: rb.GridDistribution(0.01, [1.0, 0.0, 0.0], [0.0, 0.0]),
+        lambda F: rb.GridDistribution(0.01, [[1.0, 0.0]], [[0.0, 0.0]]),
+        lambda F: rb.GridDistribution(0.01, [1.0], [0.0]),
+        lambda F: rb.GridDistribution(0.0, [1.0, 0.0], [0.0, 0.0]),
+        lambda F: rb.GridDistribution(math.nan, [1.0, 0.0], [0.0, 0.0]),
+    ],
+    ids=["discretize-h-0", "discretize-h-nan", "discretize-s-max-inf", "convolve-lengths",
+         "power-0", "tail-x-negative", "nan-atom", "negative-cell", "inf-cell",
+         "unequal-masses", "2-d-masses", "one-node", "step-0", "step-nan"],
+)
+def test_lattice_rejects_malformed_input(exp1, make):
+    with pytest.raises(GridError):
+        make(exp1)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +112,7 @@ def test_convolve_deterministic_exact():
     C = rb.convolve(A, A)
     expected = rb.discretize(F2, 0.01, 5.0)
     assert np.array_equal(C.values, expected.values)
-    assert C.atom_idx.tolist() == [200]
+    assert np.flatnonzero(C.atoms).tolist() == [200]
 
 
 def test_convolve_exponentials_erlang2(exp1):
@@ -178,10 +219,10 @@ def test_conv_masses_skips_zero_operands_bit_for_bit(monkeypatch, law):
 
     G = rb.discretize(rb.cdf_from_intensity(RENEWAL_LAWS[law]), 0.01, 10.0, allow_truncation=True)
     H = rb.renewal_function(G)
-    aG, cG = G.masses()
+    aG, cG = G.atoms, G.cells
     n = aG.size - 1
     convolve = np.convolve
-    for ops in [(H.node_mass, H.cell_mass, aG, cG), (aG, cG, aG, cG), (aG, cG, -aG, -cG)]:
+    for ops in [(H.atoms, H.cells, aG, cG), (aG, cG, aG, cG), (aG, cG, -aG, -cG)]:
         formed = []
         monkeypatch.setattr(np, "convolve", lambda x, y: formed.append(1) or convolve(x, y))
         got = gridcalc._conv_masses(*ops, n)
@@ -257,6 +298,14 @@ def test_generalized_bound_values(exp1):
     z3 = rb.cdf_from_intensity(rb.exponential(3.0))
     assert rb.generalized_bound(exp1, z2) == pytest.approx(3.0, rel=1e-12)
     assert rb.generalized_bound(exp1, z3) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_bounds_need_a_positive_mean():
+    zero = rb.cdf_from_intensity(rb.deterministic(0.0))
+    with pytest.raises(DistributionError, match="positive mean"):
+        rb.lorden_classical_bound(zero)
+    with pytest.raises(DistributionError, match="E zeta > 0"):
+        rb.generalized_bound(zero, zero)
 
 
 def test_generalized_bound_iid_boundary(exp1):

@@ -107,6 +107,30 @@ def test_families_reject_non_finite_parameters(make, match, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: rb.from_segments([]), "at least one segment"),
+        (lambda: rb.from_segments([(0.0, [1.0, 0.0, 0.0, 0.0, 1.0])]), "degree 3"),
+        (lambda: rb.from_segments([(1.0, [1.0])]), "must start at 0"),
+        (lambda: rb.from_segments([(0.0, [1.0]), (0.0, [2.0])]), "strictly increasing"),
+        (lambda: rb.GeneralizedIntensity([0.0], np.ones((1, 3)), [], []), r"shape \(1, 4\)"),
+        (lambda: rb.GeneralizedIntensity([0.0], [[1.0, 0.0, 0.0, 0.0]], [1.0, 2.0], [0.5]),
+         "matching"),
+        (lambda: rb.from_segments([(0.0, [math.nan])]), "coefficients must be finite"),
+        (lambda: rb.from_segments([(0.0, [1.0])], atoms=[(-1.0, 0.5)]), "nonnegative"),
+        (lambda: rb.exponential(0.0), "rate must be positive"),
+        (lambda: rb.deterministic(-1.0), "must be nonnegative"),
+    ],
+    ids=["no-segment", "degree-4", "first-break-1", "two-breaks-at-0", "coeffs-1x3",
+         "unequal-atom-arrays", "nan-coefficient", "atom-at-minus-1", "exp-rate-0",
+         "deterministic-minus-1"],
+)
+def test_constructors_reject_malformed_input(make, match):
+    with pytest.raises(IntensityError, match=match):
+        make()
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: rb.from_cumulative_hazard(lambda x: np.asarray(x) * np.nan),

@@ -149,7 +149,7 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
     [rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0))), rb.ConstantRate(2.0)],
     ids=["cycle-with-zero", "constant-rate"],
 )
-def test_theta_in_place_on_a_generator_wave(rule):
+def test_theta_in_place_on_a_strip(rule):
     # past strips of 16, 32 and 64 intervals (positions 0-223), a
     # 128-interval strip's theta half is mapped in place, row by interval, as
     # each interval's mu ppf maps a contiguous copy
@@ -402,7 +402,7 @@ def test_estimate_rows_match_individual_paths(seed):
         assert np.array_equal(table.samples_forward[r], p.w_t)
 
 
-def test_rows_match_paths_across_waves(monkeypatch):
+def test_rows_match_paths_across_strip_heights(monkeypatch):
     # a first block of 4 and a chunk of 40 intervals make a slab of 40 rows
     # advance one interval per strip, and a single path at t = 60 take
     # strips of 4, 4, 8, 16, 32, 40, ...; jump times are the running sum of
@@ -452,7 +452,7 @@ def test_wave_size_is_bounded_at_long_horizons(monkeypatch, chunk):
     assert drawn >= 10 * chunk
 
 
-def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
+def test_rows_leave_after_the_strip_that_passes_t_max(monkeypatch):
     # a 2,048-interval chunk over 400 rows makes strips of 5 intervals.  A
     # row whose last jump passed t_max is in no later strip, every row short
     # of it is in the next strip, and each strip is the chunk over the rows
@@ -479,7 +479,7 @@ def test_rows_leave_a_limb_wave_after_the_strip_that_passes_t_max(monkeypatch):
     assert j0 > 128 and len(passed) == sc.reps and not waiting
 
 
-def test_a_small_slab_draws_one_strip_per_limb_wave():
+def test_a_small_slab_caps_each_strip_at_what_its_rows_drew():
     # the chunk over 200 rows is 163 intervals, so the cap sets each
     # strip's height: 16, then what the rows drew, 16, 32 and 64
     import renewal_bounds.simulate as sim
