@@ -55,10 +55,8 @@ _EXPORTS = {
     ),
     "scenario": (
         "ConstantRate",
-        "CycledIntensities",
         "LinearCappedRate",
         "MuRule",
-        "RepeatLastIntensities",
         "ScenarioConfig",
     ),
     "simulate": (

@@ -142,8 +142,9 @@ def check_assumptions(scenario: ScenarioConfig) -> AssumptionReport:
         "intervals are min-couplings",
         "pass",
         "each interval is min(eta_j, theta_j) with eta i.i.d. from phi and "
-        f"theta_j from the declared mu rule ({type(rule).__name__})",
-        {"distinct_mu": len(rule.distinct_intensities)},
+        "theta_j from the declared mu rule",
+        # the rule's shape: a list of distinct_mu laws whose last period repeat
+        {"distinct_mu": len(rule.items), "period": rule.period},
     )
 
     worst, where, worst_mu = -math.inf, 0.0, 0

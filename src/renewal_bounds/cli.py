@@ -119,10 +119,8 @@ from .gridcalc import generalized_bound, lorden_classical_bound  # noqa: F401
 from .hazard import moment  # noqa: F401
 from .scenario import (
     ConstantRate,
-    CycledIntensities,
     LinearCappedRate,
     MuRule,
-    RepeatLastIntensities,
     ScenarioConfig,
     _query_times,
 )
@@ -222,15 +220,17 @@ _FAMILIES = {  # family -> (constructor, keys); keys None: segment and atom, rep
     "zero": (zero, []),
     "piecewise": (from_segments, None),
 }
+# every rule builds a MuRule, a list of laws whose last ``period`` repeat:
+# a cycle repeats the whole list, every other rule the last law
 _RULES = {  # rule -> (constructor, keys); keys None: the rule takes [mu.1] ... [mu.m]
     "constant-rate": (ConstantRate, [("rate", float, _REQUIRED)]),
     "linear-capped-rate": (
         LinearCappedRate,
         [("base", float, _REQUIRED), ("slope", float, _REQUIRED), ("cap", float, _REQUIRED)],
     ),
-    "cycle": (CycledIntensities, None),
-    "repeat-last": (RepeatLastIntensities, None),
-    "list": (RepeatLastIntensities, None),
+    "cycle": (lambda items: MuRule(items, period=len(items)), None),
+    "repeat-last": (MuRule, None),
+    "list": (MuRule, None),
 }
 _SIMULATION = [
     ("t_queries", lambda text: _query_times(_floats(text)), _REQUIRED),

@@ -56,7 +56,6 @@ class ScenarioFormatError(RenewalBoundsError, ValueError):
             if col:
                 where += f":{col}"
         super().__init__(f"{where}: {message}" if where else message)
-        self.bare_message = message
 
 
 class UsageError(RenewalBoundsError, ValueError):

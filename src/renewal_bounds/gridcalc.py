@@ -177,15 +177,19 @@ def convolve(A: GridDistribution, B: GridDistribution) -> GridDistribution:
 
     Atom x atom products land on exact node sums; atom x cell shifts cells
     exactly; cell x cell uses the midpoint split described in the module
-    docstring.  Mass beyond the horizon is truncated and reported in
-    ``truncation_residual``.
+    docstring.  ``truncation_residual`` is the mass the result leaves out:
+    the product of the inputs' total masses, each its lattice mass plus its
+    own residual, less the result's lattice mass.  It counts both what the
+    convolution puts beyond the horizon and what the inputs already left
+    out.
     """
     if A.step != B.step:
         raise GridError("convolve requires identical grid steps")
     if A.atoms.size != B.atoms.size:
         raise GridError("convolve requires identical grid lengths")
     atoms, cells = _conv_masses(A.atoms, A.cells, B.atoms, B.cells, A.atoms.size - 1)
-    lost = float(A.values[-1] * B.values[-1] - np.sum(atoms + cells))
+    total = (A.values[-1] + A.truncation_residual) * (B.values[-1] + B.truncation_residual)
+    lost = float(total - np.sum(atoms + cells))
     return GridDistribution(
         A.step, atoms, cells, max(A.snap_error, B.snap_error), max(lost, 0.0)
     )

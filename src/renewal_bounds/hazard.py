@@ -316,13 +316,12 @@ def _fit_cumhaz(lam, edges, ftol):
     parent's), its powers ``h**k`` and its ``_FIT_SOLVE @ y`` stay per
     panel: numpy's array ``power`` and batched matrix products round
     differently from the scalar forms in the last bit.
-    The segments come out in the depth-first order of halving each panel
-    in turn.
+    The segments come out sorted by their start: leaf panels are disjoint,
+    so that is the depth-first order of halving each panel in turn.
     """
     lo, hi = edges[:-1], edges[1:]
     lam_lo = np.array([float(lam(a)) for a in lo.tolist()])
-    pos = np.arange(lo.size)  # position among the panels of this level
-    keys, segs = [], []
+    segs = []
     for depth in range(_FIT_MAX_DEPTH + 1):
         n = lo.size
         h = hi - lo
@@ -358,8 +357,6 @@ def _fit_cumhaz(lam, edges, ftol):
             phi_c[rest] = 0.0
             phi_c[rest, 0] = ys[rest, -1] / h[rest]
             done[:] = True
-        # a leaf's left edge in units of the finest halving: depth-first order
-        keys += (pos[done] << (_FIT_MAX_DEPTH - depth)).tolist()
         segs += zip(lo[done].tolist(), phi_c[done])
         split = np.nonzero(~done)[0]
         if split.size == 0:
@@ -368,8 +365,7 @@ def _fit_cumhaz(lam, edges, ftol):
         lo = np.concatenate((lo[split], mid))
         hi = np.concatenate((mid, hi[split]))
         lam_lo = np.concatenate((lam_lo[split], [float(lam(m)) for m in mid.tolist()]))
-        pos = np.concatenate((2 * pos[split], 2 * pos[split] + 1))
-    return [segs[i] for i in np.argsort(keys, kind="stable")]
+    return sorted(segs, key=lambda seg: seg[0])
 
 
 def _tail_edge(survival, start):

@@ -3,10 +3,10 @@
 A scenario fixes the common lower-envelope hazard ``phi``, the envelope
 hazard ``Q``, a rule producing the extra hazard ``mu_j`` of each interval,
 the query times, and the replication plan (reps, seed, grid step, horizon).
-The ``mu`` rule grammar is deliberately small -- cycled list, explicit list
-with terminal repetition, constant rate, linearly growing capped rate -- so
-that the envelope condition is decidable by inspecting finitely many
-distinct intensities.
+The ``mu`` rule is a list of laws whose last ``period`` repeat: a cycle
+repeats the whole list, an explicit list, a constant rate and a linearly
+growing capped rate repeat the last law.  So the envelope condition is
+decidable by inspecting the finitely many laws of the list.
 """
 
 from __future__ import annotations
@@ -30,28 +30,37 @@ from .hazard import (
 
 __all__ = [
     "MuRule",
-    "CycledIntensities",
-    "RepeatLastIntensities",
     "ConstantRate",
     "LinearCappedRate",
     "ScenarioConfig",
 ]
 
 
+@dataclass(frozen=True)
 class MuRule:
-    """Rule assigning the extra hazard ``mu_j`` to interval index j >= 1."""
+    """mu_j for interval index j >= 1: ``items[j-1]`` while the list lasts,
+    then its last ``period`` laws in turn.
 
-    @property
-    def distinct_intensities(self) -> tuple[GeneralizedIntensity, ...]:
-        raise NotImplementedError
+    ``period = len(items)`` cycles the whole list; ``period = 1`` repeats
+    the last law forever.
+    """
+
+    items: tuple[GeneralizedIntensity, ...]
+    period: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", tuple(self.items))
+        if not self.items:
+            raise IntensityError("mu rule needs at least one intensity")
+        if not 1 <= self.period <= len(self.items):
+            raise IntensityError("mu rule period must be between 1 and the number of intensities")
 
     def index_for(self, j):
-        """Map 1-based interval indices to positions in ``distinct_intensities``."""
-        raise NotImplementedError
-
-    @property
-    def is_iid(self) -> bool:
-        return len(self.distinct_intensities) == 1
+        """Map 1-based interval indices to positions in ``items``."""
+        i = np.asarray(j, dtype=np.int64) - 1
+        lead = len(self.items) - self.period
+        # in the lead-in, i itself is the smaller of the two
+        return np.minimum(i, lead + (i - lead) % self.period)
 
 
 def _is_zero(mu: GeneralizedIntensity) -> bool:
@@ -63,52 +72,14 @@ def _rate_intensity(rate: float) -> GeneralizedIntensity:
     return exponential(rate) if rate > 0 else zero()
 
 
-@dataclass(frozen=True)
-class CycledIntensities(MuRule):
-    """mu_j cycles through a fixed list of intensities."""
-
-    items: tuple[GeneralizedIntensity, ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise IntensityError("cycled mu rule needs at least one intensity")
-        object.__setattr__(self, "items", tuple(self.items))
-
-    @property
-    def distinct_intensities(self):
-        return self.items
-
-    def index_for(self, j):
-        return (np.asarray(j, dtype=np.int64) - 1) % len(self.items)
-
-
-@dataclass(frozen=True)
-class RepeatLastIntensities(MuRule):
-    """Explicit list; the final entry repeats forever (delayed processes)."""
-
-    items: tuple[GeneralizedIntensity, ...]
-
-    def __post_init__(self):
-        if not self.items:
-            raise IntensityError("list mu rule needs at least one intensity")
-        object.__setattr__(self, "items", tuple(self.items))
-
-    @property
-    def distinct_intensities(self):
-        return self.items
-
-    def index_for(self, j):
-        return np.minimum(np.asarray(j, dtype=np.int64) - 1, len(self.items) - 1)
-
-
-def ConstantRate(rate: float) -> RepeatLastIntensities:
+def ConstantRate(rate: float) -> MuRule:
     """mu_j is the constant hazard ``rate`` for every j (0 means no extra hazard)."""
     if not rate >= 0:  # NaN fails too
         raise IntensityError("constant mu rate must be nonnegative")
-    return RepeatLastIntensities((_rate_intensity(rate),))
+    return MuRule((_rate_intensity(rate),))
 
 
-def LinearCappedRate(base: float, slope: float, cap: float) -> RepeatLastIntensities:
+def LinearCappedRate(base: float, slope: float, cap: float) -> MuRule:
     """mu_j has constant hazard ``min(base + slope*(j-1), cap)``.
 
     With ``slope == 0`` the cap is never reached and mu_j is ``base``.
@@ -122,7 +93,7 @@ def LinearCappedRate(base: float, slope: float, cap: float) -> RepeatLastIntensi
     steps = int(math.ceil((cap - base) / slope)) if slope > 0 else 0
     rates = [min(base + slope * i, cap) for i in range(steps)]
     rates.append(cap if slope > 0 else base)
-    return RepeatLastIntensities(tuple(_rate_intensity(r) for r in rates))
+    return MuRule(tuple(_rate_intensity(r) for r in rates))
 
 
 def _query_times(times) -> tuple[float, ...]:
@@ -188,7 +159,7 @@ class ScenarioConfig:
 
     @cached_property
     def mu_cdfs(self) -> tuple[IntensityCdf, ...]:
-        return tuple(cdf_from_intensity(m) for m in self.mu_rule.distinct_intensities)
+        return tuple(cdf_from_intensity(m) for m in self.mu_rule.items)
 
     @cached_property
     def interval_intensities(self) -> tuple[GeneralizedIntensity, ...]:
@@ -201,7 +172,7 @@ class ScenarioConfig:
         """
         return tuple(
             self.phi if _is_zero(m) else add_intensities(self.phi, m)
-            for m in self.mu_rule.distinct_intensities
+            for m in self.mu_rule.items
         )
 
     @cached_property
@@ -227,7 +198,7 @@ class ScenarioConfig:
 
     @property
     def iid(self) -> bool:
-        return self.mu_rule.is_iid
+        return len(self.mu_rule.items) == 1
 
     def resolved_step(self) -> float:
         return self.step if self.step is not None else self.zeta_mean / 200.0

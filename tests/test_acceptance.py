@@ -78,7 +78,7 @@ def sc_uniform():
 
 @pytest.fixture(scope="session")
 def sc_gen():
-    mu = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+    mu = rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3)
     return rb.ScenarioConfig(
         phi=rb.exponential(1.0),
         q=rb.exponential(3.0),

@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import renewal_bounds as rb
@@ -16,10 +17,11 @@ def scenario(phi, q, mu_rule, **kw):
 
 
 def test_reference_scenario_all_pass():
-    mu = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+    mu = rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3)
     sc = scenario(rb.exponential(1.0), rb.exponential(3.0), mu)
     rep = rb.check_assumptions(sc)
     assert rep.all_pass
+    assert rep.condition(1).diagnostics == {"distinct_mu": 3, "period": 3}
     assert rep.condition(3).diagnostics["k"] == 4
     assert rep.condition(5).diagnostics["T"] == 0.0
     assert rep.condition(4).diagnostics["sup_q_near_zero"] == pytest.approx(3.0)
@@ -147,7 +149,7 @@ def test_report_structure():
 def test_linear_capped_rule_distinct_set():
     rule = rb.LinearCappedRate(0.5, 0.25, 1.2)
     rates = [0.5, 0.75, 1.0, 1.2]
-    assert len(rule.distinct_intensities) == len(rates)
+    assert len(rule.items) == len(rates)
     assert [int(rule.index_for(j)) for j in (1, 2, 3, 4, 5, 9)] == [0, 1, 2, 3, 3, 3]
     # envelope must cover the cap
     sc = scenario(rb.exponential(1.0), rb.exponential(2.2), rule)
@@ -176,7 +178,7 @@ def test_linear_capped_rule_builds_few_laws(monkeypatch):
 def _rates(rule):
     """The constant hazard of each distinct intensity (0 for the zero intensity)."""
     out = []
-    for m in rule.distinct_intensities:
+    for m in rule.items:
         assert m.breaks.tolist() == [0.0] and m.atom_locs.size == 0
         assert m.coeffs[0, 1:].tolist() == [0.0, 0.0, 0.0]
         out.append(float(m.coeffs[0, 0]))
@@ -195,13 +197,13 @@ def _rates(rule):
 )
 def test_rate_rule_factories(rule, rates, index):
     assert _rates(rule) == rates
-    assert rule.is_iid == (len(rates) == 1)
+    assert rule.period == 1
     assert [int(rule.index_for(j)) for j in (1, 2, 50)] == index
     if rates == [0.0]:
-        assert not rule.distinct_intensities[0].proper  # the zero intensity
+        assert not rule.items[0].proper  # the zero intensity
     if rates == [2.0]:
         expected = rb.exponential(2.0)
-        (got,) = rule.distinct_intensities
+        (got,) = rule.items
         for name in ("breaks", "coeffs", "atom_locs", "atom_weights"):
             assert getattr(got, name).tolist() == getattr(expected, name).tolist()
 
@@ -227,6 +229,30 @@ def test_rate_rule_factories_reject_bad_rates(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "period, index",
+    [
+        (1, [0, 1, 2, 3, 4, 4, 4, 4, 4]),  # repeat-last
+        (2, [0, 1, 2, 3, 4, 3, 4, 3, 4]),  # a lead-in of three, then two in turn
+        (5, [0, 1, 2, 3, 4, 0, 1, 2, 3]),  # cycle
+    ],
+)
+def test_mu_rule_repeats_its_last_period_laws(period, index):
+    rule = rb.MuRule(tuple(rb.exponential(r) for r in (1.0, 2.0, 3.0, 4.0, 5.0)), period)
+    assert [int(rule.index_for(j)) for j in range(1, 10)] == index
+    assert rule.index_for(np.arange(1, 10)).tolist() == index
+
+
+@pytest.mark.parametrize(
+    "items, period",
+    [((), 1), ((rb.zero(),), 0), ((rb.zero(), rb.exponential(1.0)), 3)],
+    ids=["empty", "period-0", "period-past-the-list"],
+)
+def test_mu_rule_rejects_a_shape_it_cannot_index(items, period):
+    with pytest.raises(rb.IntensityError):
+        rb.MuRule(items, period)
+
+
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
 
@@ -238,7 +264,7 @@ def _zero_mu_scenario(name, tmp_path):
     if name == "atoms":
         phi = rb.from_segments([(0.0, [1.0]), (2.0, [0.5, 0.25])], atoms=[(1.0, 0.5)])
         q = rb.from_segments([(0.0, [3.0]), (2.0, [1.0, 0.5])], atoms=[(1.0, 0.75)])
-        mu = rb.CycledIntensities((rb.exponential(1.0), rb.zero()))
+        mu = rb.MuRule((rb.exponential(1.0), rb.zero()), period=2)
         return scenario(phi, q, mu)
     text = {"generalized": GENERALIZED, "minimal": MINIMAL_IID}.get(name)
     path = _PERFBENCH / f"{name}.ini"
@@ -258,7 +284,7 @@ def test_zero_mu_reuses_phi_and_its_cdf(name, tmp_path, monkeypatch):
     from renewal_bounds import scenario as scenario_module
 
     sc = _zero_mu_scenario(name, tmp_path)
-    zeros = [m for m, mu in enumerate(sc.mu_rule.distinct_intensities)
+    zeros = [m for m, mu in enumerate(sc.mu_rule.items)
              if not mu.coeffs.any() and not mu.atom_locs.size]
     assert zeros
     for m in zeros:

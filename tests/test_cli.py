@@ -290,7 +290,7 @@ def test_members_are_read_in_numeric_order(tmp_path):
     members = "".join(f"\n[mu.{k}]\nfamily = exp\nrate = {k}\n" for k in range(10, 0, -1))
     text = MINIMAL_IID.replace("rule = constant-rate\nrate = 0.0", "rule = cycle") + members
     rule = parse_scenario(write(tmp_path, text)).mu_rule
-    assert isinstance(rule, rb.CycledIntensities)
+    assert rule.period == len(rule.items) == 10
     assert [float(mu.coeffs[0, 0]) for mu in rule.items] == [float(k) for k in range(1, 11)]
 
 

@@ -156,6 +156,16 @@ def test_power_erlang3(exp1):
     assert np.max(np.abs(P.values - erlang_cdf(3)(P.grid()))) <= 1e-4
 
 
+def test_convolution_residual_counts_the_mass_its_inputs_left_out(exp1):
+    # Exp(1) on [0, 5] leaves out e^-5 of its mass; a product of total
+    # masses 1 leaves out 1 - values[-1] in all, the Erlang tail at 5:
+    # 6 e^-5 for two terms and 18.5 e^-5 for three
+    A = rb.discretize(exp1, 0.01, 5.0, allow_truncation=True)
+    for G, tail in ((rb.convolve(A, A), 6.0), (rb.convolution_power(A, 3), 18.5)):
+        assert G.truncation_residual == pytest.approx(1.0 - G.values[-1], abs=1e-12)
+        assert G.truncation_residual == pytest.approx(tail * math.exp(-5.0), rel=1e-4)
+
+
 def test_power_one_is_identity(exp1):
     A = rb.discretize(exp1, 0.01, 25.0)
     P = rb.convolution_power(A, 1)

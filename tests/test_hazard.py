@@ -267,7 +267,7 @@ def _one_d_erlang(x):
 
 def _scenario_laws(text):
     sc = _parse_scenario_text(text)
-    return [sc.phi, sc.q, *sc.mu_rule.distinct_intensities,
+    return [sc.phi, sc.q, *sc.mu_rule.items,
             *(F.intensity for F in sc.interval_cdfs)]
 
 
@@ -279,6 +279,9 @@ def _compiled_laws():
         "uniform25": lambda: rb.uniform(2.0, 5.0),
         "weibull1.5": lambda: rb.weibull(1.5),
         "weibull2.5x3": lambda: rb.weibull(2.5, 3.0),
+        "weibull3.7": lambda: rb.weibull(3.7),
+        "cumhaz": lambda: rb.from_cumulative_hazard(
+            lambda x: np.asarray(x) ** 2.5 + 0.3 * np.asarray(x)),
         "erlang2": lambda: rb.intensity_from_cdf(CallableCdf(erlang_cdf(2))),
         "exp+atom": lambda: rb.intensity_from_cdf(exp_with_atom_cdf()),  # a jump
         "one-d": lambda: rb.intensity_from_cdf(CallableCdf(_one_d_erlang)),

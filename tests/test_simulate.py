@@ -50,7 +50,7 @@ def test_interval_min_coupling_rate_sum():
 
 
 def test_interval_law_matches_summed_intensity():
-    mu = rb.CycledIntensities((rb.weibull(2.0, 2.0),))
+    mu = rb.MuRule((rb.weibull(2.0, 2.0),))
     sc = rb.ScenarioConfig(
         phi=rb.exponential(0.5), q=rb.exponential(10.0), mu_rule=mu,
         t_queries=(1.0,), reps=10, seed=17,
@@ -91,7 +91,7 @@ def test_batch_theta_matches_scalar_at_the_mass_edges(mu):
 
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(4.0),
-        mu_rule=rb.RepeatLastIntensities((mu,)), t_queries=(1.0,), reps=1, seed=1,
+        mu_rule=rb.MuRule((mu,)), t_queries=(1.0,), reps=1, seed=1,
     )
     cdf = sc.mu_cdfs[0]
     total = cdf.total_mass()
@@ -146,7 +146,10 @@ def test_ppf_in_place_matches_a_contiguous_copy(phi):
 
 @pytest.mark.parametrize(
     "rule",
-    [rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0))), rb.ConstantRate(2.0)],
+    [
+        rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3),
+        rb.ConstantRate(2.0),
+    ],
     ids=["cycle-with-zero", "constant-rate"],
 )
 def test_theta_in_place_on_a_strip(rule):
@@ -170,7 +173,7 @@ def test_theta_in_place_on_a_strip(rule):
     theta = _theta_in_place(sc, buf[1], j0)
     assert np.shares_memory(theta, buf)
     assert buf[1].tobytes() == want.tobytes()
-    if isinstance(rule, rb.CycledIntensities):  # the zero member: +inf but at u = 0
+    if rule.period == 3:  # the cycle's zero member: +inf but at u = 0
         assert np.all(np.isinf(buf[1, 2::3]))
 
 
@@ -353,7 +356,7 @@ def test_path_matches_scalar_interval_stream(sc_exp):
 
 
 def test_monotone_coupling_of_envelope_draws():
-    mu = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+    mu = rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3)
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=mu,
         t_queries=(5.0,), reps=10, seed=31,
@@ -437,7 +440,7 @@ def test_rows_match_paths_across_strip_heights(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [64, 4096])
-def test_wave_size_is_bounded_at_long_horizons(monkeypatch, chunk):
+def test_strip_size_is_bounded_at_long_horizons(monkeypatch, chunk):
     # at t = 400 each Exp(1) path needs about 400 intervals, 80,000 over the
     # slab; no strip may draw more than the chunk, or one interval per row
     import renewal_bounds.simulate as sim
@@ -628,7 +631,7 @@ def test_estimate_releases_ppf_workspace_when_it_returns_or_raises(monkeypatch, 
 
 
 @pytest.mark.parametrize("case", ["cycle-with-zero", "uniform"])
-def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
+def test_strip_heights_do_not_move_a_bit(monkeypatch, case):
     # a strip's height follows _PPF_CHUNK and its cap _FIRST_BLOCK (a first
     # block of 1 doubles from one interval, one of 2**20 lifts the cap);
     # jump times are running sums per path, so neither changes a sample.
@@ -641,7 +644,7 @@ def test_tiles_and_waves_do_not_move_a_bit(monkeypatch, case):
     if case == "uniform":
         sc = iid_scenario(rb.uniform(0.0, 1.0), reps=30, t_queries=(0.5, 20.0, 70.0), seed=22)
     else:
-        rule = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+        rule = rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3)
         sc = rb.ScenarioConfig(
             phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=rule,
             t_queries=(0.5, 5.0, 100.0), reps=30, seed=21,
@@ -739,7 +742,7 @@ def test_half_width_contract():
 
 
 def test_verify_bound_generalized_scenario():
-    mu = rb.CycledIntensities((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)))
+    mu = rb.MuRule((rb.zero(), rb.exponential(1.0), rb.exponential(2.0)), period=3)
     sc = rb.ScenarioConfig(
         phi=rb.exponential(1.0), q=rb.exponential(3.0), mu_rule=mu,
         t_queries=(1.0, 5.0), reps=4_000, seed=1001,
