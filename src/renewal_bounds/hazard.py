@@ -483,10 +483,10 @@ def _check_u(u):
     return u
 
 
-# draws per ppf chunk, the unit ppf's scratch is sized by, and the intervals
-# of one strip in ``simulate`` over the rows still drawing: a slab's working
-# set scales with it
-_PPF_CHUNK = 1 << 15
+# draws per ppf chunk, the unit ppf's scratch is sized by: a half of one of
+# ``simulate``'s strips (``simulate._STRIP`` draws) is mapped in two chunks,
+# and uniform(0, 1)'s workspace peaks at 2.52 MiB (5.04 MiB at 2**15 draws)
+_PPF_CHUNK = 1 << 14
 _NEWTON_ITERS = 60  # safeguarded-Newton cap, the step count of a full bisection
 _FINISH_STEPS = 64  # cap on the ulp walk that ends a quartic solve
 _ULP = 2.0**-52
@@ -1067,9 +1067,10 @@ class IntensityCdf:
         at ``u > 0.999`` and of tens of thousands at ``u > 1 - 1e-6``.
 
         Draws are processed in chunks of ``_PPF_CHUNK``, and every temporary
-        of a chunk lives in ``_SCRATCH``, one workspace reused across chunks,
-        calls and laws; once it has grown, a call allocates its output and
-        small index lists only.
+        of a chunk (row operands, Newton's buffers, the guard: about 160 B a
+        draw on uniform(0, 1)) lives in ``_SCRATCH``, one workspace reused
+        across chunks, calls and laws; once it has grown, a call allocates
+        its output and small index lists only.
         """
         scalar = np.isscalar(u) or np.ndim(u) == 0
         u = np.asarray(u, dtype=float)
@@ -1079,8 +1080,9 @@ class IntensityCdf:
 
     def _ppf_into(self, u, x) -> None:
         """Write ``ppf(u)`` into ``x``, a C-contiguous float array of ``u``'s
-        shape that may be ``u`` itself, ``_PPF_CHUNK`` draws at a time.
-        ``ppf`` is elementwise, so the chunk size cannot change a result.
+        shape that may be ``u`` itself, in chunks of ``_PPF_CHUNK`` draws:
+        two to the half of a full strip of ``simulate``.  ``ppf`` is
+        elementwise, so the chunk size cannot change a result.
         An ``x`` that is not C-contiguous raises ``ValueError``: its flat
         view would be a copy, and the values would not reach ``x``."""
         if not x.flags.c_contiguous:

@@ -45,11 +45,12 @@ One generator, ``_strips``, draws every interval.  It advances a slab's
 streams one strip at a time: a strip is a run of intervals, the same ones
 for every row still drawing, and a row stops drawing after the strip in
 which its last jump passed the largest query time.  A strip's height is
-``hazard._PPF_CHUNK`` intervals over the rows still drawing, one at least,
-and no more than the rows have drawn so far (``_FIRST_BLOCK`` at first).
-The chunk bounds memory; the cap bounds how far the last rows of a slab
-overshoot, since a row that needs ``k`` intervals draws fewer than
-``k + max(_FIRST_BLOCK, k)``.
+``_STRIP`` intervals over the rows still drawing, one at least, and no
+more than the rows have drawn so far (``_FIRST_BLOCK`` at first).
+``_STRIP`` bounds the tile, and ``ppf`` maps each of its halves in chunks
+of ``hazard._PPF_CHUNK`` draws, two to a full half; the cap bounds how far
+the last rows of a slab overshoot, since a row that needs ``k`` intervals
+draws fewer than ``k + max(_FIRST_BLOCK, k)``.
 
 A strip is drawn into one float64 tile of shape ``(2, n, rows)`` that every
 strip of the slab reuses: half 0 the eta uniforms (stream positions
@@ -109,6 +110,7 @@ __all__ = [
 EVENT_CAP = 100_000_000  # diagnostic guard against zero-length interval loops
 _SLAB = 16_384  # replications per slab, one job of estimate, advanced together strip by strip
 _FIRST_BLOCK = 16  # the cap on the first strips' height; later the cap is what rows drew
+_STRIP = 1 << 15  # intervals per strip over the rows still drawing
 
 
 def path_stream(seed: int, replication: int) -> np.random.Generator:
@@ -462,10 +464,11 @@ def _strips(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
     whose last jump lies beyond ``t_max`` leaves after the strip in which
     it passed ``t_max``, and draws no more.
 
-    A strip is ``hazard._PPF_CHUNK`` intervals over the rows still drawing,
-    one interval row at least, and no taller than what the rows have drawn
+    A strip is ``_STRIP`` intervals over the rows still drawing, one
+    interval row at least, and no taller than what the rows have drawn
     so far (``_FIRST_BLOCK`` at first).  Both halves of the tile from
-    ``streams.draw`` are mapped through their inverses in place, the
+    ``streams.draw`` are mapped through their inverses in place, in ppf
+    chunks of ``hazard._PPF_CHUNK`` draws (two to a full strip's half), the
     interval minimum overwrites half 0, and so does the running sum: each
     row's last jump so far is added to the strip's first interval row and
     ``_running_sum`` runs down the intervals, sequentially per path, so jump
@@ -479,7 +482,7 @@ def _strips(scenario: ScenarioConfig, streams: _SlabStreams, t_max: float):
             raise EventCapExceeded(
                 f"some path exceeded {EVENT_CAP} events before clearing t = {t_max:g}"
             )
-        n = max(1, min(hazard._PPF_CHUNK // rows.size, max(_FIRST_BLOCK, j0 - 1)))
+        n = max(1, min(_STRIP // rows.size, max(_FIRST_BLOCK, j0 - 1)))
         tile = streams.draw(n)
         _ppf_in_place(scenario.eta_cdf, tile[0])
         _theta_in_place(scenario, tile[1], j0)
@@ -552,6 +555,16 @@ def _slab_stats(
     return np.subtract(queries, last_le, out=last_le), np.subtract(next_gt, queries, out=next_gt)
 
 
+def _var_in_place(S: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``np.var(S, axis=0, ddof=1)`` bit for bit, given ``S.mean(axis=0)``,
+    with ``S`` as its workspace: numpy's steps in numpy's order (``S``
+    minus the mean, squared, summed down axis 0, divided by ``len(S) - 1``)
+    and no array of ``S``'s size.  ``S`` is left holding the squares."""
+    np.subtract(S, mean, out=S)
+    np.square(S, out=S)
+    return S.sum(axis=0) / (S.shape[0] - 1)
+
+
 def _slab_worker(args) -> tuple[int, np.ndarray, np.ndarray]:
     scenario, r0, r1 = args
     b, w = _slab_stats(scenario, r0, r1)
@@ -594,12 +607,14 @@ def estimate(
     the reduction is a single pass over the full array.
 
     Memory is the samples ``B`` and ``W`` (``reps x queries`` each) plus
-    one slab's working set, or, while the variances are taken, one more
-    array of ``B``'s size.  A slab's working set is its streams' limbs, one
-    strip's tile of about ``hazard._PPF_CHUNK`` intervals, and ``ppf``'s
-    workspace (``hazard._SCRATCH``).  In one process each slab writes its
-    times straight into its rows of ``B`` and ``W``, and the workspace is
-    released once the slabs are done, or when one raises.
+    one slab's working set: its streams' limbs, one strip's tile of about
+    ``_STRIP`` intervals, and ``ppf``'s workspace (``hazard._SCRATCH``;
+    2.52 MiB for a ppf chunk on uniform(0, 1), and exp-cycle's 1.0 MiB is
+    the ladder's).  In one process each slab writes its times into its rows
+    of ``B`` and ``W``, and the workspace is released once the slabs are
+    done, or when one raises.  Each variance is taken in its samples' own
+    storage (``_var_in_place``), or, with ``keep_samples``, in a copy: one
+    more array of ``B``'s size.
     """
     reps = scenario.reps
     nq = len(scenario.t_queries)
@@ -626,8 +641,8 @@ def estimate(
     if reps > 1:
         # an infinite time (only under an assumption override) gives a nan variance
         with np.errstate(invalid="ignore"):
-            var_b = B.var(axis=0, ddof=1)
-            var_w = W.var(axis=0, ddof=1)
+            var_b = _var_in_place(B.copy() if keep_samples else B, mean_b)
+            var_w = _var_in_place(W.copy() if keep_samples else W, mean_w)
     else:
         var_b = np.zeros(nq)
         var_w = np.zeros(nq)

@@ -28,12 +28,14 @@ def test_layer_calls_resolve():
 
 @pytest.mark.parametrize(
     "kind, extra, key",
-    [("setup", [], "setup_s"), ("slab", ["1"], "simulate.slab_peak_mb")],
-    ids=["setup", "slab"],
+    [("setup", [], "setup_s"), ("slab", ["1"], "simulate.slab_peak_mb"),
+     ("probe", ["1"], "hazard.ppf_ns_per_draw")],
+    ids=["setup", "slab", "probe"],
 )
 def test_child_runs_on_a_scenario(kind, extra, key):
     # the children read names of the package that no command may use (slab
-    # compiles ScenarioConfig.zeta_var and mu_cdfs); deleting one must fail here
+    # compiles ScenarioConfig.zeta_var and mu_cdfs); deleting one must fail
+    # here.  probe drives ppf through its chunk loop on a million draws
     root = CHILD.parents[1]
     scenario = root / "perfbench" / "scenarios" / "tail-exp-cycle.ini"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}

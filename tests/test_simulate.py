@@ -290,9 +290,9 @@ def test_ladder_blocks_draw_like_path_stream(monkeypatch, case):
     # per row, one at least: _LADDER // 4 rows are the most that take blocks
     # of two intervals.  Odd strips end in a short block, rows that leave
     # strip by strip change the block from strip to strip, and one row
-    # draws a strip past two ppf chunks in blocks of _LADDER // 2 intervals
+    # draws a strip of _STRIP + 5 intervals in blocks of _LADDER // 2
+    # intervals, two full and one of 5
     import renewal_bounds.simulate as sim
-    from renewal_bounds import hazard
 
     seed, r0, heights, leave = 2**40 + 3, 16380, (16, 32), None
     if case.startswith("switch"):
@@ -305,7 +305,7 @@ def test_ladder_blocks_draw_like_path_stream(monkeypatch, case):
         rows, heights = 12, (5, 5, 5, 1, 6, 6, 7, 8, 10, 12, 16, 32, 40, 64)
         leave = lambda rows: np.arange(rows.size) == (rows.size // 2 if rows.size > 3 else -1)
     else:
-        rows, heights = 1, (16, hazard._PPF_CHUNK + 5)
+        rows, heights = 1, (16, sim._STRIP + 5)
     drawn = _drawn(sim._slab_streams(seed, r0, r0 + rows), heights, leave)
     sizes = {u.size for u in drawn.values()}
     if leave is None:
@@ -395,6 +395,34 @@ def test_estimate_same_seed_identical():
     assert np.array_equal(t1.mean_forward, t2.mean_forward)
 
 
+@pytest.mark.parametrize("case", ["one-query", "several-queries", "improper-phi"])
+def test_estimate_variance_is_np_var_of_its_samples(case):
+    # without keep_samples, estimate takes each variance in B's or W's own
+    # storage, with np.var's steps in np.var's order: the same bits whether
+    # numpy sums one query column pairwise or several row by row.  An
+    # improper phi (hazard 1 on [0, 1), then 0) gives some paths a +inf
+    # forward time and the variance nan, and no RuntimeWarning escapes
+    phi, t_queries = rb.exponential(1.0), (1.0, 5.0, 10.0)
+    if case == "one-query":
+        t_queries = (5.0,)
+    elif case == "improper-phi":
+        phi = rb.from_segments([(0.0, [1.0]), (1.0, [0.0])], require_proper=False)
+    sc = iid_scenario(phi, reps=3000, t_queries=t_queries, seed=5)
+    kept = rb.estimate(sc, keep_samples=True)
+    table = rb.estimate(sc)
+    for side in ("backward", "forward"):
+        with np.errstate(invalid="ignore"):
+            want = np.var(getattr(kept, f"samples_{side}"), axis=0, ddof=1)
+        assert getattr(kept, f"var_{side}").tobytes() == want.tobytes()
+        for name in ("mean", "var", "half"):
+            key = f"{name}_{side}"
+            assert getattr(table, key).tobytes() == getattr(kept, key).tobytes(), key
+    assert table.samples_backward is None and table.samples_forward is None
+    if case == "improper-phi":
+        assert np.isinf(kept.samples_forward).any() and np.isfinite(kept.samples_forward).any()
+        assert np.isnan(table.var_forward).all() and np.isfinite(table.var_backward).all()
+
+
 @pytest.mark.parametrize("seed", [12345, 0, 2**32, 2**64 - 1])
 def test_estimate_rows_match_individual_paths(seed):
     sc = iid_scenario(rb.exponential(1.0), reps=40, seed=seed)
@@ -406,18 +434,17 @@ def test_estimate_rows_match_individual_paths(seed):
 
 
 def test_rows_match_paths_across_strip_heights(monkeypatch):
-    # a first block of 4 and a chunk of 40 intervals make a slab of 40 rows
+    # a first block of 4 and a strip of 40 intervals make a slab of 40 rows
     # advance one interval per strip, and a single path at t = 60 take
     # strips of 4, 4, 8, 16, 32, 40, ...; jump times are the running sum of
     # each path's intervals, so rows, paths, the scalar stream and the
     # default strips agree bit for bit
     import renewal_bounds.simulate as sim
-    from renewal_bounds import hazard
 
     sc = iid_scenario(rb.exponential(1.0), reps=40, t_queries=(1.0, 30.0, 60.0), seed=8)
     default = rb.estimate(sc, keep_samples=True)
     monkeypatch.setattr(sim, "_FIRST_BLOCK", 4)
-    monkeypatch.setattr(hazard, "_PPF_CHUNK", 40)
+    monkeypatch.setattr(sim, "_STRIP", 40)
     table = rb.estimate(sc, keep_samples=True)
     for name in ("samples_backward", "samples_forward"):
         assert getattr(table, name).tobytes() == getattr(default, name).tobytes()
@@ -439,31 +466,29 @@ def test_rows_match_paths_across_strip_heights(monkeypatch):
         assert getattr(split, name).tobytes() == getattr(default, name).tobytes()
 
 
-@pytest.mark.parametrize("chunk", [64, 4096])
-def test_strip_size_is_bounded_at_long_horizons(monkeypatch, chunk):
+@pytest.mark.parametrize("strip", [64, 4096])
+def test_strip_size_is_bounded_at_long_horizons(monkeypatch, strip):
     # at t = 400 each Exp(1) path needs about 400 intervals, 80,000 over the
-    # slab; no strip may draw more than the chunk, or one interval per row
+    # slab; no strip may draw more than _STRIP, or one interval per row
     import renewal_bounds.simulate as sim
-    from renewal_bounds import hazard
 
-    monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
+    monkeypatch.setattr(sim, "_STRIP", strip)
     sc = iid_scenario(rb.exponential(1.0), reps=200, t_queries=(400.0,), seed=3)
     drawn = 0
     for rows, times in sim._strips(sc, sim._slab_streams(sc.seed, 0, sc.reps), 400.0):
-        assert times.size <= max(chunk, rows.size)
+        assert times.size <= max(strip, rows.size)
         drawn += times.size
-    assert drawn >= 10 * chunk
+    assert drawn >= 10 * strip
 
 
 def test_rows_leave_after_the_strip_that_passes_t_max(monkeypatch):
-    # a 2,048-interval chunk over 400 rows makes strips of 5 intervals.  A
-    # row whose last jump passed t_max is in no later strip, every row short
-    # of it is in the next strip, and each strip is the chunk over the rows
-    # still drawing, no taller than what they drew (16 at first)
+    # a 2,048-interval strip over 400 rows is 5 intervals tall.  A row
+    # whose last jump passed t_max is in no later strip, every row short of
+    # it is in the next strip, and each strip is _STRIP over the rows still
+    # drawing, no taller than what they drew (16 at first)
     import renewal_bounds.simulate as sim
-    from renewal_bounds import hazard
 
-    monkeypatch.setattr(hazard, "_PPF_CHUNK", 2048)
+    monkeypatch.setattr(sim, "_STRIP", 2048)
     sc = iid_scenario(rb.exponential(1.0), reps=400, t_queries=(100.0,), seed=6)
     streams = sim._slab_streams(sc.seed, 0, sc.reps)
     passed, waiting, heights = set(), list(range(sc.reps)), []
@@ -471,7 +496,7 @@ def test_rows_leave_after_the_strip_that_passes_t_max(monkeypatch):
     for rows, times in sim._strips(sc, streams, 100.0):
         assert rows.tolist() == waiting and len(streams) == rows.size
         n = times.shape[0]
-        assert n == max(1, min(hazard._PPF_CHUNK // rows.size, max(sim._FIRST_BLOCK, j0 - 1)))
+        assert n == max(1, min(sim._STRIP // rows.size, max(sim._FIRST_BLOCK, j0 - 1)))
         heights.append(n)
         j0 += n
         done = times[-1] > 100.0
@@ -531,7 +556,7 @@ def test_uniform_t50_slab_draws_at_most_104_5_intervals_per_rep():
 
 def test_tail_exp_cycle_slab_draws_at_most_40_5_intervals_per_rep():
     # the tail-exp-cycle workload's scenario on its one 4,000-row slab: the
-    # chunk over fewer rows makes taller strips, so rows overshoot more
+    # strip over fewer rows is taller, so rows overshoot more
     # than on a full slab
     import renewal_bounds.simulate as sim
     from renewal_bounds.cli import load_scenario
@@ -545,25 +570,29 @@ def test_tail_exp_cycle_slab_draws_at_most_40_5_intervals_per_rep():
     assert drawn <= 40.5 * rows, drawn / rows
 
 
-@pytest.mark.parametrize("chunk", [1 << 15, 1 << 17])
-def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, chunk):
+@pytest.mark.parametrize("strip", [1 << 15, 1 << 17])
+def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, strip):
     # one full slab of the verify-uniform-t50 scenario: 16,384 rows at t = 50.
-    # It is drawn, mapped and summed one strip of about _PPF_CHUNK
-    # intervals at a time, and ppf's temporaries live in one workspace,
-    # here a fresh one, so its growth is counted.  The peak follows the
-    # chunk, not what the slab draws: waves of up to 2**20 intervals in one
-    # (2, block, rows) buffer peaked at 26 MiB (7.9 MiB at the default chunk)
+    # It is drawn, mapped and summed one strip of about _STRIP intervals at
+    # a time, each half in ppf chunks of _PPF_CHUNK draws (scaled with the
+    # strip), and ppf's temporaries live in one workspace, here a fresh one,
+    # so its growth is counted.  The peak follows the strip and the chunk,
+    # not what the slab draws: waves of up to 2**20 intervals in one
+    # (2, block, rows) buffer peaked at 26 MiB (7.9 MiB at the default
+    # chunk), and one ppf chunk to a strip half at 8.0 MiB at the default
+    # strip (28.1 MiB at 2**17)
     import tracemalloc
 
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
-    monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
+    monkeypatch.setattr(hazard, "_PPF_CHUNK", hazard._PPF_CHUNK * strip // sim._STRIP)
+    monkeypatch.setattr(sim, "_STRIP", strip)
     monkeypatch.setattr(hazard, "_SCRATCH", hazard._Scratch())
     uni = rb.uniform(0.0, 1.0)
     sc = iid_scenario(uni, reps=16_384, t_queries=(50.0,), seed=4242)
     sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
-    bound = 12 * 2**20 * chunk // (1 << 15)
+    bound = 13 * 2**19 * strip // (1 << 15)  # 6.5 MiB at the default strip
     tracemalloc.start()
     try:
         sim._slab_stats(sc, 0, sc.reps)
@@ -573,12 +602,12 @@ def test_slab_memory_is_bounded_by_a_ppf_chunk(monkeypatch, chunk):
     assert peak <= bound, f"slab peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
-def test_estimate_memory_at_dense_t_is_its_samples_and_one_temporary(monkeypatch):
+def test_estimate_memory_at_dense_t_is_its_samples(monkeypatch):
     # 10,000 reps of the verify-exp-cycle scenario at 200 query times in
     # slabs of 5,000: each slab writes its times into its rows of B and W,
-    # and var's temporary is one array of B's size.  A slab's own
+    # and each variance is taken in B's or W's own storage.  A slab's own
     # last_le/next_gt pair, kept alive beside the next slab's, peaked at
-    # 63.7 MiB here
+    # 63.7 MiB here, and np.var's temporary of B's size at 45.9 MiB
     import tracemalloc
     from dataclasses import replace
 
@@ -592,7 +621,7 @@ def test_estimate_memory_at_dense_t_is_its_samples_and_one_temporary(monkeypatch
     sc = replace(load_scenario(path)[0], reps=10_000, t_queries=tuple(0.1 * k for k in range(1, 201)))
     sc.eta_cdf, sc.mu_cdfs  # compiled before tracing
     samples = sc.reps * len(sc.t_queries) * 8
-    bound = 3 * samples + 4 * 2**20
+    bound = 2 * samples + 6 * 2**20
     tracemalloc.start()
     try:
         rb.estimate(sc)
@@ -632,12 +661,15 @@ def test_estimate_releases_ppf_workspace_when_it_returns_or_raises(monkeypatch, 
 
 @pytest.mark.parametrize("case", ["cycle-with-zero", "uniform"])
 def test_strip_heights_do_not_move_a_bit(monkeypatch, case):
-    # a strip's height follows _PPF_CHUNK and its cap _FIRST_BLOCK (a first
+    # a strip's height follows _STRIP and its cap _FIRST_BLOCK (a first
     # block of 1 doubles from one interval, one of 2**20 lifts the cap);
     # jump times are running sums per path, so neither changes a sample.
     # Both scenarios run most paths past 112 intervals (224 positions), and
-    # a 7-interval chunk draws them in strips of one interval; the cycle's
-    # zero member maps its uniforms to +inf
+    # a 7-interval strip draws them in strips of one interval.  ppf is
+    # elementwise, so a ppf chunk of 7 draws, which splits each half of a
+    # default strip across chunks (up to 128 intervals tall from a first
+    # block of 1), changes none either; the cycle's zero member maps its
+    # uniforms to +inf
     import renewal_bounds.simulate as sim
     from renewal_bounds import hazard
 
@@ -650,16 +682,18 @@ def test_strip_heights_do_not_move_a_bit(monkeypatch, case):
             t_queries=(0.5, 5.0, 100.0), reps=30, seed=21,
         )
     runs = {}
-    for chunk in (7, hazard._PPF_CHUNK):
-        for first in (1, 1 << 20):
-            monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
-            monkeypatch.setattr(sim, "_FIRST_BLOCK", first)
-            table = rb.estimate(sc, keep_samples=True)
-            b, w = sim._slab_stats(sc, 0, sc.reps)
-            assert b.tobytes() == table.samples_backward.tobytes()
-            assert w.tobytes() == table.samples_forward.tobytes()
-            runs[chunk, first] = b.tobytes() + w.tobytes()
-            monkeypatch.undo()
+    default = sim._STRIP, hazard._PPF_CHUNK
+    cases = [(s, default[1], f) for s in (7, default[0]) for f in (1, 1 << 20)] + [(default[0], 7, 1)]
+    for strip, chunk, first in cases:
+        monkeypatch.setattr(sim, "_STRIP", strip)
+        monkeypatch.setattr(hazard, "_PPF_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_FIRST_BLOCK", first)
+        table = rb.estimate(sc, keep_samples=True)
+        b, w = sim._slab_stats(sc, 0, sc.reps)
+        assert b.tobytes() == table.samples_backward.tobytes()
+        assert w.tobytes() == table.samples_forward.tobytes()
+        runs[strip, chunk, first] = b.tobytes() + w.tobytes()
+        monkeypatch.undo()
     assert len(set(runs.values())) == 1, runs.keys()
     events = []
     for r in range(sc.reps):
