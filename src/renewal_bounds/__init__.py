@@ -61,7 +61,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "BoundReport",
-        "DominanceVerdict",
+        "Claim",
         "EstimateTable",
         "RenewalPath",
         "estimate",

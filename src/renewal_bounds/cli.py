@@ -47,11 +47,16 @@ key or a section given twice; each is reported at its line.
 
 Subcommands: ``check`` (assumption report), ``bound`` (moments and bounds,
 no simulation), ``simulate`` (estimates only), ``verify`` (bounds +
-simulation + dominance verdicts), ``tail`` (the backward-time tail
-formula, not a proved bound, against the empirical tail), ``renewal``
-(renewal function of the envelope).
-Exit status is 0 iff every requested verdict passes; a failed verdict
-exits 1, and errors exit 2 with a machine-readable JSON record on stderr (a
+simulation + one claim per bound, mean and query time), ``tail`` (the
+backward-time tail formula, not a proved bound, against the empirical tail:
+one claim per query time), ``renewal`` (renewal function of the envelope).
+A claim is one row of the report (``verdicts.claims`` for ``verify``,
+``tail`` for ``tail``): its ``quantity`` and bound ``name``, ``t``, the
+``points`` checked, ``max_gap`` (the largest estimate minus bound) and
+``dominates``, decided by one rule, ``simulate._judge``.
+Exit status is 0 iff every requested verdict passes: ``check`` exits 1 on a
+failed condition, and ``verify`` and ``tail`` exit 1 exactly when a claim
+fails; errors exit 2 with a machine-readable JSON record on stderr (a
 flag value the scenario cannot take, such as ``--reps 0`` or
 ``--workers 0``, is a ``UsageError``).  ``simulate``, ``verify``
 and ``tail`` refuse a scenario that fails an assumption check (exit 2,
@@ -124,7 +129,7 @@ from .scenario import (
     ScenarioConfig,
     _query_times,
 )
-from .simulate import _assumption_gate, _bounds, _dominates, estimate, verify_bound
+from .simulate import _assumption_gate, _bounds, _judge, estimate, verify_bound
 
 __all__ = ["parse_scenario", "load_scenario", "run", "main", "OutputOptions", "ReportBundle"]
 
@@ -503,6 +508,7 @@ def run(
     }
     want_csv = "csv" in out_opts.formats
     want_json = "json" in out_opts.formats
+    claims = None
 
     if command == "check":
         report = check_assumptions(scenario)
@@ -526,17 +532,13 @@ def run(
         payload["assumption_override"] = report.assumption_override
         payload.update(_bound_blocks(report))
         payload["estimates"] = _estimates_payload(report.table)
-        payload["verdicts"] = {
-            "all_pass": report.all_pass,
-            "per_t": [asdict(v) for v in report.verdicts],
-        }
+        claims = report.claims
+        payload["verdicts"] = {"all_pass": report.all_pass, "claims": [asdict(c) for c in claims]}
         if want_csv:
             _emit_estimates_csv(bundle, directory, report.table)
-        bundle.exit_code = 0 if report.all_pass else 1
 
     elif command == "tail":
-        payload.update(_tail_command(scenario, directory, bundle, workers, force, want_csv))
-        bundle.exit_code = 0 if all(entry["dominates"] for entry in payload["tail"]) else 1
+        claims = _tail_command(scenario, directory, bundle, workers, force, want_csv, payload)
 
     elif command == "renewal":
         H, payload["renewal"] = _renewal(scenario)
@@ -545,6 +547,8 @@ def run(
             _write_csv(path, ["s", "H"], zip(H.grid(), H.values))
             bundle.files["renewal.csv"] = path
 
+    if claims is not None:
+        bundle.exit_code = 0 if all(claim.dominates for claim in claims) else 1
     if want_json:
         path = directory / "report.json"
         _write_json(path, payload)
@@ -629,12 +633,13 @@ def _renewal(scenario: ScenarioConfig):
     return H, diagnostics
 
 
-def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict:
+def _tail_command(scenario, directory, bundle, workers, force, want_csv, payload) -> list:
+    """Write the tail CSVs and the report's blocks; return one claim per query time."""
     report = _assumption_gate(scenario, force)
-    H, diagnostics = _renewal(scenario)
+    H, payload["renewal"] = _renewal(scenario)
     h = H.step
     table = estimate(scenario, workers=workers, keep_samples=True)
-    payload = {"tail": [], "renewal": diagnostics}
+    claims = []
     for qi, t in enumerate(scenario.t_queries):
         n_pts = int(math.floor(t / h + 1e-9)) + 1
         stride = max(1, (n_pts - 1) // 2000) if n_pts > 1 else 1
@@ -651,16 +656,10 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv) -> dict
             path = directory / name
             _write_csv(path, ["x", "upper_bound", "empirical", "se"], zip(xs, ub, emp, se))
             bundle.files[name] = path
-        payload["tail"].append(
-            {
-                "t": t,
-                "points": len(xs),
-                "max_gap": float(np.max(emp - ub)),
-                "dominates": bool(np.all(_dominates(ub, emp, se))),
-            }
-        )
+        claims.append(_judge("tail_B", "backward_tail", t, ub, emp, se))
+    payload["tail"] = [asdict(c) for c in claims]
     payload["assumptions"] = report.as_dict()
-    return payload
+    return claims
 
 
 # ---------------------------------------------------------------------------

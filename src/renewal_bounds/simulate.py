@@ -76,9 +76,12 @@ the one-stream case, which keeps the jumps.
 
 ``verify_bound``, and the CLI's ``simulate``, ``verify`` and ``tail``, pass
 through one assumption gate, ``_assumption_gate``; the moments and bounds of
-a scenario come from one place, ``_bounds``.  Whether a bound covers a Monte
-Carlo mean is decided by one rule, ``_dominates``: ``verify_bound`` applies
-it to the backward and the forward time, and ``tail`` to each tail point.
+a scenario come from one place, ``_bounds``.  Every verdict is a
+:class:`Claim`, one bound against one Monte Carlo estimate at one query
+time, and one rule, ``_judge``, decides it: ``verify_bound`` gives a claim
+per (bound, ``mean_B`` or ``mean_W``, t), and ``tail`` a ``tail_B`` claim
+per t over its x grid.  Each of the two commands exits 1 exactly when one of
+its claims fails.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ __all__ = [
     "EVENT_CAP",
     "RenewalPath",
     "EstimateTable",
-    "DominanceVerdict",
+    "Claim",
     "BoundReport",
     "path_stream",
     "generate_interval",
@@ -663,20 +666,32 @@ def estimate(
 
 
 @dataclass(frozen=True)
-class DominanceVerdict:
-    """Whether the bounds cover the Monte Carlo means at one query time.
+class Claim:
+    """One bound against one Monte Carlo estimate at one query time.
 
-    ``classical_ok`` is None when the scenario has no classical bound.
+    ``quantity`` names what is bounded (``mean_B``, ``mean_W`` or ``tail_B``)
+    and ``name`` the bound (``generalized``, ``classical`` or
+    ``backward_tail``).  ``points`` counts where the bound was checked: 1 for
+    a mean, the x grid for a tail.  ``max_gap`` is the largest estimate minus
+    bound over those points, negative where the bound lies above every
+    estimate, and ``dominates`` is ``_judge``'s verdict.
     """
 
+    quantity: str
+    name: str
     t: float
-    generalized_ok: bool
-    classical_ok: bool | None = None
+    points: int
+    max_gap: float
+    dominates: bool
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Moments, bound values, Monte Carlo estimates, and dominance verdicts."""
+    """Moments, bound values, Monte Carlo estimates, and the claims they decide.
+
+    ``claims`` holds one :class:`Claim` per (bound, quantity, query time);
+    ``all_pass`` is whether every one of them dominates.
+    """
 
     e_eta: float
     e_eta2: float
@@ -684,21 +699,25 @@ class BoundReport:
     generalized: float
     classical: float | None
     table: EstimateTable | None = None
-    verdicts: tuple[DominanceVerdict, ...] = ()
+    claims: tuple[Claim, ...] = ()
     assumptions: AssumptionReport | None = None
     assumption_override: bool = False
 
     @property
     def all_pass(self) -> bool:
-        return all(
-            v.generalized_ok and (v.classical_ok is not False) for v in self.verdicts
-        )
+        return all(claim.dominates for claim in self.claims)
 
 
-def _dominates(bound, mean, se):
-    """The verdict rule: ``bound >= mean - 3 se``, pointwise.  A NaN mean or
-    se (an estimate that diverged under an assumption override) fails."""
-    return bound >= mean - 3.0 * se
+def _judge(quantity: str, name: str, t: float, bound, estimate, se) -> Claim:
+    """The verdict rule: ``bound >= estimate - 3 se`` at every point.
+
+    ``bound``, ``estimate`` and ``se`` are scalars or arrays over the
+    claim's points.  A NaN estimate or se (an estimate that diverged under an
+    assumption override) fails.
+    """
+    gap = np.subtract(estimate, bound)
+    holds = np.all(bound >= estimate - 3.0 * se)
+    return Claim(quantity, name, t, gap.size, float(np.max(gap)), bool(holds))
 
 
 def _assumption_gate(scenario: ScenarioConfig, override: bool) -> AssumptionReport:
@@ -714,7 +733,7 @@ def _assumption_gate(scenario: ScenarioConfig, override: bool) -> AssumptionRepo
 
 
 def _bounds(scenario: ScenarioConfig) -> BoundReport:
-    """Moments and bounds of a scenario, without estimates or verdicts.
+    """Moments and bounds of a scenario, without estimates or claims.
 
     The classical bound is computed only when the scenario is i.i.d.
     """
@@ -736,27 +755,27 @@ def verify_bound(
     """Compute the envelope bound and verify it dominates the MC estimates.
 
     Requires the assumption checks to pass unless ``override_assumptions``
-    is set (the override is recorded in the report).  Per query, the bound
-    must dominate both estimated means (``_dominates``); the classical bound
-    is included (and checked) when the scenario is i.i.d.
+    is set (the override is recorded in the report).  The report's claims are
+    one per (bound, quantity, query time): the generalized bound, and the
+    classical bound when the scenario is i.i.d., each against the mean
+    backward time (``mean_B``) and the mean forward time (``mean_W``).
     """
     report = _assumption_gate(scenario, override_assumptions)
     bounds = _bounds(scenario)
     table = estimate(scenario, workers=workers)
-    se_b, se_w = table.se_backward(), table.se_forward()
-
-    def covers(bound) -> list:
-        if bound is None:
-            return [None] * se_b.size
-        return (_dominates(bound, table.mean_backward, se_b)
-                & _dominates(bound, table.mean_forward, se_w)).tolist()
-
-    verdicts = tuple(map(DominanceVerdict, scenario.t_queries,
-                         covers(bounds.generalized), covers(bounds.classical)))
+    means = (("mean_B", table.mean_backward, table.se_backward()),
+             ("mean_W", table.mean_forward, table.se_forward()))
+    claims = tuple(
+        _judge(quantity, name, t, bound, mean[i], se[i])
+        for name, bound in (("generalized", bounds.generalized), ("classical", bounds.classical))
+        if bound is not None
+        for quantity, mean, se in means
+        for i, t in enumerate(scenario.t_queries)
+    )
     return replace(
         bounds,
         table=table,
-        verdicts=verdicts,
+        claims=claims,
         assumptions=report,
         assumption_override=override_assumptions and not report.all_pass,
     )

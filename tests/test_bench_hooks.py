@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+RUN = CHILD.with_name("run.py")
 
 
 def test_layer_calls_resolve():
@@ -43,3 +44,20 @@ def test_child_runs_on_a_scenario(kind, extra, key):
     done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert key in json.loads(done.stdout.splitlines()[-1])
+
+
+def test_workload_oracles_pass_on_their_scenarios(tmp_path, monkeypatch):
+    # each workload's command at its scenario file's own reps and seed: a
+    # report key that an oracle reads cannot move without failing here
+    from renewal_bounds.cli import main
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its @dataclass looks the module up
+    spec.loader.exec_module(bench)
+    assert bench.WORKLOADS
+    for name, workload in bench.WORKLOADS.items():
+        scenario = RUN.parent / "scenarios" / f"{name}.ini"
+        out = tmp_path / name
+        assert main([workload.command, str(scenario), "--out", str(out)]) == 0, name
+        assert workload.oracle(json.loads((out / "report.json").read_text())) == [], name

@@ -307,6 +307,18 @@ def test_verify_generalized_scenario(tmp_path):
     assert report["bounds"]["generalized"] == pytest.approx(4.0, abs=1e-12)
     assert report["verdicts"]["all_pass"] is True
     assert report["assumptions"]["all_pass"] is True
+    # not i.i.d.: one generalized claim per (mean, t), and no classical one;
+    # each margin is the reported mean minus the bound, bit for bit
+    claims = report["verdicts"]["claims"]
+    means = {"mean_B": "mean_backward", "mean_W": "mean_forward"}
+    expected = [
+        (quantity, "generalized", row["t"], 1, row[key] - report["bounds"]["generalized"])
+        for quantity, key in means.items()
+        for row in report["estimates"]
+    ]
+    assert [(c["quantity"], c["name"], c["t"], c["points"], c["max_gap"]) for c in claims] == expected
+    assert len(claims) == 8
+    assert report["verdicts"]["all_pass"] is all(c["dominates"] for c in claims)
     csv = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
     assert csv[0] == "t,meanB,ciB,meanW,ciW"
     assert len(csv) == 1 + 4
@@ -484,6 +496,9 @@ def test_tail_command(tmp_path):
     header = f.read_text().splitlines()[0]
     assert header == "x,upper_bound,empirical,se"
     assert all(entry["dominates"] for entry in bundle.report["tail"])
+    assert {(entry["quantity"], entry["name"]) for entry in bundle.report["tail"]} == {
+        ("tail_B", "backward_tail")
+    }
     numerics = bundle.report["renewal"]
     assert set(numerics) == {"equation_residual", "nodes", "snap_error", "truncation_residual"}
     assert numerics["nodes"] == 3001  # step 0.01, horizon 30
@@ -519,6 +534,24 @@ def test_tail_exits_1_when_a_curve_does_not_dominate(tmp_path, monkeypatch):
     path = write(tmp_path, GENERALIZED)
     bundle = run("tail", path, out_dir=tmp_path / "out", reps=800)
     assert not all(entry["dominates"] for entry in bundle.report["tail"])
+    assert bundle.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "text, patched, rows",
+    [(GENERALIZED, "generalized_bound", {("generalized", False)}),
+     (MINIMAL_IID, "lorden_classical_bound", {("generalized", True), ("classical", False)})],
+    ids=["generalized", "classical"],
+)
+def test_verify_exits_1_when_a_bound_does_not_dominate(tmp_path, monkeypatch, text, patched, rows):
+    # a zero bound lies below every mean, so each of its claims fails and
+    # decides the exit code; a scenario that is not i.i.d. has no classical row
+    monkeypatch.setattr(f"renewal_bounds.simulate.{patched}", lambda *cdfs: 0.0)
+    bundle = run("verify", write(tmp_path, text), out_dir=tmp_path / "out")
+    verdicts = bundle.report["verdicts"]
+    assert {(c["name"], c["dominates"]) for c in verdicts["claims"]} == rows
+    assert len(verdicts["claims"]) == 2 * len(rows) * len(bundle.report["estimates"])
+    assert verdicts["all_pass"] is False
     assert bundle.exit_code == 1
 
 

@@ -820,6 +820,27 @@ def test_verify_bound_requires_assumptions_or_override():
     assert not report.assumptions.all_pass
 
 
+def test_judge_is_the_one_rule_on_scalars_and_arrays():
+    from renewal_bounds.simulate import _judge
+
+    # 1 - 3 * 0.25 is 0.25 exactly: a bound equal to estimate - 3 se holds
+    claim = _judge("mean_B", "generalized", 2.0, 0.25, 1.0, 0.25)
+    assert claim == rb.Claim("mean_B", "generalized", 2.0, 1, 0.75, True)
+    assert type(claim.max_gap) is float and type(claim.dominates) is bool
+    assert not _judge("mean_B", "generalized", 2.0, np.nextafter(0.25, 0.0), 1.0, 0.25).dominates
+
+    estimate, se = np.array([1.0, 0.5, 0.2]), np.array([0.25, 0.0, 0.01])
+    bound = np.array([0.25, 0.5, 0.3])
+    claim = _judge("tail_B", "backward_tail", 2.0, bound, estimate, se)
+    assert (claim.points, claim.max_gap, claim.dominates) == (3, float(np.max(estimate - bound)), True)
+    bound[0] = np.nextafter(0.25, 0.0)  # one point below the rule fails the claim
+    assert not _judge("tail_B", "backward_tail", 2.0, bound, estimate, se).dominates
+
+    # a diverged estimate, or its se, fails
+    assert not _judge("mean_W", "generalized", 1.0, 4.0, np.nan, 0.1).dominates
+    assert not _judge("mean_W", "generalized", 1.0, 4.0, 0.5, np.nan).dominates
+
+
 def test_event_cap_guard(monkeypatch):
     # an atom at 0 with huge weight makes zero-length intervals dominate;
     # the diagnostic cap must fire rather than loop forever (lowered here so
