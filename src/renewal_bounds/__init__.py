@@ -2,89 +2,41 @@
 distribution arithmetic, Lorden-type overshoot bounds, and reproducible
 Monte Carlo verification.
 
-A public name loads its submodule on first use (PEP 562), so importing the
-package loads no numpy.  ``renewal_bounds.cli`` relies on that: it pins
-numpy's BLAS to one thread before its own first numpy import.
+The package re-exports the ``__all__`` of six submodules, listed once in
+``_MODULES`` in import order; ``cli`` and ``poly`` are not re-exported.
+A name is looked up on first use (PEP 562) in each of those ``__all__`` in
+turn, and then cached here.  Importing the package therefore loads no numpy,
+but a lookup imports every module up to the one that owns the name: a
+``gridcalc`` name imports ``scenario`` as well, and only names from
+``errors`` load no numpy.  ``__all__`` and ``dir()`` import all six, and
+so does a name that none of them exports.  A name that is a left-out
+submodule is not looked up, so ``from renewal_bounds import cli`` loads no
+numpy before ``cli`` pins numpy's BLAS to one thread.
 """
 
 import importlib
+from importlib.machinery import PathFinder
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines; the package re-exports exactly these
-_EXPORTS = {
-    "assumptions": ("AssumptionReport", "ConditionVerdict", "check_assumptions"),
-    "errors": (
-        "AssumptionFailure",
-        "DistributionError",
-        "DivergentMomentError",
-        "EventCapExceeded",
-        "GridError",
-        "IntensityError",
-        "RenewalBoundsError",
-        "ScenarioFormatError",
-        "UsageError",
-    ),
-    "gridcalc": (
-        "GridDistribution",
-        "RenewalFunction",
-        "backward_tail_bound",
-        "convolution_power",
-        "convolve",
-        "discretize",
-        "generalized_bound",
-        "lorden_classical_bound",
-        "renewal_function",
-    ),
-    "hazard": (
-        "ATOM_INF",
-        "GeneralizedIntensity",
-        "IntensityCdf",
-        "add_intensities",
-        "cdf_from_intensity",
-        "deterministic",
-        "exponential",
-        "from_cumulative_hazard",
-        "from_segments",
-        "intensity_from_cdf",
-        "moment",
-        "sample",
-        "uniform",
-        "weibull",
-        "zero",
-    ),
-    "scenario": (
-        "ConstantRate",
-        "LinearCappedRate",
-        "MuRule",
-        "ScenarioConfig",
-    ),
-    "simulate": (
-        "BoundReport",
-        "Claim",
-        "EstimateTable",
-        "RenewalPath",
-        "estimate",
-        "generate_interval",
-        "path_stream",
-        "simulate_path",
-        "verify_bound",
-    ),
-}
-_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_SUBMODULE)
+_MODULES = ("errors", "hazard", "scenario", "gridcalc", "assumptions", "simulate")
 
 
 def __getattr__(name):
-    if name in _SUBMODULE:
-        value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
-        globals()[name] = value
-        return value
-    if name in _EXPORTS:
+    if name in _MODULES:
         return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name == "__all__":
+        value = sorted({n for module in _MODULES for n in __getattr__(module).__all__})
+    else:
+        left_out = PathFinder.find_spec(name, __path__)  # cli, poly
+        owners = () if left_out else map(__getattr__, _MODULES)
+        owner = next((module for module in owners if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTS})
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES})

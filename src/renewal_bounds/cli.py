@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
-A scenario file is INI-like: ``[section]`` headers, each followed by
-``key = value`` lines; ``#`` and ``;`` start a comment, and keys are read in
-lower case.  The sections are:
+A scenario file is UTF-8 text, whatever the locale, and INI-like:
+``[section]`` headers, each followed by ``key = value`` lines; ``#`` and
+``;`` start a comment, and keys are read in lower case.  The sections are:
 
 - ``[phi]`` and ``[Q]`` (``[q]`` names the same section): an intensity;
 - ``[mu]``: the rule for the extra hazards mu_j, with member sections
@@ -56,9 +56,12 @@ A claim is one row of the report (``verdicts.claims`` for ``verify``,
 ``dominates``, decided by one rule, ``simulate._judge``.
 Exit status is 0 iff every requested verdict passes: ``check`` exits 1 on a
 failed condition, and ``verify`` and ``tail`` exit 1 exactly when a claim
-fails; errors exit 2 with a machine-readable JSON record on stderr (a
+fails; errors exit 2 with a machine-readable JSON record on stderr.  A
 flag value the scenario cannot take, such as ``--reps 0`` or
-``--workers 0``, is a ``UsageError``).  ``simulate``, ``verify``
+``--workers 0``, is a ``UsageError``, and so is an output directory that
+cannot be made (``--out`` or ``[output] dir`` naming a file or a path below
+one); a scenario file whose bytes are not UTF-8 is a
+``ScenarioFormatError``.  ``simulate``, ``verify``
 and ``tail`` refuse a scenario that fails an assumption check (exit 2,
 ``AssumptionFailure``) unless ``--force`` is given.
 
@@ -377,7 +380,11 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, OutputOptions]:
     where = str(p)
     if not p.is_file():
         raise ScenarioFormatError("scenario file not found", where)
-    sections = _parse_sections(p.read_text(), where)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ScenarioFormatError(f"not UTF-8: {err.reason} at byte {err.start}", where) from err
+    sections = _parse_sections(text, where)
     for required in ("phi", "Q", "mu", "simulation"):
         if required not in sections:
             raise ScenarioFormatError(f"missing required section [{required}]", where)
@@ -493,7 +500,10 @@ def run(
                 raise UsageError(f"invalid --{name} {value}: {err}") from err
 
     directory = Path(out_dir) if out_dir is not None else out_opts.directory
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"output directory {str(directory)!r} cannot be used: {err}") from err
     bundle = ReportBundle()
     payload: dict = {
         "scenario": {
@@ -642,7 +652,7 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv, payload
     claims = []
     for qi, t in enumerate(scenario.t_queries):
         n_pts = int(math.floor(t / h + 1e-9)) + 1
-        stride = max(1, (n_pts - 1) // 2000) if n_pts > 1 else 1
+        stride = max(1, (n_pts - 1) // 2000)
         xs = np.arange(0, n_pts, stride) * h
         if xs[-1] < t:
             xs = np.append(xs, t)

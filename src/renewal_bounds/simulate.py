@@ -98,7 +98,6 @@ from .hazard import moment
 from .scenario import ScenarioConfig
 
 __all__ = [
-    "EVENT_CAP",
     "RenewalPath",
     "EstimateTable",
     "Claim",

@@ -694,6 +694,56 @@ def test_main_unknown_scenario_file(tmp_path, capsys):
     assert code == 2
 
 
+def _cli(*args, **env):
+    """Run the CLI in a fresh interpreter with only ``env`` set."""
+    src = str(Path(rb.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "renewal_bounds.cli", *map(str, args)],
+        env={"PYTHONPATH": src, **env}, capture_output=True, text=True,
+    )
+
+
+# the C locale without UTF-8 mode decodes files as ASCII
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def test_scenario_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(("# μ = 0: i.i.d. intervals\n" + MINIMAL_IID).encode("utf-8"))
+    done = _cli("check", path, "--out", tmp_path / "out", **C_LOCALE)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("env", [C_LOCALE, {"PYTHONUTF8": "1"}], ids=["c-locale", "utf8-mode"])
+def test_a_scenario_file_that_is_not_utf8_is_a_format_error(tmp_path, env):
+    path = tmp_path / "scenario.ini"
+    path.write_bytes(b"\xff\xfe" + MINIMAL_IID.encode("utf-16-le"))
+    done = _cli("check", path, "--out", tmp_path / "out", **env)
+    assert done.returncode == 2
+    record = json.loads(done.stderr)
+    assert record["error"] == "ScenarioFormatError"
+    assert record["where"]["path"] == str(path)
+    assert "not UTF-8" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "[output] dir"])
+@pytest.mark.parametrize("out", ["taken", "taken/below"])
+def test_an_unusable_output_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, where, out):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("a file, not a directory\n")
+    if where == "--out":
+        argv = ["check", str(write(tmp_path, MINIMAL_IID)), "--out", out]
+    else:
+        argv = ["check", str(write(tmp_path, MINIMAL_IID + f"\n[output]\ndir = {out}\n"))]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "UsageError"
+    assert repr(out) in record["message"]
+    assert Path("taken").read_text() == "a file, not a directory\n"
+
+
 def test_byte_identical_reruns(tmp_path):
     path = write(tmp_path, GENERALIZED)
     run("verify", path, out_dir=tmp_path / "r1", reps=600)
@@ -778,6 +828,7 @@ def test_imports_load_random_openssl_and_polynomial_on_first_use(tmp_path):
     # hazard's own table, and the manifest hashes with CPython's own SHA-256.
     # Importing the package loads no numpy at all, so the CLI module pins
     # numpy's BLAS to one thread before numpy starts: no thread but the main
+    # one runs.  The runs resolve no name through the package either
     script = """
 import json, os, sys
 LAZY = ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial")
@@ -791,6 +842,8 @@ command, *args = sys.argv[1:]
 for path, out in zip(args[::2], args[1::2]):
     assert renewal_bounds.cli.main([command, path, "--out", out, "--reps", "2000"]) == 0
 print(json.dumps([m for m in LAZY if m in sys.modules]))
+# the CLI imports from submodules and never resolves a package name
+assert not set(vars(renewal_bounds)) & set(renewal_bounds.__all__)
 """
     src = str(Path(rb.__file__).resolve().parents[1])
     runs = {
