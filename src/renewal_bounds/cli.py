@@ -56,14 +56,16 @@ A claim is one row of the report (``verdicts.claims`` for ``verify``,
 ``dominates``, decided by one rule, ``simulate._judge``.
 Exit status is 0 iff every requested verdict passes: ``check`` exits 1 on a
 failed condition, and ``verify`` and ``tail`` exit 1 exactly when a claim
-fails; errors exit 2 with a machine-readable JSON record on stderr.  A
-flag value the scenario cannot take, such as ``--reps 0`` or
-``--workers 0``, is a ``UsageError``, and so is an output directory that
-cannot be made (``--out`` or ``[output] dir`` naming a file or a path below
-one); a scenario file whose bytes are not UTF-8 is a
-``ScenarioFormatError``.  ``simulate``, ``verify``
-and ``tail`` refuse a scenario that fails an assumption check (exit 2,
-``AssumptionFailure``) unless ``--force`` is given.
+fails; errors exit 2 with a machine-readable JSON record on stderr, so a
+crash never reads as a failed verdict.  A flag value the scenario cannot
+take, such as ``--reps 0`` or ``--workers 0``, is a ``UsageError``, and so
+is an output directory that cannot be made (``--out`` or ``[output] dir``
+naming a file or a path below one) and an output file that cannot be
+written (a directory in its place, say); the record names the path.  A
+scenario file that cannot be read, or whose bytes are not UTF-8, is a
+``ScenarioFormatError``.  ``simulate``, ``verify`` and ``tail`` refuse a
+scenario that fails an assumption check (exit 2, ``AssumptionFailure``)
+unless ``--force`` is given.
 
 ``report.json`` is strict JSON (RFC 8259): an estimate that diverges, which
 only a forced run on a failing scenario can produce, is written as ``null``.
@@ -378,12 +380,12 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, OutputOptions]:
     """Parse a scenario file; returns the config and its output options."""
     p = Path(path)
     where = str(p)
-    if not p.is_file():
-        raise ScenarioFormatError("scenario file not found", where)
     try:
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ScenarioFormatError(f"not UTF-8: {err.reason} at byte {err.start}", where) from err
+    except OSError as err:
+        raise ScenarioFormatError(f"cannot be read: {err.strerror or err}", where) from err
     sections = _parse_sections(text, where)
     for required in ("phi", "Q", "mu", "simulation"):
         if required not in sections:
@@ -419,11 +421,46 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 @dataclass
 class ReportBundle:
+    """The one writer of a run's files, and the report they carry.
+
+    ``directory`` and ``formats`` are the run's output directory (``--out``
+    or ``[output] dir``) and its ``[output] formats``.  Every file goes
+    through :meth:`write`, which lists it in ``files`` for the manifest; a
+    file that cannot be written is a ``UsageError`` that names its path
+    (exit 2), never the exit 1 of a failed check or claim.  :meth:`csv`
+    writes only when ``csv`` is among the formats, and :meth:`json` only
+    when ``json`` is; the manifest is always written, last.
+    """
+
+    directory: Path = Path(".")
+    formats: tuple[str, ...] = ("csv", "json")
     exit_code: int = 0
     report: dict = field(default_factory=dict)
     files: dict[str, Path] = field(default_factory=dict)
 
-    def write_manifest(self, directory: Path, command: str) -> Path:
+    def write(self, name: str, text: str) -> None:
+        path = self.directory / name
+        try:
+            path.write_text(text)
+        except OSError as err:
+            reason = err.strerror or err
+            raise UsageError(f"output file {str(path)!r} cannot be written: {reason}") from err
+        self.files[name] = path
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        if "csv" in self.formats:
+            # one %-template per row: the text of f"{float(v):.17g}" for every value
+            template = ",".join(["%.17g"] * len(header))
+            lines = [",".join(header)]
+            lines.extend(template % tuple(row) for row in rows)
+            self.write(name, "\n".join(lines) + "\n")
+
+    def json(self, name: str, payload: dict) -> None:
+        if "json" in self.formats:
+            # strict RFC 8259: a non-finite float raises instead of writing NaN/Infinity
+            self.write(name, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+    def write_manifest(self, command: str) -> None:
         # CPython's own SHA-256: hashlib would load OpenSSL (about 3.5 MB) for
         # the manifest alone
         try:
@@ -450,23 +487,7 @@ class ReportBundle:
             "created": datetime.now(timezone.utc).isoformat(),
             "files": entries,
         }
-        path = directory / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        self.files["manifest.json"] = path
-        return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # one %-template per row: the text of f"{float(v):.17g}" for every value
-    template = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(template % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    # strict RFC 8259: a non-finite float raises instead of writing NaN/Infinity
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        self.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -504,67 +525,51 @@ def run(
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise UsageError(f"output directory {str(directory)!r} cannot be used: {err}") from err
-    bundle = ReportBundle()
-    payload: dict = {
-        "scenario": {
-            "label": scenario.label,
-            "reps": scenario.reps,
-            "seed": scenario.seed,
-            "step": _default_or_null(scenario.resolved_step),
-            "horizon": _default_or_null(scenario.resolved_horizon),
-            "iid": scenario.iid,
-            "t_queries": list(scenario.t_queries),
-        }
+    bundle = ReportBundle(directory, out_opts.formats)
+    bundle.report["scenario"] = {
+        "label": scenario.label,
+        "reps": scenario.reps,
+        "seed": scenario.seed,
+        "step": _default_or_null(scenario.resolved_step),
+        "horizon": _default_or_null(scenario.resolved_horizon),
+        "iid": scenario.iid,
+        "t_queries": list(scenario.t_queries),
     }
-    want_csv = "csv" in out_opts.formats
-    want_json = "json" in out_opts.formats
-    claims = None
 
     if command == "check":
         report = check_assumptions(scenario)
-        payload["assumptions"] = report.as_dict()
+        bundle.report["assumptions"] = report.as_dict()
         bundle.exit_code = 0 if report.all_pass else 1
 
     elif command == "bound":
-        payload.update(_bound_blocks(_bounds(scenario)))
+        bundle.report.update(_bound_blocks(_bounds(scenario)))
 
     elif command == "simulate":
         report = _assumption_gate(scenario, force)
         table = estimate(scenario, workers=workers)
-        payload["assumptions"] = report.as_dict()
-        payload["estimates"] = _estimates_payload(table)
-        if want_csv:
-            _emit_estimates_csv(bundle, directory, table)
+        bundle.report["assumptions"] = report.as_dict()
+        _estimates(bundle, table)
 
     elif command == "verify":
         report = verify_bound(scenario, override_assumptions=force, workers=workers)
-        payload["assumptions"] = report.assumptions.as_dict()
-        payload["assumption_override"] = report.assumption_override
-        payload.update(_bound_blocks(report))
-        payload["estimates"] = _estimates_payload(report.table)
-        claims = report.claims
-        payload["verdicts"] = {"all_pass": report.all_pass, "claims": [asdict(c) for c in claims]}
-        if want_csv:
-            _emit_estimates_csv(bundle, directory, report.table)
+        bundle.report.update(
+            _bound_blocks(report),
+            assumptions=report.assumptions.as_dict(),
+            assumption_override=report.assumption_override,
+            verdicts={"all_pass": report.all_pass, "claims": [asdict(c) for c in report.claims]},
+        )
+        _estimates(bundle, report.table)
+        bundle.exit_code = 0 if report.all_pass else 1
 
     elif command == "tail":
-        claims = _tail_command(scenario, directory, bundle, workers, force, want_csv, payload)
+        _tail_command(scenario, bundle, workers, force)
 
     elif command == "renewal":
-        H, payload["renewal"] = _renewal(scenario)
-        if want_csv:
-            path = directory / "renewal.csv"
-            _write_csv(path, ["s", "H"], zip(H.grid(), H.values))
-            bundle.files["renewal.csv"] = path
+        H, bundle.report["renewal"] = _renewal(scenario)
+        bundle.csv("renewal.csv", ["s", "H"], zip(H.grid(), H.values))
 
-    if claims is not None:
-        bundle.exit_code = 0 if all(claim.dominates for claim in claims) else 1
-    if want_json:
-        path = directory / "report.json"
-        _write_json(path, payload)
-        bundle.files["report.json"] = path
-    bundle.report = payload
-    bundle.write_manifest(directory, command)
+    bundle.json("report.json", bundle.report)
+    bundle.write_manifest(command)
     return bundle
 
 
@@ -593,32 +598,23 @@ def _finite_or_null(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _estimates_payload(table) -> list[dict]:
-    """Per-t estimates; a non-finite one (only under ``--force``) is ``null``."""
-    return [
-        {
-            "t": t,
-            "mean_backward": _finite_or_null(table.mean_backward[i]),
-            "half_width_backward": _finite_or_null(table.half_backward[i]),
-            "mean_forward": _finite_or_null(table.mean_forward[i]),
-            "half_width_forward": _finite_or_null(table.half_forward[i]),
-            "reps": table.reps,
-        }
+def _estimates(bundle: ReportBundle, table) -> None:
+    """Per-t estimates, as the report's block and ``estimates.csv``.
+
+    A non-finite estimate (only under ``--force``) is ``null`` in the report.
+    """
+    columns = {  # report key -> column, in the CSV's order after t
+        "mean_backward": table.mean_backward,
+        "half_width_backward": table.half_backward,
+        "mean_forward": table.mean_forward,
+        "half_width_forward": table.half_forward,
+    }
+    bundle.report["estimates"] = [
+        {"t": t, "reps": table.reps, **{k: _finite_or_null(c[i]) for k, c in columns.items()}}
         for i, t in enumerate(table.t_queries)
     ]
-
-
-def _emit_estimates_csv(bundle: ReportBundle, directory: Path, table) -> None:
-    path = directory / "estimates.csv"
-    rows = zip(
-        table.t_queries,
-        table.mean_backward,
-        table.half_backward,
-        table.mean_forward,
-        table.half_forward,
-    )
-    _write_csv(path, ["t", "meanB", "ciB", "meanW", "ciW"], rows)
-    bundle.files["estimates.csv"] = path
+    rows = zip(table.t_queries, *columns.values())
+    bundle.csv("estimates.csv", ["t", "meanB", "ciB", "meanW", "ciW"], rows)
 
 
 def _renewal(scenario: ScenarioConfig):
@@ -643,10 +639,10 @@ def _renewal(scenario: ScenarioConfig):
     return H, diagnostics
 
 
-def _tail_command(scenario, directory, bundle, workers, force, want_csv, payload) -> list:
-    """Write the tail CSVs and the report's blocks; return one claim per query time."""
+def _tail_command(scenario, bundle, workers, force) -> None:
+    """Write the tail CSVs and the report's blocks; one claim per query time sets the exit code."""
     report = _assumption_gate(scenario, force)
-    H, payload["renewal"] = _renewal(scenario)
+    H, bundle.report["renewal"] = _renewal(scenario)
     h = H.step
     table = estimate(scenario, workers=workers, keep_samples=True)
     claims = []
@@ -662,14 +658,11 @@ def _tail_command(scenario, directory, bundle, workers, force, want_csv, payload
         se = np.sqrt(emp * (1.0 - emp) / scenario.reps)
         # :g keeps 6 digits; distinct query times need distinct files
         name = f"tail_t{t:g}.csv" if float(f"{t:g}") == t else f"tail_t{t!r}.csv"
-        if want_csv:
-            path = directory / name
-            _write_csv(path, ["x", "upper_bound", "empirical", "se"], zip(xs, ub, emp, se))
-            bundle.files[name] = path
+        bundle.csv(name, ["x", "upper_bound", "empirical", "se"], zip(xs, ub, emp, se))
         claims.append(_judge("tail_B", "backward_tail", t, ub, emp, se))
-    payload["tail"] = [asdict(c) for c in claims]
-    payload["assumptions"] = report.as_dict()
-    return claims
+    bundle.report["tail"] = [asdict(c) for c in claims]
+    bundle.report["assumptions"] = report.as_dict()
+    bundle.exit_code = 0 if all(claim.dominates for claim in claims) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -606,7 +606,11 @@ def estimate(
     Output is bitwise identical for a fixed (seed, reps, scenario)
     regardless of ``workers``: every replication computes the same values
     from its own stream, results are assembled by replication index, and
-    the reduction is a single pass over the full array.
+    the reduction is a single pass over the full array.  Each slab of
+    ``_SLAB`` replications is one job; with ``workers > 1`` and more than
+    one slab the jobs run in a process pool of ``min(workers, slabs)``
+    processes, since a pool starts all its processes at once and a process
+    beyond the slab count would find no job.
 
     Memory is the samples ``B`` and ``W`` (``reps x queries`` each) plus
     one slab's working set: its streams' limbs, one strip's tile of about
@@ -628,7 +632,7 @@ def estimate(
             # imported here: concurrent.futures costs every command ~13 ms
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 for r0, b, w in pool.map(_slab_worker, [(scenario, *job) for job in jobs]):
                     B[r0 : r0 + b.shape[0]] = b
                     W[r0 : r0 + w.shape[0]] = w

@@ -692,6 +692,10 @@ def test_main_rejects_non_finite_breaks_and_atoms(tmp_path, capsys, line):
 def test_main_unknown_scenario_file(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.ini")])
     assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert record["where"]["path"] == str(tmp_path / "nope.ini")
+    assert "cannot be read" in record["message"]
 
 
 def _cli(*args, **env):
@@ -728,6 +732,25 @@ def test_a_scenario_file_that_is_not_utf8_is_a_format_error(tmp_path, env):
     assert not (tmp_path / "out").exists()
 
 
+def _unreadable(self, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(self))
+
+
+def test_a_scenario_file_that_cannot_be_read_is_a_format_error(tmp_path, monkeypatch, capsys):
+    # a patched read: chmod 000 does not stop a process that runs as root
+    path = write(tmp_path, MINIMAL_IID)
+    monkeypatch.setattr(Path, "read_text", _unreadable)
+    with pytest.raises(ScenarioFormatError) as exc:
+        run("check", path, out_dir=tmp_path / "o1")
+    assert exc.value.path == str(path)
+    assert "cannot be read" in str(exc.value)
+    assert main(["check", str(path), "--out", str(tmp_path / "o2")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ScenarioFormatError"
+    assert record["where"]["path"] == str(path)
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
 @pytest.mark.parametrize("where", ["--out", "[output] dir"])
 @pytest.mark.parametrize("out", ["taken", "taken/below"])
 def test_an_unusable_output_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, where, out):
@@ -742,6 +765,49 @@ def test_an_unusable_output_directory_is_a_usage_error(tmp_path, monkeypatch, ca
     assert record["error"] == "UsageError"
     assert repr(out) in record["message"]
     assert Path("taken").read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, name, flags",
+    [
+        ("check", MINIMAL_IID, "report.json", []),
+        ("simulate", MINIMAL_IID, "estimates.csv", ["--reps", "200"]),
+        ("renewal", MINIMAL_IID, "renewal.csv", ["--step", "0.01", "--horizon", "10"]),
+        ("tail", GENERALIZED, "tail_t0.5.csv", ["--reps", "200"]),
+        ("verify", MINIMAL_IID, "manifest.json", ["--reps", "200"]),
+    ],
+    ids=["check", "simulate", "renewal", "tail", "verify"],
+)
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(
+    tmp_path, capsys, command, text, name, flags
+):
+    # a directory where the file goes: the write fails with an OSError, which
+    # must exit 2 with a record, not 1 (a failed verdict) with a traceback
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)
+    argv = [command, str(write(tmp_path, text)), "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"] == "UsageError"
+    assert repr(str(blocked)) in record["message"]
+
+
+@pytest.mark.parametrize("command", ["tail", "renewal"])
+@pytest.mark.parametrize("formats", ["csv", "json"])
+def test_output_formats_choose_the_files_a_run_writes(tmp_path, command, formats):
+    text = GENERALIZED.replace("formats = csv json", f"formats = {formats}")
+    bundle = run(command, write(tmp_path, text), out_dir=tmp_path / "out", reps=200)
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    csvs = {name for name in written if name.endswith(".csv")}
+    if formats == "csv":
+        assert "report.json" not in written and csvs
+    else:
+        assert "report.json" in written and not csvs
+    assert command in bundle.report  # the report is filled whether or not it is written
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {entry["name"] for entry in manifest["files"]} == written == set(bundle.files)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -933,3 +999,37 @@ def test_benchmark_scenarios_report_the_same_at_one_and_two_workers(
         runs.append((code, (out / "report.json").read_bytes()))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 1)
+
+
+def test_a_pool_starts_no_more_processes_than_there_are_slabs(tmp_path, monkeypatch):
+    # a pool starts all its processes at once; a fake one runs the slabs here
+    # and records the size asked for, so no pool of 64 is ever started
+    import concurrent.futures
+
+    import renewal_bounds.simulate as sim
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim, "_SLAB", 150)  # 400 reps: three slabs
+    path = write(tmp_path, MINIMAL_IID)
+    reports = []
+    for workers in (1, 64):
+        out = tmp_path / f"workers{workers}"
+        run("simulate", path, out_dir=out, workers=workers)
+        reports.append((out / "report.json").read_bytes())
+    assert sizes == [3]
+    assert reports[0] == reports[1]
